@@ -103,7 +103,18 @@ def _agreement_int(ctx: PrecisionContext, digits: Optional[float]) -> int:
     return min(int(digits), ctx.working_digits)
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for --r: an integer or p/q with q != 0."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or p/q with q != 0, got {text!r}") from None
+
+
 def _cmd_constant(args) -> int:
+    if args.terms is not None and args.terms < 1:
+        raise UsageError(f"--terms must be a positive integer, got {args.terms}")
     ctx = make_context(args.digits)
     t0 = time.perf_counter()
     value, report = series.gamma_quarter_series(ctx, n_terms=args.terms)
@@ -294,7 +305,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("elliptic", help="compute K(k_r) or E(k_r)")
     p.add_argument("kind", choices=["K", "E"])
-    p.add_argument("--r", type=Fraction, required=True,
+    p.add_argument("--r", type=_rational, required=True,
                    help="parameter r as an integer or p/q")
     p.add_argument("--digits", type=int, default=100)
     p.add_argument("--method", choices=["series", "agm", "both"], default="both")

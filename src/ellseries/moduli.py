@@ -94,7 +94,7 @@ def _one_minus(gap: BigReal, ctx: PrecisionContext) -> BigReal:
     """1 - gap, subtracted with enough digits to stay strictly below 1."""
     need = ctx.working_digits + 10
     if gap < 1:
-        mag = int(-ctx.log10(gap)) + 30
+        mag = int(-ctx.log10_abs(gap)) + 30
         need = max(need, mag)
     sub = make_context(need)
     return 1 - sub.mpf(gap)

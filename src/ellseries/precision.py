@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import numeral, to_fixed as _mpf_to_fixed
 
 # Context-bound mpmath float.  mpmath mints a distinct mpf class per
 # context, so this alias is documentation rather than a checkable type.
@@ -30,6 +31,7 @@ Rational = Union[int, Fraction]
 
 MIN_TARGET_DIGITS = 10
 MIN_GUARD_DIGITS = 10
+LOG10_2 = math.log10(2)
 
 
 class PrecisionError(ValueError):
@@ -148,6 +150,39 @@ class PrecisionContext:
             raise DomainError(f"log10 of non-positive value {x}")
         return self._mp.log10(x)
 
+    def log10_abs(self, x: Any) -> float:
+        """log10|x| as a float, read from the mantissa and exponent.
+
+        For callers that need a magnitude, not a full-precision logarithm:
+        it costs one float log of the mantissa instead of an mpf log10.
+        """
+        _, man, exp, _ = self.mpf(x)._mpf_
+        if not man:
+            raise DomainError(f"log10 of {x}")
+        # int(): under the gmpy2 backend man is an mpz, which math.log10
+        # converts through a float that overflows past 2^1024
+        return math.log10(int(man)) + exp * LOG10_2
+
+    # ---- binary fixed point -----------------------------------------
+
+    @property
+    def prec(self) -> int:
+        """Binary working precision in bits."""
+        return self._mp.prec
+
+    def to_fixed(self, x: Any, bits: int) -> int:
+        """x as a Python int in units of 2^-bits, rounded toward -inf.
+
+        Reads the signed raw tuple ``_mpf_``.  ``mpf.man_exp`` is no
+        shortcut: it returns the unsigned mantissa
+        (``mpf(-2).man_exp == (1, 1)``).
+        """
+        return int(_mpf_to_fixed(self.mpf(x)._mpf_, bits))
+
+    def from_fixed(self, man: int, bits: int) -> BigReal:
+        """man * 2^-bits rounded to working precision."""
+        return self._mp.mpf((man, -bits))
+
     def power(self, x: Any, y: Any) -> BigReal:
         """x**y for x > 0 (or integer y)."""
         x = self.mpf(x)
@@ -189,9 +224,7 @@ class PrecisionContext:
         if diff == 0:
             return float(self.working_digits)
         scale = max(abs(a), abs(b))
-        if scale == 0:
-            return float(self.working_digits)
-        d = float(-self._mp.log10(diff / scale))
+        d = self.log10_abs(scale) - self.log10_abs(diff)
         return min(d, float(self.working_digits))
 
     def abs_residual_digits(self, a: Any, b: Any = 0) -> float:
@@ -199,7 +232,7 @@ class PrecisionContext:
         diff = abs(self.mpf(a) - self.mpf(b))
         if diff == 0:
             return float(self.working_digits)
-        return min(float(-self._mp.log10(diff)), float(self.working_digits))
+        return min(-self.log10_abs(diff), float(self.working_digits))
 
     def agrees(self, a: Any, b: Any, digits: int | None = None) -> bool:
         """|a - b| <= 10^(-digits), defaulting to target_digits - 5."""
@@ -232,8 +265,8 @@ def to_decimal_string(ctx: PrecisionContext, x: Any, digits: int) -> str:
         return "0." + "0" * (digits - 1)
     sign = "-" if x < 0 else ""
     ax = abs(x)
-    e = int(ctx._mp.floor(ctx.log10(ax)))
-    # floor(log10) can be off by one at powers of ten; renormalize.
+    e = math.floor(ctx.log10_abs(ax))
+    # the float magnitude can be off by one at powers of ten; renormalize.
     for _ in range(3):
         scaled = int(ctx._mp.floor(ax * ctx._mp.mpf(10) ** (digits - 1 - e)))
         if scaled >= 10 ** digits:
@@ -242,7 +275,8 @@ def to_decimal_string(ctx: PrecisionContext, x: Any, digits: int) -> str:
             e -= 1
         else:
             break
-    ds = str(scaled)
+    # str(int) is capped at 4300 digits by default; numeral converts in chunks
+    ds = numeral(scaled, size=digits)
     if -6 <= e < digits:
         if e >= 0:
             int_part = ds[: e + 1]

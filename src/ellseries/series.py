@@ -30,7 +30,7 @@ from typing import Any, List, Optional, Tuple
 
 from . import moduli
 from .oracle import E_ref, K_ref, b_quarter, nome, theta3
-from .precision import BigReal, DomainError, PrecisionContext
+from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
 class SingularSeriesError(ValueError):
@@ -107,16 +107,21 @@ def make_series_spec(mu: Any, nu: Any, z: Any, alpha: Any, beta: Any,
     return SeriesSpec(mu=mu, nu=nu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
 
 
+def _term_ratio(n: int, mu: Fraction, nu: Fraction) -> Tuple[int, int]:
+    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / ((1-nu+n)(n+1)) as exact (num, den), den > 0."""
+    ratio = (n - mu) * (1 + mu + n) / ((1 - nu + n) * (n + 1))
+    return ratio.numerator, ratio.denominator
+
+
 def next_coefficient(c: BigReal, n: int, mu: Any, nu: Any,
                      ctx: PrecisionContext) -> BigReal:
     """c_{n+1} = c_n (-mu+n)(1+mu+n) / ((1-nu+n)(n+1)); c_0 = 1.
 
-    One multiply-divide per term instead of re-expanding Pochhammer
-    products from scratch.
+    One multiply-divide per term by the exact rational ratio that the
+    fixed-point kernel of :func:`eval_series` also uses.
     """
-    mu = ctx.mpf(mu)
-    nu = ctx.mpf(nu)
-    return c * (-mu + n) * (1 + mu + n) / ((1 - nu + n) * (n + 1))
+    num, den = _term_ratio(n, _as_fraction(mu), _as_fraction(nu))
+    return c * num / den
 
 
 def alpha_of(mu: Any, nu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
@@ -145,7 +150,7 @@ RUNAWAY_TERM_CEILING = 2_000_000
 
 def _max_terms(z: BigReal, ctx: PrecisionContext) -> int:
     """Runaway guard: ~10x the term count the geometric ratio z predicts."""
-    log10z = abs(float(ctx.log10(z)))
+    log10z = abs(ctx.log10_abs(z))
     if log10z <= 0:
         return RUNAWAY_TERM_CEILING
     cap = math.ceil(10 * ctx.working_digits / log10z) + 16
@@ -161,46 +166,54 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     Stops when the next term bound (including the (alpha*n + beta) growth
     factor) falls below 10^(-working_digits), or after exactly ``n_terms``
     terms when given.  ``term_cap`` overrides the runaway guard (exceeding
-    it raises, signalling a bug or a pathologically slow z).  Partial sums
-    are retained to build the error trace and the least-squares
-    digits-per-term slope.
-    """
-    z = spec.z
-    mu_f = ctx.mpf(spec.mu)
-    nu_f = ctx.mpf(spec.nu)
-    eps = ctx.tol(ctx.working_digits)
-    cap = term_cap if term_cap is not None else _max_terms(z, ctx)
+    it raises, signalling a bug or a pathologically slow z).
 
-    s = ctx.zero
-    c = ctx.one
-    zp = ctx.one
-    partials: List[BigReal] = []
+    The sum runs in binary fixed point: z, alpha, beta and each term are
+    integers in units of 2^-wp, where wp is the working precision plus
+    guard bits that grow with log2 of the term cap, and each term
+    follows from the last through the exact integer ratio of
+    :func:`_term_ratio`.  Partial sums are kept as those integers; the
+    error trace and the least-squares digits-per-term slope are read from
+    them with float logarithms of exact integer differences.
+    """
+    cap = term_cap if term_cap is not None else _max_terms(spec.z, ctx)
+    wp = ctx.prec + 2 * (n_terms or cap).bit_length()
+    one = 1 << wp
+    z = ctx.to_fixed(spec.z, wp)
+    alpha = ctx.to_fixed(spec.alpha, wp)
+    beta = ctx.to_fixed(spec.beta, wp)
+    eps = one // 10 ** ctx.working_digits
+
+    t = one  # c_n z^n
+    s = 0
+    partials: List[int] = []
     n = 0
     while True:
-        s += c * zp * (spec.alpha * n + spec.beta)
+        s += (t * (alpha * n + beta)) >> wp
         partials.append(s)
         n += 1
         if n_terms is not None:
             if n >= n_terms:
                 break
-        c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / ((1 - nu_f + (n - 1)) * n)
-        zp = zp * z
+        num, den = _term_ratio(n - 1, spec.mu, spec.nu)
+        prod = ((t * z) >> wp) * num
+        # round toward zero: terms may be negative
+        t = prod // den if prod >= 0 else -(-prod // den)
         if n_terms is None:
-            bound = abs(c * zp) * (abs(spec.alpha) * (n + 2) + abs(spec.beta))
+            bound = (abs(t) * (abs(alpha) * (n + 2) + abs(beta))) >> wp
             if bound < eps:
                 break
             if n >= cap:
                 raise SeriesConvergenceError(
                     f"series did not converge within {cap} terms "
-                    f"(z={z}, alpha={spec.alpha}, beta={spec.beta})"
+                    f"(z={spec.z}, alpha={spec.alpha}, beta={spec.beta})"
                 )
 
-    final = s
-    trace: List[Tuple[int, float]] = []
-    for i, p in enumerate(partials[:-1]):
-        diff = abs(p - final)
-        if diff > 0:
-            trace.append((i, float(-ctx.log10(diff))))
+    final = ctx.from_fixed(s, wp)
+    # -log10 |P_n - S| with P_n - S in units of 2^-wp
+    unit_digits = wp * LOG10_2
+    trace = [(i, unit_digits - math.log10(abs(p - s)))
+             for i, p in enumerate(partials[:-1]) if p != s]
     report = ConvergenceReport(
         terms_used=len(partials),
         error_trace=trace,

@@ -113,6 +113,35 @@ def test_elliptic_malformed_r_is_usage_error(capsys):
     assert code == 1
 
 
+def test_elliptic_zero_denominator_r_is_usage_error(capsys):
+    code, _, err = _run(capsys, ["elliptic", "K", "--r", "1/0", "--digits", "50"])
+    assert code == 1
+    assert "--r" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_constant_nonpositive_terms_is_usage_error(capsys, terms):
+    code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "50",
+                                   "--terms", terms])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--terms" in err
+    assert "Traceback" not in err
+
+
+def test_constant_past_the_int_str_limit(capsys):
+    # 5000 digits exceed CPython's default 4300-digit int->str limit
+    code, out1, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "5000",
+                                    "--format", "json"])
+    assert code == 0, err
+    _, out2, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "5100",
+                               "--format", "json"])
+    v5000 = json.loads(out1)["value_digits"]
+    assert len(v5000) == 5001
+    assert json.loads(out2)["value_digits"].startswith(v5000)
+
+
 def test_unknown_subcommand(capsys):
     code, _, _ = _run(capsys, ["frobnicate"])
     assert code == 1

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +117,29 @@ def test_decimal_string_ranges(ctx50):
     tiny = ctx50.mpf(10) ** -20 * ctx50.mpf("6.0281")
     assert to_decimal_string(ctx50, tiny, 4) == "6.028e-20"
     assert to_decimal_string(ctx50, ctx50.mpf(100), 5) == "100.00"
+
+
+def test_log10_abs_reads_magnitude(ctx50):
+    assert ctx50.log10_abs(1000) == pytest.approx(3, abs=1e-12)
+    assert ctx50.log10_abs(-1000) == pytest.approx(3, abs=1e-12)
+    assert ctx50.log10_abs(ctx50.tol(5000)) == pytest.approx(-5000, abs=1e-9)
+    assert ctx50.log10_abs(ctx50.pi) == pytest.approx(float(ctx50.log10(ctx50.pi)), abs=1e-14)
+    with pytest.raises(DomainError):
+        ctx50.log10_abs(0)
+
+
+def test_fixed_point_keeps_the_sign(ctx50):
+    # mpf.man_exp drops the sign: mpf(-2).man_exp == (1, 1)
+    assert ctx50.to_fixed(-2, 10) == -2048
+    assert ctx50.to_fixed(ctx50.mpf("-0.75"), 4) == -12
+    x = -ctx50.pi
+    assert ctx50.from_fixed(ctx50.to_fixed(x, ctx50.prec + 8), ctx50.prec + 8) == x
+
+
+def test_decimal_string_past_the_int_str_limit():
+    # CPython refuses str() of ints past 4300 digits by default
+    ctx = make_context(12000)
+    got = to_decimal_string(ctx, ctx.pi, 12000)
+    with mpmath.workdps(12030):
+        expect = mpmath.nstr(mpmath.pi, 12020, strip_zeros=False)[:12001]
+    assert got == expect

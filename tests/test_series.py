@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
                        SingularSeriesError, alpha_of, chain_to_6400,
@@ -239,3 +241,103 @@ def test_gamma_quarter_slope():
     _, report = gamma_quarter_series(ctx)
     assert 100 <= report.digits_per_term <= 130
     assert report.terms_used <= 6
+
+
+# ---------------------------------------------------------------------
+# the fixed-point kernel against the mpf loop it replaced
+# ---------------------------------------------------------------------
+
+def _reference_eval_series(spec, ctx, n_terms=None):
+    """The mpf summation loop eval_series used before its fixed-point kernel.
+
+    Returns (sum, terms used, error trace, largest |partial sum|).
+    """
+    z = spec.z
+    mu_f = ctx.mpf(spec.mu)
+    nu_f = ctx.mpf(spec.nu)
+    eps = ctx.tol(ctx.working_digits)
+    s = ctx.zero
+    c = ctx.one
+    zp = ctx.one
+    partials = []
+    n = 0
+    while True:
+        s += c * zp * (spec.alpha * n + spec.beta)
+        partials.append(s)
+        n += 1
+        if n_terms is not None:
+            if n >= n_terms:
+                break
+        c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / ((1 - nu_f + (n - 1)) * n)
+        zp = zp * z
+        if n_terms is None:
+            bound = abs(c * zp) * (abs(spec.alpha) * (n + 2) + abs(spec.beta))
+            if bound < eps:
+                break
+    trace = []
+    for i, p in enumerate(partials[:-1]):
+        diff = abs(p - s)
+        if diff > 0:
+            trace.append((i, float(-ctx.log10(diff))))
+    return s, len(partials), trace, max(abs(p) for p in partials)
+
+
+_small_rational = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 4))
+# 1 - nu must not be zero or a negative integer
+_nu = _small_rational.map(lambda nu: -nu if nu.denominator == 1 and nu >= 1 else nu)
+
+
+@st.composite
+def _series_params(draw):
+    """(mu, nu, z, alpha, beta): z in (0, 0.95), weights of either sign, or
+    z near 1/2 with the small 2K/pi-type beta = 1 - 2z."""
+    mu = draw(_small_rational)
+    nu = draw(_nu)
+    if draw(st.booleans()):
+        z = Fraction(draw(st.integers(1, 949)), 1000)
+        alpha = draw(_small_rational)
+        beta = draw(_small_rational)
+    else:
+        z = Fraction(1, 2) + draw(st.sampled_from([-1, 1])) * Fraction(1, 10 ** draw(st.integers(2, 7)))
+        alpha = -4 * (1 - z)
+        beta = 1 - 2 * z
+    return mu, nu, z, alpha, beta
+
+
+def _spec_or_reject(params, ctx):
+    mu, nu, z, alpha, beta = params
+    try:
+        return make_series_spec(mu, nu, ctx.mpf(z), ctx.mpf(alpha), ctx.mpf(beta), ctx)
+    except SingularSeriesError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_series_params(), st.integers(50, 600))
+def test_fixed_point_kernel_matches_mpf_loop(params, digits):
+    ctx = make_context(digits)
+    spec = _spec_or_reject(params, ctx)
+    value, report = eval_series(spec, ctx)
+    ref, ref_terms, ref_trace, scale = _reference_eval_series(spec, ctx)
+    assert report.terms_used == ref_terms
+    # both sums carry absolute rounding error ~ 2^-prec times the largest partial
+    scale = max(ctx.one, scale)
+    assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * scale
+    # trace points the mpf loop itself resolves to 1e-6 digits
+    resolved = ctx.working_digits - 10 - ctx.log10_abs(scale)
+    got = {n: d for n, d in report.error_trace if d <= resolved}
+    want = {n: d for n, d in ref_trace if d <= resolved}
+    assert got.keys() == want.keys()
+    for n in want:
+        assert got[n] == pytest.approx(want[n], abs=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_series_params(), st.integers(50, 600), st.integers(1, 40))
+def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
+    ctx = make_context(digits)
+    spec = _spec_or_reject(params, ctx)
+    value, report = eval_series(spec, ctx, n_terms=n_terms)
+    ref, ref_terms, _, scale = _reference_eval_series(spec, ctx, n_terms=n_terms)
+    assert report.terms_used == ref_terms == n_terms
+    assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * max(ctx.one, scale)
