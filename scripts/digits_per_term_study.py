@@ -17,6 +17,11 @@ from ellseries import (chain_to_6400, gamma_quarter_series, make_context,
                        solve_kr, two_K_over_pi)
 
 
+def _slope(value) -> str:
+    """A slope column; None (fewer than two traced terms) prints as n/a."""
+    return f"{'n/a':>10}" if value is None else f"{value:>10.3f}"
+
+
 def main() -> None:
     target = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     ctx = make_context(target)
@@ -27,12 +32,12 @@ def main() -> None:
         _, report = two_K_over_pi(pair, ctx)
         geo = float(-2 * ctx.log10(pair.k))
         print(f"{f'2K/pi at r={r}':>28} {report.terms_used:>6} "
-              f"{report.digits_per_term:>10.3f} {geo:>10.3f}")
+              f"{_slope(report.digits_per_term)} {geo:>10.3f}")
     value, report = gamma_quarter_series(ctx)
     w = chain_to_6400(ctx)[3].k
     geo = float(-2 * ctx.log10(w))
     print(f"{'Gamma(1/4)^2/pi^(3/2)':>28} {report.terms_used:>6} "
-          f"{report.digits_per_term:>10.3f} {geo:>10.3f}")
+          f"{_slope(report.digits_per_term)} {geo:>10.3f}")
     print(f"\nconstant = {str(value)[:62]}...")
     print(f"oracle agreement: {report.final_error_vs_oracle:.1f} digits")
 

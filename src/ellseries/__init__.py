@@ -3,8 +3,8 @@ Gamma(1/4)^2/pi^(3/2), with every fast series cross-validated against
 independent AGM and theta-function oracles."""
 
 from .precision import (BigReal, DomainError, PrecisionContext, PrecisionError,
-                        ZeroDivisorError, make_context, to_decimal_string)
-from .oracle import NomeValue, E_ref, K_ref, agm, b_quarter, nome, theta3
+                        make_context, to_decimal_string)
+from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
 from .moduli import (ModulusPair, MultiplierResult, Provenance,
                      PrintedFormComparison, RootSelectionError,
                      chain_printed_comparison, chain_to_6400, eq2_residual,
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigReal", "PrecisionContext", "PrecisionError", "DomainError",
-    "ZeroDivisorError", "make_context", "to_decimal_string",
-    "NomeValue", "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
+    "make_context", "to_decimal_string",
+    "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
     "ModulusPair", "MultiplierResult", "Provenance", "PrintedFormComparison",
     "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
     "chain_to_6400", "chain_printed_comparison", "eq2_residual",

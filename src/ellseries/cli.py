@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import moduli, series
-from .oracle import E_ref, K_ref
+from .oracle import E_ref, agm
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
 from .series import SeriesConvergenceError, SingularSeriesError
@@ -142,7 +142,10 @@ def _elliptic_series(kind: str, pair, ctx: PrecisionContext):
 
 
 def _elliptic_agm(kind: str, pair, ctx: PrecisionContext):
-    return K_ref(pair.k, ctx) if kind == "K" else E_ref(pair.k, ctx)
+    # K from the pair's own k': re-deriving sqrt(1 - k^2) cancels for k near 1
+    if kind == "K":
+        return ctx.pi / (2 * agm(ctx.one, pair.k_prime, ctx))
+    return E_ref(pair.k, ctx)
 
 
 def _cmd_elliptic(args) -> int:

@@ -1,22 +1,26 @@
-"""Singular moduli: the defining-ratio solver, Landen ascent, closed forms.
+"""Singular moduli: theta quotients, Landen ascent, closed forms.
 
 The singular modulus k_r is the unique k in (0,1) with
-K(k')/K(k) = sqrt(r), where k' = sqrt(1 - k^2).  This module solves that
-equation numerically, ascends r -> 4r with the Landen transformation,
+K(k')/K(k) = sqrt(r), where k' = sqrt(1 - k^2).  This module evaluates it
+in closed form as the theta quotient k_r = theta2(q)^2/theta3(q)^2 at
+q = e^(-pi sqrt(r)), ascends r -> 4r with the Landen transformation,
 carries the closed form for k_100 up the chain to k_6400, evaluates the
 multipliers M_n = K[n^2 m]/K[m] for n = 2, 3, 5 from their algebraic
 equations, and provides the K-scaling factors for r -> 16r and r -> 64r.
 
-All algebra is validated numerically at working precision against the AGM
-oracle; no symbolic radical manipulation is attempted.
+The theta sums here are written apart from oracle.theta3, sharing only the
+arithmetic substrate; every pair is validated numerically at working
+precision against the AGM defining ratio, and no symbolic radical
+manipulation is attempted.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, List, Tuple
+from typing import Callable, List, Tuple
 
 from .oracle import K_ref, agm
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
@@ -26,7 +30,12 @@ from .precision import (BigReal, DomainError, PrecisionContext, Rational,
 class Provenance(enum.Enum):
     CLOSED_FORM = "closed_form"
     LANDEN_CHAIN = "landen_chain"
-    NUMERIC_SOLVE = "numeric_solve"
+    THETA_QUOTIENT = "theta_quotient"
+
+
+# A pair keeps k'_r strictly below 1, which takes -log10(1 - k'_r) ~
+# pi sqrt(r)/ln(10) digits: 100k of them at r = R_MAX (and r = 1/R_MAX).
+R_MAX = (100_000 * math.log(10) / math.pi) ** 2
 
 
 class RootSelectionError(RuntimeError):
@@ -82,14 +91,6 @@ class MultiplierResult:
     rejected: Tuple[BigReal, ...] = ()
 
 
-def _validated_pair(r: Fraction, k: BigReal, k_prime: BigReal,
-                    provenance: Provenance, ctx: PrecisionContext) -> ModulusPair:
-    pair = ModulusPair(r=r, k=k, k_prime=k_prime, provenance=provenance)
-    if abs(k * k + k_prime * k_prime - 1) > ctx.tol(ctx.working_digits - 8):
-        raise DomainError(f"modulus identity k^2 + k'^2 = 1 violated at r={r}")
-    return pair
-
-
 def _one_minus(gap: BigReal, ctx: PrecisionContext) -> BigReal:
     """1 - gap, subtracted with enough digits to stay strictly below 1."""
     need = ctx.working_digits + 10
@@ -124,59 +125,65 @@ def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
     return abs(ratio - ctx.sqrt(ctx.mpf(pair.r)))
 
 
-def _ratio(k: BigReal, ctx: PrecisionContext) -> BigReal:
-    """K(k')/K(k) as agm(1, k')/agm(1, k); strictly decreasing in k."""
-    kp = ctx.sqrt(1 - k * k)
-    return agm(ctx.one, kp, ctx) / agm(ctx.one, k, ctx)
+def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
+    """(k_r, 1 - k'_r) for r >= 1 from theta constants at q = e^(-pi sqrt(r)).
+
+    k_r = theta2^2/theta3^2 and 1 - k'_r = (theta3 - theta4)(theta3 + theta4)
+    /theta3^2 (Borwein & Borwein, "Pi and the AGM", ch. 2).  With p = q^(1/4),
+    the terms p^(m^2) of one sum give theta2 = 2 sum_{odd m}, theta3 =
+    1 + 2 sum_{even m} and theta3 - theta4 = 4 sum_{m = 2 mod 4}, so the gap
+    takes no cancellation.  The sum stops relative to the smallest leading
+    term, p^4 = q (~1e-109 at r = 6400); p carries log10(pi sqrt(r)) extra
+    digits, the relative error exp(-x) inherits from x.
+    """
+    x = math.pi * math.sqrt(r)
+    hi = make_context(ctx.working_digits + int(math.log10(x)) + 10)
+    p = hi.exp(-hi.pi * hi.sqrt(hi.mpf(r)) / 4)
+    stop = p ** 4 * hi.tol(hi.working_digits)
+    sums = [hi.zero] * 4  # by m mod 4
+    t, step, m = p, p, 1
+    while t >= stop:
+        sums[m % 4] += t
+        step *= p * p  # p^((m+1)^2) = p^(m^2) p^(2m+1)
+        t *= step
+        m += 1
+    theta2 = 2 * (sums[1] + sums[3])
+    theta3 = 1 + 2 * (sums[0] + sums[2])
+    diff = 4 * sums[2]
+    k = (theta2 / theta3) ** 2
+    gap = diff * (2 * theta3 - diff) / theta3 ** 2
+    return ctx.mpf(k), ctx.mpf(gap)
 
 
 def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
-    """Invert K(k')/K(k) = sqrt(r) for k.
+    """The singular modulus pair at r from the theta quotient of :func:`_theta_modulus`.
 
-    The ratio decreases strictly from +inf at k -> 0 to 0 at k -> 1, so a
-    unique solution exists for every r > 0.  Bisection brackets the root
-    to ~10 relative digits, then Newton steps (with a central-difference
-    derivative of step 10^(-working/2)) converge to full precision.
+    For r < 1 it is the pair at 1/r with k and k' swapped, built directly:
+    :func:`_pair_from_gap` would form k' as 1 - (1 - k'), losing the digits
+    of a tiny k'.  Every pair must pass the AGM defining ratio
+    K(k')/K(k) = sqrt(r) of :func:`eq2_residual`.
     """
     r = Fraction(r)
     if r <= 0:
         raise DomainError(f"singular modulus requires r > 0, got {r}")
-    sqrt_r = ctx.sqrt(ctx.mpf(r))
-    tiny = ctx.tol(ctx.working_digits - 5)
-    lo, hi = tiny, 1 - tiny
-    # bisection to a ~1e-10 relative bracket
-    for _ in range(20000):
-        mid = (lo + hi) / 2
-        if hi - lo <= ctx.mpf("1e-10") * mid:
-            break
-        if _ratio(mid, ctx) > sqrt_r:
-            lo = mid
-        else:
-            hi = mid
-    k = (lo + hi) / 2
-    h = min(ctx.tol(ctx.working_digits // 2), k / 1000)
-    stop = ctx.tol(ctx.working_digits - 5)
-    for _ in range(80):
-        f = _ratio(k, ctx) - sqrt_r
-        if abs(f) <= stop:
-            break
-        fp = (_ratio(k + h, ctx) - _ratio(k - h, ctx)) / (2 * h)
-        step = f / fp
-        k_new = k - step
-        if not (0 < k_new < 1):
-            k_new = k / 2 if k_new <= 0 else (k + 1) / 2
-        if k_new == k:
-            break
-        k = k_new
-    residual = abs(_ratio(k, ctx) - sqrt_r)
-    if residual > stop:
+    if max(r, 1 / r) > R_MAX:
+        raise DomainError(f"r={r} is outside {1 / R_MAX:.3g} <= r <= {R_MAX:.3g}, "
+                          f"where k'_r < 1 takes at most 100k digits")
+    if r >= 1:
+        k, gap = _theta_modulus(r, ctx)
+        pair = _pair_from_gap(r, k, gap, Provenance.THETA_QUOTIENT, ctx)
+    else:
+        k, gap = _theta_modulus(1 / r, ctx)
+        pair = ModulusPair(r=r, k=_one_minus(gap, ctx), k_prime=k,
+                           provenance=Provenance.THETA_QUOTIENT,
+                           k_prime_gap=_one_minus(k, ctx))
+    res = eq2_residual(pair, ctx)
+    if res > ctx.tol(ctx.working_digits - 5):
         raise RuntimeError(
-            f"singular-modulus solver failed to converge at r={r}: "
-            f"residual {residual}"
+            f"theta-quotient modulus fails the defining ratio at r={r}: "
+            f"residual {res}"
         )
-    # gap form of 1 - sqrt(1 - k^2); no cancellation even for tiny k
-    gap = k * k / (1 + ctx.sqrt(1 - k * k))
-    return _pair_from_gap(r, k, gap, Provenance.NUMERIC_SOLVE, ctx)
+    return pair
 
 
 def _landen_step(delta: BigReal, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:

@@ -10,19 +10,10 @@ identities are classical; see Borwein & Borwein, "Pi and the AGM".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Tuple
 
 from .precision import BigReal, DomainError, PrecisionContext, Rational
-
-
-@dataclass(frozen=True)
-class NomeValue:
-    """q = exp(-pi*sqrt(r)) for the parameter r, with 0 < q < 1."""
-
-    r: Fraction
-    q: BigReal
 
 
 def agm(a: Any, b: Any, ctx: PrecisionContext) -> BigReal:
@@ -115,10 +106,9 @@ def b_quarter(ctx: PrecisionContext) -> BigReal:
     return 2 * ctx.pi / agm(ctx.one, ctx.sqrt(2) / 2, ctx)
 
 
-def nome(r: Rational, ctx: PrecisionContext) -> NomeValue:
+def nome(r: Rational, ctx: PrecisionContext) -> BigReal:
     """q = exp(-pi*sqrt(r)) for rational r > 0."""
     r = Fraction(r)
     if r <= 0:
         raise DomainError(f"nome requires r > 0, got {r}")
-    q = ctx.exp(-ctx.pi * ctx.sqrt(ctx.mpf(r)))
-    return NomeValue(r=r, q=q)
+    return ctx.exp(-ctx.pi * ctx.sqrt(ctx.mpf(r)))

@@ -42,10 +42,6 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
 
 
-class ZeroDivisorError(ZeroDivisionError):
-    """Divisor indistinguishable from zero at working precision."""
-
-
 def guard_digits_for(target_digits: int) -> int:
     """Guard policy: max(10, 2% of the target)."""
     return max(MIN_GUARD_DIGITS, math.ceil(0.02 * target_digits))
@@ -58,9 +54,8 @@ class PrecisionContext:
     ``working_digits = target_digits + guard_digits`` is the precision all
     arithmetic is carried at; results are trustworthy to roughly the
     target.  The context doubles as the elementary-function suite: sqrt,
-    n-th root, exp, ln, powers, pi, sin/tan at rational multiples of pi,
-    and tolerance-based comparison.  There is no exact equality on
-    BigReal; use :meth:`agrees`.
+    n-th root, exp, ln, powers, pi, and tolerance-based comparison.  There
+    is no exact equality on BigReal; use :meth:`agrees`.
     """
 
     target_digits: int
@@ -191,28 +186,6 @@ class PrecisionContext:
         if x < 0:
             raise DomainError(f"power of negative base {x} with non-integer exponent")
         return self._mp.power(x, self.mpf(y))
-
-    def powi(self, x: Any, n: int) -> BigReal:
-        """Integer power."""
-        return self.mpf(x) ** int(n)
-
-    def sinpi(self, x: Any) -> BigReal:
-        """sin(pi*x); exact-angle accuracy at rational x."""
-        return self._mp.sinpi(self.mpf(x))
-
-    def tanpi(self, x: Any) -> BigReal:
-        """tan(pi*x); raises at the poles x = 1/2 + n."""
-        c = self._mp.cospi(self.mpf(x))
-        if c == 0:
-            raise DomainError(f"tan(pi*{x}) pole")
-        return self._mp.sinpi(self.mpf(x)) / c
-
-    def div(self, a: Any, b: Any) -> BigReal:
-        """a/b, rejecting a divisor that is exactly zero at working precision."""
-        b = self.mpf(b)
-        if b == 0:
-            raise ZeroDivisorError("numerically zero divisor")
-        return self.mpf(a) / b
 
     # ---- comparison semantics ---------------------------------------
 

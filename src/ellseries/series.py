@@ -148,13 +148,19 @@ def alpha_of(mu: Any, nu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
 RUNAWAY_TERM_CEILING = 2_000_000
 
 
+def _predicted_terms(z: BigReal, ctx: PrecisionContext) -> float:
+    """working_digits/|log10 z|, the term count the geometric ratio z predicts."""
+    # near z = 1, log1p of the exact 1 - z keeps what log10_abs(z) cancels
+    log10z = -ctx.log10_abs(z) if z < 0.5 else -math.log1p(-float(1 - z)) / math.log(10)
+    return ctx.working_digits / log10z if log10z > 0 else math.inf
+
+
 def _max_terms(z: BigReal, ctx: PrecisionContext) -> int:
-    """Runaway guard: ~10x the term count the geometric ratio z predicts."""
-    log10z = abs(ctx.log10_abs(z))
-    if log10z <= 0:
+    """Runaway guard: ~10x the predicted term count, at most the ceiling."""
+    predicted = _predicted_terms(z, ctx)
+    if predicted > RUNAWAY_TERM_CEILING:
         return RUNAWAY_TERM_CEILING
-    cap = math.ceil(10 * ctx.working_digits / log10z) + 16
-    return min(max(cap, 64), RUNAWAY_TERM_CEILING)
+    return min(max(math.ceil(10 * predicted) + 16, 64), RUNAWAY_TERM_CEILING)
 
 
 def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
@@ -166,7 +172,9 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     Stops when the next term bound (including the (alpha*n + beta) growth
     factor) falls below 10^(-working_digits), or after exactly ``n_terms``
     terms when given.  ``term_cap`` overrides the runaway guard (exceeding
-    it raises, signalling a bug or a pathologically slow z).
+    it raises, signalling a bug or a pathologically slow z).  Without
+    ``n_terms``, a z whose predicted term count working_digits/|log10 z|
+    exceeds RUNAWAY_TERM_CEILING raises before the first term.
 
     The sum runs in binary fixed point: z, alpha, beta and each term are
     integers in units of 2^-wp, where wp is the working precision plus
@@ -176,6 +184,14 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     error trace and the least-squares digits-per-term slope are read from
     them with float logarithms of exact integer differences.
     """
+    if n_terms is None:
+        predicted = _predicted_terms(spec.z, ctx)
+        if predicted > RUNAWAY_TERM_CEILING:
+            raise SeriesConvergenceError(
+                f"series would need about {predicted:.3g} terms for "
+                f"{ctx.working_digits} digits, more than the "
+                f"{RUNAWAY_TERM_CEILING}-term ceiling; use --method agm"
+            )
     cap = term_cap if term_cap is not None else _max_terms(spec.z, ctx)
     wp = ctx.prec + 2 * (n_terms or cap).bit_length()
     one = 1 << wp
@@ -398,7 +414,7 @@ def two_K_over_pi(pair: moduli.ModulusPair,
     spec = make_series_spec(Fraction(-3, 2), 0, z, -4 * (1 - z), 1 - 2 * z, ctx)
     oracle = 2 * K_ref(k, ctx) / ctx.pi
     value, report = eval_series(spec, ctx, oracle=oracle)
-    theta_val = theta3(nome(pair.r, ctx).q, ctx) ** 2
+    theta_val = theta3(nome(pair.r, ctx), ctx) ** 2
     report.cross_checks["theta3_squared"] = ctx.agreement_digits(value, theta_val)
     return value, report
 

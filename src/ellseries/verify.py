@@ -1,12 +1,14 @@
 """Cross-validation suite: every identity in the package checked both ways.
 
 Each check pits two independently computed quantities against each other
-(series vs AGM, closed radical vs numeric solve, Landen ascent vs direct
-solve, derivative closed form vs finite differences) and records the
-agreement in decimal digits.  The published-radical audits (the k'_400
-coefficient and the headline-series prefactor) are report-style checks:
-they pass when the expected mismatch is observed and the corrected form
-verifies.
+(series vs AGM, closed radical vs theta quotient, Landen ascent vs theta
+quotient, derivative closed form vs finite differences) and records the
+agreement in decimal digits.  The theta checks share their mathematics
+with the moduli.py theta quotient that supplies k_r, so the independent
+gate on k_r is the AGM defining ratio (solve-defining-ratio).  The
+published-radical audits (the k'_400 coefficient and the headline-series
+prefactor) are report-style checks: they pass when the expected mismatch
+is observed and the corrected form verifies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .precision import PrecisionContext, make_context
 
 GROUPS = ("oracle", "moduli", "series", "chain")
 
+# detail suffix of the checks that compare k_r with oracle.theta3
+_THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
+                 "mathematics as theta3; independent gate: solve-defining-ratio")
+
 
 @dataclass
 class CheckResult:
@@ -33,7 +39,7 @@ class CheckResult:
 
 
 class _SolveCache:
-    """Memoized solve_kr per verification run (pairs are pure in (r, ctx))."""
+    """Memoized theta-quotient pairs per verification run (pure in (r, ctx))."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
@@ -109,18 +115,20 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     worst = ctx.zero
     for r in (1, 2, 3, 4):
         pair = cache.pair(r)
-        th = theta3(nome(r, ctx).q, ctx)
+        th = theta3(nome(r, ctx), ctx)
         worst = max(worst, abs(2 * K_ref(pair.k, ctx) / ctx.pi - th * th))
     out.append(_residual_check("theta-K-identity", "oracle", ctx, worst, t5,
-                               detail="2K(k_r)/pi = theta3(q)^2, r in {1,2,3,4}"))
+                               detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
+                                      f"{_THETA_SHARED}"))
 
     worst = ctx.zero
     for r in (1, 2, 4):
         pair = cache.pair(r)
-        th = theta3(nome(r, ctx).q, ctx)
+        th = theta3(nome(r, ctx), ctx)
         worst = max(worst, abs(th * th * ctx.pi / 2 - K_ref(pair.k, ctx)))
     out.append(_residual_check("theta-nome-K", "oracle", ctx, worst, t5,
-                               detail="theta3(q)^2 pi/2 = K(k_r), r in {1,2,4}"))
+                               detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
+                                      f"{_THETA_SHARED}"))
     return out
 
 
@@ -242,10 +250,11 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         pair = cache.pair(r)
         val, _ = series.two_K_over_pi(pair, ctx)
         agm_side = 2 * K_ref(pair.k, ctx) / ctx.pi
-        th = theta3(nome(r, ctx).q, ctx) ** 2
+        th = theta3(nome(r, ctx), ctx) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
     out.append(_residual_check("first-kind-triple", "series", ctx, worst, t5,
-                               detail="series = 2K/pi = theta3^2 pairwise, r in {2,3,4,100}"))
+                               detail=f"series = 2K/pi = theta3^2 pairwise, r in "
+                                      f"{{2,3,4,100}}; {_THETA_SHARED}"))
 
     worst = ctx.zero
     for r in (2, 3, 4):

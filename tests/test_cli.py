@@ -1,8 +1,16 @@
 """CLI surface: grammar, exit codes, JSON schema, determinism, truncation."""
 
+import io
 import json
+import math
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellseries.cli import main
 
@@ -15,6 +23,38 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# argv -> exit code: 0 success, 1 usage, 2 precision/domain, 3 verification
+EXIT_CODES = [
+    pytest.param(["frobnicate"], 1, id="unknown-subcommand"),
+    pytest.param(["elliptic", "K", "--r", "abc", "--digits", "50"], 1, id="malformed-r"),
+    pytest.param(["elliptic", "K", "--r", "0", "--digits", "50"], 2, id="nonpositive-r"),
+    pytest.param(["elliptic", "K", "--r", "1/100", "--digits", "50", "--method", "agm"], 0,
+                 id="agm-small-r"),
+    pytest.param(["elliptic", "K", "--r", "1000000", "--digits", "50"], 0, id="large-r"),
+    pytest.param(["elliptic", "K", "--r", "10000000000", "--digits", "50"], 2,
+                 id="r-out-of-range"),
+    # the series would need ~1e7 terms; it used to sum 2,000,000 of them
+    # for ~40 s before failing
+    pytest.param(["elliptic", "K", "--r", "1/20", "--digits", "50"], 3,
+                 id="series-too-slow"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_CODES)
+def test_exit_code(capsys, argv, expected):
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - t0 < 5
+    assert code == expected
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.startswith("ellseries: ")
 
 
 def test_constant_text(capsys):
@@ -103,16 +143,6 @@ def test_elliptic_series_at_r1_is_domain_error(capsys):
     assert "agm" in err
 
 
-def test_elliptic_nonpositive_r(capsys):
-    code, _, _ = _run(capsys, ["elliptic", "K", "--r", "0", "--digits", "50"])
-    assert code == 2
-
-
-def test_elliptic_malformed_r_is_usage_error(capsys):
-    code, _, _ = _run(capsys, ["elliptic", "K", "--r", "abc", "--digits", "50"])
-    assert code == 1
-
-
 def test_elliptic_zero_denominator_r_is_usage_error(capsys):
     code, _, err = _run(capsys, ["elliptic", "K", "--r", "1/0", "--digits", "50"])
     assert code == 1
@@ -140,11 +170,6 @@ def test_constant_past_the_int_str_limit(capsys):
     v5000 = json.loads(out1)["value_digits"]
     assert len(v5000) == 5001
     assert json.loads(out2)["value_digits"].startswith(v5000)
-
-
-def test_unknown_subcommand(capsys):
-    code, _, _ = _run(capsys, ["frobnicate"])
-    assert code == 1
 
 
 def test_verify_small_selection(capsys):
@@ -205,3 +230,44 @@ def test_bench_json(capsys):
     assert rows[0]["command"] == "bench gamma-quarter"
     assert rows[1]["command"] == "bench two-K-over-pi(r=100)"
     assert rows[1]["digits_per_term"] == pytest.approx(12.44, abs=0.3)
+
+
+def _mpmath_reference(kind, r, digits):
+    """K or E at k_r from mpmath alone, at m = (theta2/theta3)^4, q = e^(-pi sqrt(r))."""
+    mp = mpmath.MPContext()
+    # m = 1 - (theta4/theta3)^4 cancels when q is near 1 (r < 1); carry the
+    # cancelled digits as extra working precision
+    mp.dps = 30
+    q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator))
+    lost = -4 * mp.log10(mp.jtheta(4, 0, q) / mp.jtheta(3, 0, q))
+    mp.dps = digits + 10 + int(lost)
+    q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator))
+    m = (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 4
+    return mp, mp.ellipk(m) if kind == "K" else mp.ellipe(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(log10_r=st.floats(min_value=-4, max_value=6),
+       kind=st.sampled_from(["K", "E"]),
+       digits=st.integers(min_value=10, max_value=2000),
+       delta=st.integers(min_value=1, max_value=200))
+@example(log10_r=-2.0, kind="K", digits=50, delta=10)
+@example(log10_r=6.0, kind="K", digits=50, delta=10)
+# k_r near 1: K must come from the pair's k', not from sqrt(1 - k^2)
+@example(log10_r=-4.0, kind="K", digits=50, delta=10)
+@example(log10_r=-math.log10(3000), kind="K", digits=1000, delta=200)
+def test_elliptic_digits_are_prefixes_and_match_mpmath(log10_r, kind, digits, delta):
+    r = Fraction(10 ** log10_r).limit_denominator(10 ** 6)
+    mp, ref = _mpmath_reference(kind, r, digits + delta)
+    for method in ["agm", "both"] if r >= 2 else ["agm"]:
+        values = []
+        for d in (digits, digits + delta):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["elliptic", kind, "--r", str(r), "--digits", str(d),
+                             "--method", method, "--format", "json"])
+            assert code == 0, err.getvalue()
+            value = json.loads(out.getvalue())["value_digits"]
+            assert abs(mp.mpf(value) - ref) <= abs(ref) * mp.mpf(10) ** (5 - d)
+            values.append(value)
+        assert values[1].startswith(values[0])

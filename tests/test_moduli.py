@@ -1,4 +1,4 @@
-"""Singular moduli: solver, Landen ascent, closed forms, multipliers, scalings."""
+"""Singular moduli: theta quotients, Landen ascent, closed forms, multipliers, scalings."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ from ellseries import (DomainError, K_ref, K100_closed_value, ModulusPair,
                        Provenance, b_quarter, chain_printed_comparison,
                        chain_to_6400, eq2_residual, k100_closed_form,
                        k100_radical_coefficient, k_scale_16, k_scale_64,
-                       landen_up, multiplier, solve_kr)
+                       landen_up, make_context, multiplier, solve_kr)
 
 K4_EXACT = "0.171572875253809902396622551580603842860656249246103853646641"
 K100_COEFF = "0.211803271198514012717044518877575870181432102329188841311477"
@@ -19,7 +19,7 @@ def test_solve_r1_symmetry(ctx50):
     pair = solve_kr(1, ctx50)
     assert abs(pair.k - ctx50.sqrt(2) / 2) <= ctx50.tol(50)
     assert abs(pair.k - pair.k_prime) <= ctx50.tol(50)
-    assert pair.provenance is Provenance.NUMERIC_SOLVE
+    assert pair.provenance is Provenance.THETA_QUOTIENT
 
 
 def test_solve_r4(ctx50):
@@ -34,10 +34,23 @@ def test_solve_residuals(ctx50):
 
 
 def test_solve_inverse_parameter(ctx50):
-    # k_{1/r} is the complementary modulus of k_r
+    # k_{1/r} is the complementary modulus of k_r, to full working precision
+    full = ctx50.working_digits - 1
     p4 = solve_kr(4, ctx50)
     pq = solve_kr(Fraction(1, 4), ctx50)
-    assert abs(pq.k - p4.k_prime) <= ctx50.tol(45)
+    assert ctx50.agreement_digits(pq.k, p4.k_prime) >= full
+    assert ctx50.agreement_digits(pq.k_prime, p4.k) >= full
+    assert ctx50.agreement_digits(pq.k_prime_gap, 1 - p4.k) >= full
+
+
+@pytest.mark.parametrize("digits", [50, 1000])
+def test_solve_matches_landen_chain(digits):
+    ctx = make_context(digits)
+    full = ctx.working_digits - 1
+    for link in chain_to_6400(ctx):
+        pair = solve_kr(link.r, ctx)
+        assert ctx.agreement_digits(pair.k, link.k) >= full
+        assert ctx.agreement_digits(pair.k_prime_gap, link.k_prime_gap) >= full
 
 
 def test_solve_domain(ctx50):
@@ -50,10 +63,10 @@ def test_solve_domain(ctx50):
 def test_pair_rejects_endpoints(ctx50):
     with pytest.raises(DomainError):
         ModulusPair(r=Fraction(1), k=ctx50.zero, k_prime=ctx50.one,
-                    provenance=Provenance.NUMERIC_SOLVE)
+                    provenance=Provenance.THETA_QUOTIENT)
     with pytest.raises(DomainError):
         ModulusPair(r=Fraction(1), k=ctx50.one, k_prime=ctx50.zero,
-                    provenance=Provenance.NUMERIC_SOLVE)
+                    provenance=Provenance.THETA_QUOTIENT)
 
 
 def test_landen_from_r1(ctx50):
