@@ -150,16 +150,23 @@ RUNAWAY_TERM_CEILING = 2_000_000
 
 def _predicted_terms(z: BigReal, ctx: PrecisionContext) -> float:
     """working_digits/|log10 z|, the term count the geometric ratio z predicts."""
-    # near z = 1, log1p of the exact 1 - z keeps what log10_abs(z) cancels
-    log10z = -ctx.log10_abs(z) if z < 0.5 else -math.log1p(-float(1 - z)) / math.log(10)
+    log10z = abs(ctx.log10_abs(z))
     return ctx.working_digits / log10z if log10z > 0 else math.inf
+
+
+def _require_convergent(z: BigReal, ctx: PrecisionContext) -> None:
+    """Raise before summing past the ceiling; inf means z is within 1e-16 of 1."""
+    predicted = _predicted_terms(z, ctx)
+    if predicted > RUNAWAY_TERM_CEILING:
+        need = f"about {predicted:.3g}" if predicted < math.inf else "over 1e16"
+        raise SeriesConvergenceError(
+            f"series would need {need} terms for {ctx.working_digits} digits, "
+            f"more than the {RUNAWAY_TERM_CEILING}-term ceiling; use --method agm")
 
 
 def _max_terms(z: BigReal, ctx: PrecisionContext) -> int:
     """Runaway guard: ~10x the predicted term count, at most the ceiling."""
-    predicted = _predicted_terms(z, ctx)
-    if predicted > RUNAWAY_TERM_CEILING:
-        return RUNAWAY_TERM_CEILING
+    predicted = min(_predicted_terms(z, ctx), RUNAWAY_TERM_CEILING)
     return min(max(math.ceil(10 * predicted) + 16, 64), RUNAWAY_TERM_CEILING)
 
 
@@ -185,13 +192,7 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     them with float logarithms of exact integer differences.
     """
     if n_terms is None:
-        predicted = _predicted_terms(spec.z, ctx)
-        if predicted > RUNAWAY_TERM_CEILING:
-            raise SeriesConvergenceError(
-                f"series would need about {predicted:.3g} terms for "
-                f"{ctx.working_digits} digits, more than the "
-                f"{RUNAWAY_TERM_CEILING}-term ceiling; use --method agm"
-            )
+        _require_convergent(spec.z, ctx)
     cap = term_cap if term_cap is not None else _max_terms(spec.z, ctx)
     wp = ctx.prec + 2 * (n_terms or cap).bit_length()
     one = 1 << wp
@@ -208,9 +209,8 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
         s += (t * (alpha * n + beta)) >> wp
         partials.append(s)
         n += 1
-        if n_terms is not None:
-            if n >= n_terms:
-                break
+        if n_terms is not None and n >= n_terms:
+            break
         num, den = _term_ratio(n - 1, spec.mu, spec.nu)
         prod = ((t * z) >> wp) * num
         # round toward zero: terms may be negative
@@ -252,9 +252,7 @@ def _slope(trace: List[Tuple[int, float]]) -> Optional[float]:
     sxx = sum(n * n for n, _ in pts)
     sxy = sum(n * d for n, d in pts)
     denom = m * sxx - sx * sx
-    if denom == 0:
-        return None
-    return (m * sxy - sx * sy) / denom
+    return (m * sxy - sx * sy) / denom if denom else None
 
 
 # ---------------------------------------------------------------------
@@ -401,8 +399,10 @@ def two_K_over_pi(pair: moduli.ModulusPair,
 
     Term weight: -4(1-z) n + (1 - 2z).  Singular at r = 1 (the weight
     normalization degenerates at z = 1/2); callers should use the AGM
-    oracle there.  The report's oracle is 2 K_ref/pi, with the theta
-    identity 2K/pi = theta3(q)^2 recorded as a second cross-check.
+    oracle there; at small r, where the series cannot converge within the
+    runaway ceiling, it raises SeriesConvergenceError.  The report's
+    oracle is 2 K_ref/pi, with the theta identity 2K/pi = theta3(q)^2
+    recorded as a second cross-check.
     """
     k = pair.k
     z = k * k
@@ -411,6 +411,7 @@ def two_K_over_pi(pair: moduli.ModulusPair,
             "series for 2K/pi is singular at r = 1 (k^2 = 1/2); "
             "use the AGM oracle instead"
         )
+    _require_convergent(z, ctx)
     spec = make_series_spec(Fraction(-3, 2), 0, z, -4 * (1 - z), 1 - 2 * z, ctx)
     oracle = 2 * K_ref(k, ctx) / ctx.pi
     value, report = eval_series(spec, ctx, oracle=oracle)

@@ -39,6 +39,9 @@ EXIT_CODES = [
     # for ~40 s before failing
     pytest.param(["elliptic", "K", "--r", "1/20", "--digits", "50"], 3,
                  id="series-too-slow"),
+    # k_r^2 rounds to 1 at 50 digits; it used to exit 2 from the z < 1 check
+    pytest.param(["elliptic", "K", "--r", "1/5000000000", "--digits", "50"], 3,
+                 id="series-z-rounds-to-1"),
 ]
 
 
