@@ -12,10 +12,10 @@ from .moduli import (ModulusPair, MultiplierResult, Provenance,
                      K100_closed_value, k_scale_16, k_scale_64, landen_up,
                      multiplier, solve_kr)
 from .series import (ConvergenceReport, SeriesConvergenceError, SeriesSpec,
-                     SingularSeriesError, alpha_of, closed_form,
+                     SingularSeriesError, closed_form,
                      derivative_weighted_sum, eval_series, four_E_over_pi,
                      gamma_quarter_series, legendre_P, make_series_spec,
-                     next_coefficient, phi_and_derivative, two_K_over_pi)
+                     phi_and_derivative, two_K_over_pi)
 from .verify import CheckResult, run_verify
 
 __version__ = "0.1.0"
@@ -30,10 +30,10 @@ __all__ = [
     "multiplier", "k_scale_16", "k_scale_64", "K100_closed_value",
     "k100_radical_coefficient",
     "SeriesSpec", "ConvergenceReport", "SingularSeriesError",
-    "SeriesConvergenceError", "make_series_spec", "next_coefficient",
-    "alpha_of", "legendre_P", "phi_and_derivative", "eval_series",
-    "closed_form", "derivative_weighted_sum", "two_K_over_pi",
-    "four_E_over_pi", "gamma_quarter_series",
+    "SeriesConvergenceError", "make_series_spec", "legendre_P",
+    "phi_and_derivative", "eval_series", "closed_form",
+    "derivative_weighted_sum", "two_K_over_pi", "four_E_over_pi",
+    "gamma_quarter_series",
     "CheckResult", "run_verify",
     "__version__",
 ]

@@ -113,8 +113,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_constant(args) -> int:
-    if args.terms is not None and args.terms < 1:
-        raise UsageError(f"--terms must be a positive integer, got {args.terms}")
+    if args.terms is not None and not 1 <= args.terms <= series.RUNAWAY_TERM_CEILING:
+        raise UsageError(f"--terms must be an integer in 1..{series.RUNAWAY_TERM_CEILING}, "
+                         f"got {args.terms}")
     ctx = make_context(args.digits)
     t0 = time.perf_counter()
     value, report = series.gamma_quarter_series(ctx, n_terms=args.terms)
@@ -204,6 +205,8 @@ def _cmd_verify(args) -> int:
             f"verify requires --digits >= 50, got {args.digits}"
         )
     selection = [s.strip() for s in args.selection.split(",") if s.strip()]
+    if not selection:
+        raise UsageError("--selection list is empty")
     for s in selection:
         if s != "all" and s not in GROUPS:
             raise UsageError(f"unknown selection {s!r}; choose from "

@@ -80,8 +80,9 @@ class ModulusPair:
 class MultiplierResult:
     """Multiplier M_n(m) = K[n^2 m]/K[m] with its defining-polynomial residual.
 
-    ``rejected`` lists candidate roots that failed the AGM K-ratio match,
-    kept for debuggability.
+    ``rejected`` holds the Newton-polished candidates in (0, 1) that were
+    not selected, less those within 10^-10 of the value, kept for
+    debuggability.
     """
 
     n: int
@@ -405,50 +406,19 @@ def _newton_polish(f: Callable, fp: Callable, x: BigReal,
     return x
 
 
-def _bracket_roots(g: Callable, ctx: PrecisionContext,
-                   step: float = 1e-3) -> List[Tuple[BigReal, BigReal]]:
-    """Sign-change brackets of g on (0, 1) at the given scan step."""
-    brackets = []
-    n_steps = int(round(1 / step))
-    xs = [ctx.mpf(i) * ctx.mpf(step) for i in range(1, n_steps)]
-    prev_x, prev_g = xs[0], g(xs[0])
-    for x in xs[1:]:
-        gx = g(x)
-        if prev_g == 0:
-            brackets.append((prev_x, prev_x))
-        elif gx * prev_g < 0:
-            brackets.append((prev_x, x))
-        prev_x, prev_g = x, gx
-    return brackets
-
-
-def _refine(g: Callable, gp: Callable, lo: BigReal, hi: BigReal,
-            ctx: PrecisionContext) -> BigReal:
-    if lo == hi:
-        return _newton_polish(g, gp, lo, ctx)
-    glo = g(lo)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if gm * glo < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return _newton_polish(g, gp, (lo + hi) / 2, ctx)
-
-
 def multiplier(n: int, m: Rational, ctx: PrecisionContext) -> MultiplierResult:
     """M_n(m) such that K[n^2 m] = M_n(m) * K[m], for n in {2, 3, 5}.
 
     n = 2 is the closed form (1 + k'_m)/2.  For n = 3 and 5 the value is a
-    root of the known algebraic equation in (0, 1); candidate roots come
-    from a sign scan (step 1e-3) refined by bisection and Newton, plus a
-    scan of the derivative's sign changes to catch tangent (double) roots,
-    which do occur: at m = 1 the degree-6 equation for n = 5 touches zero
-    at M = (2 + sqrt(5))/5 without crossing.  The candidate matching the
-    AGM ratio K[n^2 m]/K[m] is selected; the rest are recorded.
+    root in (0, 1) of the known algebraic equation f, found by Newton from
+    the AGM ratio K[n^2 m]/K[m], which already holds it to working
+    precision.  Two polishes start there: one on f for a simple root, and
+    one on f' for a tangent (double) root, which is a simple root of f'.
+    Tangent roots do occur: at m = 1 the degree-6 equation for n = 5
+    touches zero at M = (2 + sqrt(5))/5 without crossing, where f is only
+    rounding noise and the polish on f stalls ~37 digits short.  Of the
+    candidates in (0, 1) with |f| <= 10^-target, the one nearest the
+    K-ratio is selected; it must lie within 10^-(target - 10) of it.
     """
     m = Fraction(m)
     if m <= 0:
@@ -461,32 +431,22 @@ def multiplier(n: int, m: Rational, ctx: PrecisionContext) -> MultiplierResult:
         raise ValueError(f"multiplier defined for n in (2, 3, 5), got {n}")
 
     f, fp, fpp = _multiplier_polynomials(n, pair_m.k, ctx)
-
-    candidates: List[BigReal] = []
-    for lo, hi in _bracket_roots(f, ctx):
-        candidates.append(_refine(f, fp, lo, hi, ctx))
-    # tangent roots never change sign; find them as near-zero extrema
-    for lo, hi in _bracket_roots(fp, ctx):
-        crit = _refine(fp, fpp, lo, hi, ctx)
-        if abs(f(crit)) <= ctx.tol(ctx.target_digits):
-            candidates.append(crit)
-
-    uniq: List[BigReal] = []
-    for c in candidates:
-        if 0 < c < 1 and all(abs(c - u) > ctx.tol(10) for u in uniq):
-            uniq.append(c)
-
     pair_big = solve_kr(n * n * m, ctx)
     k_ratio = K_ref(pair_big.k, ctx) / K_ref(pair_m.k, ctx)
-    if not uniq:
-        raise RootSelectionError(f"no roots found in (0,1) for M_{n}({m})")
-    best = min(uniq, key=lambda c: abs(c - k_ratio))
+
+    candidates = [c for c in (_newton_polish(f, fp, k_ratio, ctx),
+                              _newton_polish(fp, fpp, k_ratio, ctx)) if 0 < c < 1]
+    roots = [c for c in candidates if abs(f(c)) <= ctx.tol(ctx.target_digits)]
+    if not roots:
+        raise RootSelectionError(f"no root of the M_{n}({m}) equation in (0,1) "
+                                 f"polishes from the K-ratio {k_ratio}")
+    best = min(roots, key=lambda c: abs(c - k_ratio))
     if abs(best - k_ratio) > ctx.tol(ctx.target_digits - 10):
         raise RootSelectionError(
             f"root selection failed for M_{n}({m}): best candidate {best} "
-            f"vs K-ratio {k_ratio} (candidates: {uniq})"
+            f"vs K-ratio {k_ratio} (candidates: {roots})"
         )
-    rejected = tuple(c for c in uniq if c is not best)
+    rejected = tuple(c for c in candidates if abs(c - best) > ctx.tol(10))
     return MultiplierResult(n=n, m=m, value=best, residual=f(best), rejected=rejected)
 
 

@@ -97,13 +97,7 @@ def make_series_spec(mu: Any, nu: Any, z: Any, alpha: Any, beta: Any,
     z = ctx.mpf(z)
     if not (0 < z < 1):
         raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
-    d = -1 - ctx.mpf(mu) + ctx.mpf(nu) + 2 * z * (1 + ctx.mpf(mu))
-    if abs(d) <= ctx.tol(ctx.working_digits // 2):
-        raise SingularSeriesError(
-            f"singular series configuration: weight denominator "
-            f"-1 - mu + nu + 2z(1+mu) = {d} is numerically zero "
-            f"(mu={mu}, nu={nu}, z={z})"
-        )
+    _weight_denominator(mu, nu, z, ctx)
     return SeriesSpec(mu=mu, nu=nu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
 
 
@@ -113,34 +107,21 @@ def _term_ratio(n: int, mu: Fraction, nu: Fraction) -> Tuple[int, int]:
     return ratio.numerator, ratio.denominator
 
 
-def next_coefficient(c: BigReal, n: int, mu: Any, nu: Any,
-                     ctx: PrecisionContext) -> BigReal:
-    """c_{n+1} = c_n (-mu+n)(1+mu+n) / ((1-nu+n)(n+1)); c_0 = 1.
+def _weight_denominator(mu: Any, nu: Any, z: BigReal,
+                        ctx: PrecisionContext) -> BigReal:
+    """D = -1 - mu + nu + 2z(1+mu); the collapsing weight slope is alpha = 2(z-1)/D.
 
-    One multiply-divide per term by the exact rational ratio that the
-    fixed-point kernel of :func:`eval_series` also uses.
+    Raises when D is numerically zero (for the 2K/pi parameters
+    mu = -3/2, nu = 0 that happens exactly at z = 1/2, i.e. r = 1).
     """
-    num, den = _term_ratio(n, _as_fraction(mu), _as_fraction(nu))
-    return c * num / den
-
-
-def alpha_of(mu: Any, nu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
-    """Weight slope 2(z-1)/(-1 - mu + nu + 2z + 2 mu z).
-
-    Raises when the denominator is numerically zero (for the 2K/pi
-    parameters mu = -3/2, nu = 0 that happens exactly at z = 1/2, i.e.
-    r = 1).
-    """
-    mu = ctx.mpf(mu)
-    nu = ctx.mpf(nu)
-    z = ctx.mpf(z)
-    d = -1 - mu + nu + 2 * z + 2 * mu * z
+    d = -1 - ctx.mpf(mu) + ctx.mpf(nu) + 2 * z * (1 + ctx.mpf(mu))
     if abs(d) <= ctx.tol(ctx.working_digits // 2):
         raise SingularSeriesError(
-            f"singular alpha configuration: denominator vanishes at "
-            f"mu={mu}, nu={nu}, z={z}"
+            f"singular series configuration: weight denominator "
+            f"-1 - mu + nu + 2z(1+mu) = {d} is numerically zero "
+            f"(mu={mu}, nu={nu}, z={z})"
         )
-    return 2 * (-1 + z) / d
+    return d
 
 
 # absolute ceiling on summed terms; a convergent run at sane parameters
@@ -365,9 +346,7 @@ def closed_form(mu: Any, nu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
     mu_f = ctx.mpf(mu)
     z = ctx.mpf(z)
     nu_f = ctx.mpf(nu)
-    d = -1 - mu_f + nu_f + 2 * (mu_f + 1) * z
-    if abs(d) <= ctx.tol(ctx.working_digits // 2):
-        raise SingularSeriesError(f"singular configuration at mu={mu}, nu={nu}, z={z}")
+    d = _weight_denominator(mu, nu, z, ctx)
     if nu == 0:
         pref = ctx.one
     else:
@@ -383,7 +362,8 @@ def derivative_weighted_sum(mu: Any, nu: Any, z: Any,
     The left side is summed term by term; the right side is evaluated
     through the shifted Legendre function, an independent code path.
     """
-    alpha = alpha_of(mu, nu, z, ctx)
+    z = ctx.mpf(z)
+    alpha = 2 * (z - 1) / _weight_denominator(mu, nu, z, ctx)
     spec = make_series_spec(mu, nu, z, alpha, 1, ctx)
     rhs = closed_form(mu, nu, z, ctx)
     return eval_series(spec, ctx, oracle=rhs)

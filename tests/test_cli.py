@@ -30,6 +30,16 @@ EXIT_CODES = [
     pytest.param(["frobnicate"], 1, id="unknown-subcommand"),
     pytest.param(["elliptic", "K", "--r", "abc", "--digits", "50"], 1, id="malformed-r"),
     pytest.param(["elliptic", "K", "--r", "0", "--digits", "50"], 2, id="nonpositive-r"),
+    pytest.param(["verify", "--digits", "5"], 2, id="verify-low-digits"),
+    pytest.param(["verify", "--digits", "60", "--selection", "bogus"], 1,
+                 id="verify-bad-selection"),
+    # an empty selection verifies nothing, so it must not report a pass
+    pytest.param(["verify", "--digits", "60", "--selection", ","], 1,
+                 id="verify-empty-selection"),
+    pytest.param(["bench", "--digits", "50"], 2, id="bench-low-digits"),
+    # one partial sum is kept per forced term: 1e8 terms would take ~7 GB
+    pytest.param(["constant", "gamma-quarter", "--digits", "30", "--terms", "100000000"], 1,
+                 id="terms-above-ceiling"),
     pytest.param(["elliptic", "K", "--r", "1/100", "--digits", "50", "--method", "agm"], 0,
                  id="agm-small-r"),
     pytest.param(["elliptic", "K", "--r", "1000000", "--digits", "50"], 0, id="large-r"),
@@ -56,7 +66,8 @@ def test_exit_code(capsys, argv, expected):
         assert out and err == ""
     else:
         assert out == ""
-    if code in (2, 3):
+    # argparse's own usage errors print its usage block; all else is one line
+    if code and not err.startswith("usage: "):
         assert err.count("\n") == 1 and err.startswith("ellseries: ")
 
 
@@ -191,21 +202,6 @@ def test_verify_json(capsys):
     assert rep["passed"] is True
     assert all({"name", "group", "passed", "residual_digits", "detail"}
                <= set(c.keys()) for c in rep["checks"])
-
-
-def test_verify_low_digits(capsys):
-    code, _, _ = _run(capsys, ["verify", "--digits", "5"])
-    assert code == 2
-
-
-def test_verify_bad_selection(capsys):
-    code, _, _ = _run(capsys, ["verify", "--digits", "60", "--selection", "bogus"])
-    assert code == 1
-
-
-def test_bench_low_digits(capsys):
-    code, _, _ = _run(capsys, ["bench", "--digits", "50"])
-    assert code == 2
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

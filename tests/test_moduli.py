@@ -150,11 +150,25 @@ def test_multiplier_ratios(ctx50):
             assert abs(res.residual) <= ctx50.tol(ctx50.target_digits)
 
 
-def test_multiplier_rejected_roots_recorded(ctx50):
+def test_multiplier_rejected_is_a_critical_point(ctx50):
+    # the polish on f' from the K-ratio lands, at m = 2, on a critical point
+    # of the degree-6 equation that is no root: it is recorded, not selected
     res = multiplier(5, 2, ctx50)
-    assert len(res.rejected) >= 1
-    for other in res.rejected:
-        assert abs(other - res.value) > ctx50.tol(10)
+    k2 = solve_kr(2, ctx50).k ** 2
+    c = 256 * k2 * (1 - k2)
+    (crit,) = res.rejected
+    u = 5 * crit - 1
+    assert abs(25 * u ** 4 * (1 - crit) - u ** 5 - c) <= ctx50.tol(45)
+    assert abs(abs(u ** 5 * (1 - crit) - c * crit) - 23.52) < 0.01
+
+
+def test_multiplier_tangent_root_to_working_precision(ctx250):
+    # at the double root M_5(1) a Newton polish on f alone stalls ~37 digits
+    # from the root; the polish on f' reaches working precision
+    res = multiplier(5, 1, ctx250)
+    expect = (2 + ctx250.sqrt(5)) / 5
+    assert ctx250.agreement_digits(res.value, expect) >= ctx250.working_digits - 5
+    assert res.rejected == ()
 
 
 def test_multiplier_bad_inputs(ctx50):

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
-                       SingularSeriesError, alpha_of, chain_to_6400,
+                       SingularSeriesError, chain_to_6400,
                        closed_form, derivative_weighted_sum, eval_series,
                        four_E_over_pi, gamma_quarter_series, legendre_P,
-                       make_context, make_series_spec, next_coefficient,
-                       phi_and_derivative, solve_kr, two_K_over_pi)
+                       make_context, make_series_spec, phi_and_derivative,
+                       solve_kr, two_K_over_pi)
+from ellseries.series import _term_ratio, _weight_denominator
 
 B_QUARTER_OVER_PI = "2.36068119803219245209067588111697717446743326976289459903173"
 
@@ -24,37 +25,37 @@ def _poch(x: Fraction, n: int) -> Fraction:
     return out
 
 
-def test_first_coefficient_step(ctx50):
-    c1 = next_coefficient(ctx50.one, 0, Fraction(-3, 2), 0, ctx50)
-    assert abs(c1 - ctx50.mpf(Fraction(-3, 4))) <= ctx50.tol(55)
+def test_first_coefficient_step():
+    assert _term_ratio(0, Fraction(-3, 2), Fraction(0)) == (-3, 4)
 
 
 @pytest.mark.parametrize("mu", [Fraction(-3, 2), Fraction(-1, 2), Fraction(-7, 10)])
-def test_coefficients_match_pochhammer_products(ctx50, mu):
+def test_coefficients_match_pochhammer_products(mu):
     nu = Fraction(0)
-    c = ctx50.one
+    c = Fraction(1)
     for n in range(10):
-        expect = _poch(-mu, n) * _poch(1 + mu, n) / (_poch(1 - nu, n) * math.factorial(n))
-        assert abs(c - ctx50.mpf(expect)) <= ctx50.tol(52) * max(1, abs(ctx50.mpf(expect)))
-        c = next_coefficient(c, n, mu, nu, ctx50)
+        assert c == _poch(-mu, n) * _poch(1 + mu, n) / (_poch(1 - nu, n) * math.factorial(n))
+        num, den = _term_ratio(n, mu, nu)
+        assert den > 0
+        c *= Fraction(num, den)
 
 
-def test_nonnegative_integer_mu_terminates(ctx50):
-    c = ctx50.one
+def test_nonnegative_integer_mu_terminates():
+    c = Fraction(1)
     for n in range(6):
-        c = next_coefficient(c, n, 2, 0, ctx50)
+        num, den = _term_ratio(n, Fraction(2), Fraction(0))
+        c *= Fraction(num, den)
         if n >= 2:
             assert c == 0
 
 
 def test_alpha_of(ctx50):
     z = ctx50.mpf("0.1")
-    got = alpha_of(Fraction(-3, 2), 0, z, ctx50)
-    assert abs(got - 4 * (z - 1) / (1 - 2 * z)) <= ctx50.tol(52)
-    # numerator vanishes at z = 1 (denominator 1 + mu != 0 here)
-    assert abs(alpha_of(Fraction(-7, 10), 0, 1, ctx50)) <= ctx50.tol(55)
+    alpha = 2 * (z - 1) / _weight_denominator(Fraction(-3, 2), 0, z, ctx50)
+    assert abs(alpha - 4 * (z - 1) / (1 - 2 * z)) <= ctx50.tol(52)
+    # the 2K/pi parameters are singular at z = 1/2 (r = 1)
     with pytest.raises(SingularSeriesError):
-        alpha_of(Fraction(-3, 2), 0, ctx50.mpf("0.5"), ctx50)
+        derivative_weighted_sum(Fraction(-3, 2), 0, ctx50.mpf("0.5"), ctx50)
 
 
 def test_series_spec_validation(ctx50):
@@ -112,7 +113,7 @@ def test_weighted_sum_equals_phi_combination(ctx50):
     # the mechanism: sum c_n z^n (alpha n + beta) = beta phi + alpha z phi'
     mu, nu = Fraction(-3, 2), 0
     z = ctx50.mpf("0.1")
-    alpha = alpha_of(mu, nu, z, ctx50)
+    alpha = 2 * (z - 1) / _weight_denominator(mu, nu, z, ctx50)
     spec = make_series_spec(mu, nu, z, alpha, 1, ctx50)
     total, _ = eval_series(spec, ctx50)
     phi, dphi = phi_and_derivative(mu, nu, z, ctx50)
