@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import moduli, series
 from .oracle import E_ref, agm
@@ -103,6 +103,24 @@ def _agreement_int(ctx: PrecisionContext, digits: Optional[float]) -> int:
     return min(int(digits), ctx.working_digits)
 
 
+def _series_report(command: str, digits: int, ctx: PrecisionContext,
+                   compute: Callable[[], tuple]) -> RunReport:
+    """Time ``compute() -> (value, ConvergenceReport)`` and report its result."""
+    t0 = time.perf_counter()
+    value, report = compute()
+    elapsed = time.perf_counter() - t0
+    return RunReport(
+        command=command,
+        target_digits=digits,
+        value_digits=to_decimal_string(ctx, value, digits),
+        terms_used=report.terms_used,
+        digits_per_term=report.digits_per_term,
+        oracle_agreement_digits=_agreement_int(ctx, report.final_error_vs_oracle),
+        elapsed=elapsed,
+        warnings=list(report.notes),
+    )
+
+
 def _rational(text: str) -> Fraction:
     """argparse type for --r: an integer or p/q with q != 0."""
     try:
@@ -117,19 +135,8 @@ def _cmd_constant(args) -> int:
         raise UsageError(f"--terms must be an integer in 1..{series.RUNAWAY_TERM_CEILING}, "
                          f"got {args.terms}")
     ctx = make_context(args.digits)
-    t0 = time.perf_counter()
-    value, report = series.gamma_quarter_series(ctx, n_terms=args.terms)
-    elapsed = time.perf_counter() - t0
-    rep = RunReport(
-        command=f"constant {args.name}",
-        target_digits=args.digits,
-        value_digits=to_decimal_string(ctx, value, args.digits),
-        terms_used=report.terms_used,
-        digits_per_term=report.digits_per_term,
-        oracle_agreement_digits=_agreement_int(ctx, report.final_error_vs_oracle),
-        elapsed=elapsed,
-        warnings=list(report.notes),
-    )
+    rep = _series_report(f"constant {args.name}", args.digits, ctx,
+                         lambda: series.gamma_quarter_series(ctx, n_terms=args.terms))
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -264,32 +271,11 @@ def _cmd_bench(args) -> int:
     reports: List[RunReport] = []
     for d in targets:
         ctx = make_context(d)
-        t0 = time.perf_counter()
-        value, rep = series.gamma_quarter_series(ctx)
-        elapsed = time.perf_counter() - t0
-        reports.append(RunReport(
-            command="bench gamma-quarter",
-            target_digits=d,
-            value_digits=to_decimal_string(ctx, value, d),
-            terms_used=rep.terms_used,
-            digits_per_term=rep.digits_per_term,
-            oracle_agreement_digits=_agreement_int(ctx, rep.final_error_vs_oracle),
-            elapsed=elapsed,
-            warnings=list(rep.notes),
-        ))
-        t0 = time.perf_counter()
-        pair = moduli.solve_kr(100, ctx)
-        value, rep = series.two_K_over_pi(pair, ctx)
-        elapsed = time.perf_counter() - t0
-        reports.append(RunReport(
-            command="bench two-K-over-pi(r=100)",
-            target_digits=d,
-            value_digits=to_decimal_string(ctx, value, d),
-            terms_used=rep.terms_used,
-            digits_per_term=rep.digits_per_term,
-            oracle_agreement_digits=_agreement_int(ctx, rep.final_error_vs_oracle),
-            elapsed=elapsed,
-        ))
+        reports.append(_series_report("bench gamma-quarter", d, ctx,
+                                      lambda: series.gamma_quarter_series(ctx)))
+        reports.append(_series_report(
+            "bench two-K-over-pi(r=100)", d, ctx,
+            lambda: series.two_K_over_pi(moduli.solve_kr(100, ctx), ctx)))
     _emit(reports, args.format)
     return EXIT_OK
 

@@ -223,8 +223,8 @@ def _p_radical(ctx: PrecisionContext) -> BigReal:
     return 2 + 216 * f4 - 96 * f4 ** 3
 
 
-def _k100_with_gap(ctx: PrecisionContext) -> Tuple[BigReal, BigReal, BigReal]:
-    """(k_100, k'_100, 1 - k'_100), computed with extra internal digits.
+def _k100_with_gap(ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
+    """(k_100, 1 - k'_100), computed with extra internal digits.
 
     The radicals cancel ~9 digits (2 - sqrt(p) is ~2.4e-6 and the p surd
     itself loses two more), so the values are formed at elevated precision
@@ -237,9 +237,8 @@ def _k100_with_gap(ctx: PrecisionContext) -> Tuple[BigReal, BigReal, BigReal]:
     sp = hi.sqrt(p)
     p4 = hi.root(p, 4)
     k = (2 - sp) / (2 + sp)
-    kp = 2 * hi.sqrt(2) * p4 / (2 + sp)
     delta = (hi.sqrt(2) - p4) ** 2 / (2 + sp)
-    return k, kp, delta
+    return k, delta
 
 
 def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
@@ -250,7 +249,7 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     :func:`_p_radical`.  The modulus identity holds algebraically for any
     p; the defining-ratio residual at r = 100 is asserted numerically.
     """
-    k, _, gap = _k100_with_gap(ctx)
+    k, gap = _k100_with_gap(ctx)
     pair = _pair_from_gap(Fraction(100), k, gap, Provenance.CLOSED_FORM, ctx)
     res = eq2_residual(pair, ctx)
     if res > ctx.tol(ctx.working_digits - 5):

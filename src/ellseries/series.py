@@ -2,14 +2,15 @@
 
 The family summed here is
 
-    sum_{n>=0} [(-mu)_n (1+mu)_n / ((1-nu)_n n!)] z^n (alpha*n + beta)
+    sum_{n>=0} [(-mu)_n (1+mu)_n / (n!)^2] z^n (alpha*n + beta),
 
-with Pochhammer coefficients updated incrementally.  Choosing
+a weighted 2F1(-mu, mu+1; 1; z) = P_mu(1-2z), the Legendre function of
+order 0, with Pochhammer coefficients updated incrementally.  Choosing
 
-    alpha = 2(z-1) / (-1 - mu + nu + 2z(1+mu)),  beta = 1
+    alpha = 2(z-1) / (-1 - mu + 2z(1+mu)),  beta = 1
 
 makes the derivative contribution collapse against the base
-hypergeometric term, leaving a single Legendre-type closed form; that
+hypergeometric term, leaving a single Legendre closed form; that
 identity (validated term-by-term against an independently summed right
 side) is the engine behind the fast series for 2K/pi, 4E/pi and the
 headline constant.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Tuple
 
 from . import moduli
-from .oracle import E_ref, K_ref, b_quarter, nome, theta3
+from .oracle import E_ref, K_ref, b_quarter
 from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
@@ -47,13 +48,12 @@ class SeriesSpec:
 
     ``alpha``/``beta`` weight each term as (alpha*n + beta); beta = 1 is
     the normalized form whose value is a single Legendre-type term.
-    Construct through :func:`make_series_spec`, which checks that the
-    Pochhammer denominator never vanishes and that the weight denominator
-    D = -1 - mu + nu + 2z(1+mu) is bounded away from zero.
+    The coefficients are [(-mu)_n (1+mu)_n / (n!)^2] z^n.  Construct
+    through :func:`make_series_spec`, which checks that 0 < z < 1 and that
+    the weight denominator D = -1 - mu + 2z(1+mu) is bounded away from zero.
     """
 
     mu: Fraction
-    nu: Fraction
     z: BigReal
     alpha: BigReal
     beta: BigReal
@@ -73,7 +73,6 @@ class ConvergenceReport:
     error_trace: List[Tuple[int, float]]
     digits_per_term: Optional[float]
     final_error_vs_oracle: Optional[float] = None
-    cross_checks: dict = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
 
@@ -85,41 +84,33 @@ def _as_fraction(x: Any) -> Fraction:
     raise TypeError(f"expected a rational parameter, got {type(x).__name__}")
 
 
-def make_series_spec(mu: Any, nu: Any, z: Any, alpha: Any, beta: Any,
+def make_series_spec(mu: Any, z: Any, alpha: Any, beta: Any,
                      ctx: PrecisionContext) -> SeriesSpec:
     mu = _as_fraction(mu)
-    nu = _as_fraction(nu)
-    one_minus_nu = 1 - nu
-    if one_minus_nu.denominator == 1 and one_minus_nu <= 0:
-        raise DomainError(
-            f"(1 - nu) must not be zero or a negative integer, got nu={nu}"
-        )
     z = ctx.mpf(z)
     if not (0 < z < 1):
         raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
-    _weight_denominator(mu, nu, z, ctx)
-    return SeriesSpec(mu=mu, nu=nu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
+    _weight_denominator(mu, z, ctx)
+    return SeriesSpec(mu=mu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
 
 
-def _term_ratio(n: int, mu: Fraction, nu: Fraction) -> Tuple[int, int]:
-    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / ((1-nu+n)(n+1)) as exact (num, den), den > 0."""
-    ratio = (n - mu) * (1 + mu + n) / ((1 - nu + n) * (n + 1))
+def _term_ratio(n: int, mu: Fraction) -> Tuple[int, int]:
+    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 as exact (num, den), den > 0."""
+    ratio = (n - mu) * (1 + mu + n) / (n + 1) ** 2
     return ratio.numerator, ratio.denominator
 
 
-def _weight_denominator(mu: Any, nu: Any, z: BigReal,
-                        ctx: PrecisionContext) -> BigReal:
-    """D = -1 - mu + nu + 2z(1+mu); the collapsing weight slope is alpha = 2(z-1)/D.
+def _weight_denominator(mu: Any, z: BigReal, ctx: PrecisionContext) -> BigReal:
+    """D = -1 - mu + 2z(1+mu); the collapsing weight slope is alpha = 2(z-1)/D.
 
-    Raises when D is numerically zero (for the 2K/pi parameters
-    mu = -3/2, nu = 0 that happens exactly at z = 1/2, i.e. r = 1).
+    Raises when D is numerically zero (for the 2K/pi parameter mu = -3/2
+    that happens exactly at z = 1/2, i.e. r = 1).
     """
-    d = -1 - ctx.mpf(mu) + ctx.mpf(nu) + 2 * z * (1 + ctx.mpf(mu))
+    d = -1 - ctx.mpf(mu) + 2 * z * (1 + ctx.mpf(mu))
     if abs(d) <= ctx.tol(ctx.working_digits // 2):
         raise SingularSeriesError(
             f"singular series configuration: weight denominator "
-            f"-1 - mu + nu + 2z(1+mu) = {d} is numerically zero "
-            f"(mu={mu}, nu={nu}, z={z})"
+            f"-1 - mu + 2z(1+mu) = {d} is numerically zero (mu={mu}, z={z})"
         )
     return d
 
@@ -159,8 +150,10 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
 
     Stops when the next term bound (including the (alpha*n + beta) growth
     factor) falls below 10^(-working_digits), or after exactly ``n_terms``
-    terms when given.  ``term_cap`` overrides the runaway guard (exceeding
-    it raises, signalling a bug or a pathologically slow z).  Without
+    terms when given; a term that rounds to exactly 0 ends the sum at once,
+    since every later term is 0 too.  ``term_cap`` overrides the runaway
+    guard (exceeding it raises, signalling a bug or a pathologically slow
+    z).  Without
     ``n_terms``, a z whose predicted term count working_digits/|log10 z|
     exceeds RUNAWAY_TERM_CEILING raises before the first term.
 
@@ -192,10 +185,12 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
         n += 1
         if n_terms is not None and n >= n_terms:
             break
-        num, den = _term_ratio(n - 1, spec.mu, spec.nu)
+        num, den = _term_ratio(n - 1, spec.mu)
         prod = ((t * z) >> wp) * num
         # round toward zero: terms may be negative
         t = prod // den if prod >= 0 else -(-prod // den)
+        if t == 0:
+            break
         if n_terms is None:
             bound = (abs(t) * (abs(alpha) * (n + 2) + abs(beta))) >> wp
             if bound < eps:
@@ -212,7 +207,7 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     trace = [(i, unit_digits - math.log10(abs(p - s)))
              for i, p in enumerate(partials[:-1]) if p != s]
     report = ConvergenceReport(
-        terms_used=len(partials),
+        terms_used=n_terms or len(partials),
         error_trace=trace,
         digits_per_term=_slope(trace),
         final_error_vs_oracle=(
@@ -237,38 +232,21 @@ def _slope(trace: List[Tuple[int, float]]) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------
-# Legendre-type functions in the convention used throughout this package
+# order-0 Legendre functions P_mu, summed directly in mpf
 # ---------------------------------------------------------------------
 
-def _gamma_one_minus(nu: Fraction, ctx: PrecisionContext) -> BigReal:
-    """Gamma(1 - nu) for nu = 0 or 1 - nu a positive integer.
-
-    All series in this package have nu = 0 (Gamma(1) = 1); other rational
-    nu are supported only when 1 - nu is a positive integer, which keeps a
-    general Gamma routine out of scope.
-    """
-    one_minus = 1 - nu
-    if one_minus.denominator == 1:
-        q = int(one_minus)
-        if q <= 0:
-            raise DomainError(f"Gamma pole at 1 - nu = {q}")
-        return ctx.mpf(math.factorial(q - 1))
-    raise DomainError(
-        f"Gamma(1 - nu) supported only for integer 1 - nu >= 1, got nu={nu}"
-    )
-
-
-def _hyp2f1(a: BigReal, b: BigReal, c: BigReal, y: BigReal,
-            ctx: PrecisionContext) -> BigReal:
-    """2F1(a, b; c; y) by direct summation, |y| < 1."""
+def _hyp2f1(mu: Any, y: BigReal, ctx: PrecisionContext) -> BigReal:
+    """2F1(-mu, mu+1; 1; y) by direct summation in mpf, |y| < 1."""
     eps = ctx.tol(ctx.working_digits)
     cap = _max_terms(abs(y), ctx) if 0 < abs(y) < 1 else 10 * ctx.working_digits
+    mu = ctx.mpf(mu)
+    a, b = -mu, mu + 1
     s = ctx.zero
     t = ctx.one
     n = 0
     while True:
         s += t
-        t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * y
+        t = t * (a + n) * (b + n) / (n + 1) ** 2 * y
         n += 1
         if abs(t) < eps:
             break
@@ -279,93 +257,57 @@ def _hyp2f1(a: BigReal, b: BigReal, c: BigReal, y: BigReal,
     return s
 
 
-def legendre_P(mu: Any, nu: Any, x: Any, ctx: PrecisionContext) -> BigReal:
-    """P^mu_nu(x) = ((x+1)/(1-x))^(nu/2) 2F1(-mu, mu+1; 1-nu; (1-x)/2) / Gamma(1-nu).
-
-    This is the convention used by every identity in this package (note
-    the roles of mu and nu relative to the hypergeometric parameters);
-    no external Legendre routine follows it, so the function is summed
-    directly.  Requires |1-x|/2 < 1.
-    """
-    nu = _as_fraction(nu)
-    mu_f = ctx.mpf(mu)
-    x = ctx.mpf(x)
-    y = (1 - x) / 2
+def legendre_P(mu: Any, x: Any, ctx: PrecisionContext) -> BigReal:
+    """P_mu(x) = 2F1(-mu, mu+1; 1; (1-x)/2), summed directly; |1-x|/2 < 1."""
+    y = (1 - ctx.mpf(x)) / 2
     if abs(y) >= 1:
         raise DomainError(f"argument outside the convergence disc: (1-x)/2 = {y}")
-    gamma_factor = _gamma_one_minus(nu, ctx)
-    nu_f = ctx.mpf(nu)
-    f = _hyp2f1(-mu_f, mu_f + 1, 1 - nu_f, y, ctx)
-    if nu == 0:
-        pref = ctx.one
-    else:
-        base = (x + 1) / (1 - x)
-        if base <= 0:
-            raise DomainError(f"prefactor base (x+1)/(1-x) must be positive, got {base}")
-        pref = ctx.power(base, nu_f / 2)
-    return pref * f / gamma_factor
+    return _hyp2f1(mu, y, ctx)
 
 
-def phi_and_derivative(mu: Any, nu: Any, z: Any,
+def phi_and_derivative(mu: Any, z: Any,
                        ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
-    """(phi(z), phi'(z)) for phi(z) = 2F1(-mu, mu+1; 1-nu; z).
+    """(phi(z), phi'(z)) for phi(z) = 2F1(-mu, mu+1; 1; z) = P_mu(1-2z).
 
     The derivative uses the closed form
 
-        phi'(z) = [(D0 + 2(1+mu)z) P^mu_nu(1-2z) + (1+mu-nu) P^(1+mu)_nu(1-2z)]
-                  * (z/(1-z))^(nu/2) Gamma(1-nu) / (2 z (1-z))
+        phi'(z) = [(D0 + 2(1+mu)z) phi(z) + (1+mu) P_(1+mu)(1-2z)] / (2 z (1-z))
 
-    with D0 = -1 - mu + nu, rather than a term-by-term derivative; the
-    two are compared against finite differences in the test suite.
+    with D0 = -1 - mu, rather than a term-by-term derivative; the two are
+    compared against finite differences in the test suite.
     """
-    nu = _as_fraction(nu)
     mu_f = ctx.mpf(mu)
     z = ctx.mpf(z)
     if z == 0 or z == 1:
         raise DomainError(f"derivative prefactor 1/(2 z (1-z)) singular at z={z}")
-    nu_f = ctx.mpf(nu)
-    phi = _hyp2f1(-mu_f, mu_f + 1, 1 - nu_f, z, ctx)
-    gamma_factor = _gamma_one_minus(nu, ctx)
-    if nu == 0:
-        pref = ctx.one
-    else:
-        pref = ctx.power(z / (1 - z), nu_f / 2)
-    bracket = ((-1 - mu_f + nu_f + 2 * (1 + mu_f) * z) * legendre_P(mu, nu, 1 - 2 * z, ctx)
-               + (1 + mu_f - nu_f) * legendre_P(mu_f + 1, nu, 1 - 2 * z, ctx))
-    phi_prime = pref * gamma_factor * bracket / (2 * (1 - z) * z)
-    return phi, phi_prime
+    phi = _hyp2f1(mu_f, z, ctx)
+    bracket = ((-1 - mu_f + 2 * (1 + mu_f) * z) * phi
+               + (1 + mu_f) * legendre_P(mu_f + 1, 1 - 2 * z, ctx))
+    return phi, bracket / (2 * (1 - z) * z)
 
 
-def closed_form(mu: Any, nu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
+def closed_form(mu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
     """Right side of the collapse identity: a single shifted Legendre term.
 
-    (-1 - mu + nu) (z/(1-z))^(nu/2) Gamma(1-nu) P^(1+mu)_nu(1-2z)
-        / (-1 - mu + nu + 2(mu+1) z)
+    (-1 - mu) P_(1+mu)(1-2z) / (-1 - mu + 2(mu+1) z)
     """
-    nu = _as_fraction(nu)
     mu_f = ctx.mpf(mu)
     z = ctx.mpf(z)
-    nu_f = ctx.mpf(nu)
-    d = _weight_denominator(mu, nu, z, ctx)
-    if nu == 0:
-        pref = ctx.one
-    else:
-        pref = ctx.power(z / (1 - z), nu_f / 2)
-    gamma_factor = _gamma_one_minus(nu, ctx)
-    return (-1 - mu_f + nu_f) * pref * gamma_factor * legendre_P(mu_f + 1, nu, 1 - 2 * z, ctx) / d
+    d = _weight_denominator(mu, z, ctx)
+    return (-1 - mu_f) * legendre_P(mu_f + 1, 1 - 2 * z, ctx) / d
 
 
-def derivative_weighted_sum(mu: Any, nu: Any, z: Any,
+def derivative_weighted_sum(mu: Any, z: Any,
                             ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """Sum c_n z^n (alpha n + 1) with the collapsing alpha; oracle is the closed form.
 
-    The left side is summed term by term; the right side is evaluated
-    through the shifted Legendre function, an independent code path.
+    The left side is summed term by term in fixed point; the right side is
+    the shifted Legendre function summed by the separate mpf loop.
     """
     z = ctx.mpf(z)
-    alpha = 2 * (z - 1) / _weight_denominator(mu, nu, z, ctx)
-    spec = make_series_spec(mu, nu, z, alpha, 1, ctx)
-    rhs = closed_form(mu, nu, z, ctx)
+    alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx)
+    spec = make_series_spec(mu, z, alpha, 1, ctx)
+    rhs = closed_form(mu, z, ctx)
     return eval_series(spec, ctx, oracle=rhs)
 
 
@@ -381,8 +323,7 @@ def two_K_over_pi(pair: moduli.ModulusPair,
     normalization degenerates at z = 1/2); callers should use the AGM
     oracle there; at small r, where the series cannot converge within the
     runaway ceiling, it raises SeriesConvergenceError.  The report's
-    oracle is 2 K_ref/pi, with the theta identity 2K/pi = theta3(q)^2
-    recorded as a second cross-check.
+    oracle is 2 K_ref/pi.
     """
     k = pair.k
     z = k * k
@@ -392,12 +333,8 @@ def two_K_over_pi(pair: moduli.ModulusPair,
             "use the AGM oracle instead"
         )
     _require_convergent(z, ctx)
-    spec = make_series_spec(Fraction(-3, 2), 0, z, -4 * (1 - z), 1 - 2 * z, ctx)
-    oracle = 2 * K_ref(k, ctx) / ctx.pi
-    value, report = eval_series(spec, ctx, oracle=oracle)
-    theta_val = theta3(nome(pair.r, ctx), ctx) ** 2
-    report.cross_checks["theta3_squared"] = ctx.agreement_digits(value, theta_val)
-    return value, report
+    spec = make_series_spec(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, ctx)
+    return eval_series(spec, ctx, oracle=2 * K_ref(k, ctx) / ctx.pi)
 
 
 def four_E_over_pi(pair: moduli.ModulusPair,
@@ -410,7 +347,7 @@ def four_E_over_pi(pair: moduli.ModulusPair,
     k = pair.k
     z = k * k
     two_k, _ = two_K_over_pi(pair, ctx)
-    spec = make_series_spec(Fraction(-1, 2), 0, z, 4 * (1 - z), 1 - 2 * z, ctx)
+    spec = make_series_spec(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
     sigma, report = eval_series(spec, ctx)
     value = two_k + sigma
     report.final_error_vs_oracle = ctx.agreement_digits(value, 4 * E_ref(k, ctx) / ctx.pi)
@@ -434,7 +371,7 @@ def gamma_quarter_series(ctx: PrecisionContext,
     pair100, pair6400 = chain[0], chain[3]
     w = pair6400.k
     z = w * w
-    spec = make_series_spec(Fraction(-3, 2), 0, z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx)
+    spec = make_series_spec(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx)
     sigma, report = eval_series(spec, ctx, n_terms=n_terms)
     scale = moduli.k_scale_64(pair100, ctx)
     coeff = moduli.k100_radical_coefficient(ctx)

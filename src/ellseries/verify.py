@@ -222,8 +222,8 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         z = rng.uniform(0.01, 0.4)
         if abs((1 + mu) * (2 * z - 1)) < 0.05:
             continue
-        value, report = series.derivative_weighted_sum(mu, 0, z, ctx50)
-        rhs = series.closed_form(mu, 0, z, ctx50)
+        value, report = series.derivative_weighted_sum(mu, z, ctx50)
+        rhs = series.closed_form(mu, z, ctx50)
         worst50 = max(worst50, abs(value - rhs))
         count += 1
     out.append(_residual_check("collapse-identity-random", "series", ctx50,
@@ -234,9 +234,9 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     h = ctx60.tol(20)
     worst_fd = 0.0
     for mu, z in ((Fraction(-3, 2), ctx60.mpf("0.2")), (Fraction(-7, 10), ctx60.mpf("0.35"))):
-        _, dphi = series.phi_and_derivative(mu, 0, z, ctx60)
-        fd = (series.phi_and_derivative(mu, 0, z + h, ctx60)[0]
-              - series.phi_and_derivative(mu, 0, z - h, ctx60)[0]) / (2 * h)
+        _, dphi = series.phi_and_derivative(mu, z, ctx60)
+        fd = (series.phi_and_derivative(mu, z + h, ctx60)[0]
+              - series.phi_and_derivative(mu, z - h, ctx60)[0]) / (2 * h)
         agree = ctx60.agreement_digits(dphi, fd)
         worst_fd = agree if worst_fd == 0.0 else min(worst_fd, agree)
     out.append(CheckResult(

@@ -152,17 +152,17 @@ def test_criterion_7_collapse_identity_suite(capsys):
         z = rng.uniform(0.01, 0.4)
         if abs((1 + mu) * (2 * z - 1)) < 0.05:
             continue
-        value, _ = derivative_weighted_sum(mu, 0, z, ctx)
-        rhs = closed_form(mu, 0, z, ctx)
+        value, _ = derivative_weighted_sum(mu, z, ctx)
+        rhs = closed_form(mu, z, ctx)
         assert abs(value - rhs) < tol
         worst = max(worst, float(abs(value - rhs)))
         count += 1
     ctx60 = make_context(60)
     h = ctx60.tol(20)
     z = ctx60.mpf("0.2")
-    _, dphi = phi_and_derivative(Fraction(-3, 2), 0, z, ctx60)
-    fd = (phi_and_derivative(Fraction(-3, 2), 0, z + h, ctx60)[0]
-          - phi_and_derivative(Fraction(-3, 2), 0, z - h, ctx60)[0]) / (2 * h)
+    _, dphi = phi_and_derivative(Fraction(-3, 2), z, ctx60)
+    fd = (phi_and_derivative(Fraction(-3, 2), z + h, ctx60)[0]
+          - phi_and_derivative(Fraction(-3, 2), z - h, ctx60)[0]) / (2 * h)
     fd_digits = ctx60.agreement_digits(dphi, fd)
     assert fd_digits >= 25
     with capsys.disabled():

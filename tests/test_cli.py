@@ -37,7 +37,7 @@ EXIT_CODES = [
     pytest.param(["verify", "--digits", "60", "--selection", ","], 1,
                  id="verify-empty-selection"),
     pytest.param(["bench", "--digits", "50"], 2, id="bench-low-digits"),
-    # one partial sum is kept per forced term: 1e8 terms would take ~7 GB
+    # forced term counts are capped at series.RUNAWAY_TERM_CEILING
     pytest.param(["constant", "gamma-quarter", "--digits", "30", "--terms", "100000000"], 1,
                  id="terms-above-ceiling"),
     pytest.param(["elliptic", "K", "--r", "1/100", "--digits", "50", "--method", "agm"], 0,
@@ -172,6 +172,21 @@ def test_constant_nonpositive_terms_is_usage_error(capsys, terms):
     assert out == ""
     assert err.count("\n") == 1 and "--terms" in err
     assert "Traceback" not in err
+
+
+def test_constant_forced_terms_stop_at_first_zero_term(capsys):
+    # at 30 digits every term after the first rounds to 0 in fixed point
+    # (w^2 ~ 1e-108); the sum must stop there, not run all 2,000,000 terms
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "30",
+                                   "--terms", "2000000", "--format", "json"])
+    assert time.perf_counter() - t0 < 5
+    assert code == 0, err
+    _, out3, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "30",
+                               "--terms", "3", "--format", "json"])
+    rep = json.loads(out)
+    assert rep["terms_used"] == 2000000
+    assert rep["value_digits"] == json.loads(out3)["value_digits"]
 
 
 def test_constant_past_the_int_str_limit(capsys):

@@ -1,6 +1,8 @@
 """AGM oracles: K, E, theta3, the quarter constant, and the nome."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellseries import (DomainError, E_ref, K_ref, agm, b_quarter, make_context,
-                       nome, solve_kr, theta3)
+                       nome, oracle, solve_kr, theta3)
 
 # Reference values, 60 digits (standard tables / lemniscatic constants).
 AGM_1_SQRT2 = "1.19814023473559220743992249228032387822721266321565155826367"
@@ -188,3 +190,17 @@ def test_first_kind_theta_identity_via_solver(ctx50):
         pair = solve_kr(r, ctx50)
         t = theta3(nome(r, ctx50), ctx50)
         assert abs(2 * K_ref(pair.k, ctx50) / ctx50.pi - t * t) <= ctx50.tol(45)
+
+
+def test_oracle_imports_only_the_precision_substrate():
+    # the oracles may share only the arithmetic substrate with the code they check
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            package_imports.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ellseries"):
+            package_imports.add(node.module)
+        elif isinstance(node, ast.Import):
+            package_imports.update(a.name for a in node.names if a.name.startswith("ellseries"))
+    assert package_imports == {".precision"}

@@ -11,8 +11,8 @@ from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
                        SingularSeriesError, chain_to_6400,
                        closed_form, derivative_weighted_sum, eval_series,
                        four_E_over_pi, gamma_quarter_series, legendre_P,
-                       make_context, make_series_spec, phi_and_derivative,
-                       solve_kr, two_K_over_pi)
+                       make_context, make_series_spec, nome, phi_and_derivative,
+                       solve_kr, theta3, two_K_over_pi)
 from ellseries.series import _term_ratio, _weight_denominator
 
 B_QUARTER_OVER_PI = "2.36068119803219245209067588111697717446743326976289459903173"
@@ -26,16 +26,15 @@ def _poch(x: Fraction, n: int) -> Fraction:
 
 
 def test_first_coefficient_step():
-    assert _term_ratio(0, Fraction(-3, 2), Fraction(0)) == (-3, 4)
+    assert _term_ratio(0, Fraction(-3, 2)) == (-3, 4)
 
 
 @pytest.mark.parametrize("mu", [Fraction(-3, 2), Fraction(-1, 2), Fraction(-7, 10)])
 def test_coefficients_match_pochhammer_products(mu):
-    nu = Fraction(0)
     c = Fraction(1)
     for n in range(10):
-        assert c == _poch(-mu, n) * _poch(1 + mu, n) / (_poch(1 - nu, n) * math.factorial(n))
-        num, den = _term_ratio(n, mu, nu)
+        assert c == _poch(-mu, n) * _poch(1 + mu, n) / (math.factorial(n) ** 2)
+        num, den = _term_ratio(n, mu)
         assert den > 0
         c *= Fraction(num, den)
 
@@ -43,7 +42,7 @@ def test_coefficients_match_pochhammer_products(mu):
 def test_nonnegative_integer_mu_terminates():
     c = Fraction(1)
     for n in range(6):
-        num, den = _term_ratio(n, Fraction(2), Fraction(0))
+        num, den = _term_ratio(n, Fraction(2))
         c *= Fraction(num, den)
         if n >= 2:
             assert c == 0
@@ -51,37 +50,35 @@ def test_nonnegative_integer_mu_terminates():
 
 def test_alpha_of(ctx50):
     z = ctx50.mpf("0.1")
-    alpha = 2 * (z - 1) / _weight_denominator(Fraction(-3, 2), 0, z, ctx50)
+    alpha = 2 * (z - 1) / _weight_denominator(Fraction(-3, 2), z, ctx50)
     assert abs(alpha - 4 * (z - 1) / (1 - 2 * z)) <= ctx50.tol(52)
     # the 2K/pi parameters are singular at z = 1/2 (r = 1)
     with pytest.raises(SingularSeriesError):
-        derivative_weighted_sum(Fraction(-3, 2), 0, ctx50.mpf("0.5"), ctx50)
+        derivative_weighted_sum(Fraction(-3, 2), ctx50.mpf("0.5"), ctx50)
 
 
 def test_series_spec_validation(ctx50):
     with pytest.raises(DomainError):
-        make_series_spec(Fraction(-3, 2), 1, ctx50.mpf("0.1"), 1, 1, ctx50)
-    with pytest.raises(DomainError):
-        make_series_spec(Fraction(-3, 2), 0, ctx50.mpf("1.5"), 1, 1, ctx50)
+        make_series_spec(Fraction(-3, 2), ctx50.mpf("1.5"), 1, 1, ctx50)
     with pytest.raises(SingularSeriesError):
-        make_series_spec(Fraction(-3, 2), 0, ctx50.mpf("0.5"), 1, 1, ctx50)
+        make_series_spec(Fraction(-3, 2), ctx50.mpf("0.5"), 1, 1, ctx50)
 
 
 def test_legendre_P_first_kind_identity(ctx50):
     z = ctx50.mpf("0.3")
-    lhs = legendre_P(Fraction(-1, 2), 0, 1 - 2 * z, ctx50)
+    lhs = legendre_P(Fraction(-1, 2), 1 - 2 * z, ctx50)
     rhs = 2 * K_ref(ctx50.sqrt(z), ctx50) / ctx50.pi
     assert abs(lhs - rhs) <= ctx50.tol(45)
 
 
 def test_legendre_P_at_one(ctx50):
-    assert abs(legendre_P(Fraction(-3, 2), 0, 1, ctx50) - 1) <= ctx50.tol(55)
-    assert abs(legendre_P(Fraction(1, 2), 0, 1, ctx50) - 1) <= ctx50.tol(55)
+    assert abs(legendre_P(Fraction(-3, 2), 1, ctx50) - 1) <= ctx50.tol(55)
+    assert abs(legendre_P(Fraction(1, 2), 1, ctx50) - 1) <= ctx50.tol(55)
 
 
 def test_legendre_P_second_kind_identity(ctx50):
     z = ctx50.mpf("0.25")
-    lhs = legendre_P(Fraction(1, 2), 0, 1 - 2 * z, ctx50)
+    lhs = legendre_P(Fraction(1, 2), 1 - 2 * z, ctx50)
     k = ctx50.sqrt(z)
     rhs = (2 / ctx50.pi) * (2 * E_ref(k, ctx50) - K_ref(k, ctx50))
     assert abs(lhs - rhs) <= ctx50.tol(45)
@@ -89,13 +86,11 @@ def test_legendre_P_second_kind_identity(ctx50):
 
 def test_legendre_P_domain(ctx50):
     with pytest.raises(DomainError):
-        legendre_P(Fraction(-1, 2), 0, -1.5, ctx50)
-    with pytest.raises(DomainError):
-        legendre_P(Fraction(-1, 2), Fraction(1, 2), 0.5, ctx50)
+        legendre_P(Fraction(-1, 2), -1.5, ctx50)
 
 
 def test_phi_at_small_z(ctx50):
-    phi, _ = phi_and_derivative(Fraction(-3, 2), 0, ctx50.tol(25), ctx50)
+    phi, _ = phi_and_derivative(Fraction(-3, 2), ctx50.tol(25), ctx50)
     assert abs(phi - 1) <= ctx50.tol(22)
 
 
@@ -103,32 +98,32 @@ def test_phi_derivative_vs_finite_difference():
     ctx = make_context(60)
     h = ctx.tol(20)
     z = ctx.mpf("0.2")
-    _, dphi = phi_and_derivative(Fraction(-3, 2), 0, z, ctx)
-    fd = (phi_and_derivative(Fraction(-3, 2), 0, z + h, ctx)[0]
-          - phi_and_derivative(Fraction(-3, 2), 0, z - h, ctx)[0]) / (2 * h)
+    _, dphi = phi_and_derivative(Fraction(-3, 2), z, ctx)
+    fd = (phi_and_derivative(Fraction(-3, 2), z + h, ctx)[0]
+          - phi_and_derivative(Fraction(-3, 2), z - h, ctx)[0]) / (2 * h)
     assert ctx.agreement_digits(dphi, fd) >= 25
 
 
 def test_weighted_sum_equals_phi_combination(ctx50):
     # the mechanism: sum c_n z^n (alpha n + beta) = beta phi + alpha z phi'
-    mu, nu = Fraction(-3, 2), 0
+    mu = Fraction(-3, 2)
     z = ctx50.mpf("0.1")
-    alpha = 2 * (z - 1) / _weight_denominator(mu, nu, z, ctx50)
-    spec = make_series_spec(mu, nu, z, alpha, 1, ctx50)
+    alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx50)
+    spec = make_series_spec(mu, z, alpha, 1, ctx50)
     total, _ = eval_series(spec, ctx50)
-    phi, dphi = phi_and_derivative(mu, nu, z, ctx50)
+    phi, dphi = phi_and_derivative(mu, z, ctx50)
     assert abs(total - (phi + alpha * z * dphi)) <= ctx50.tol(45)
 
 
 def test_collapse_identity(ctx50):
-    value, report = derivative_weighted_sum(Fraction(-3, 2), 0, ctx50.mpf("0.09"), ctx50)
+    value, report = derivative_weighted_sum(Fraction(-3, 2), ctx50.mpf("0.09"), ctx50)
     assert report.final_error_vs_oracle >= 45
-    rhs = closed_form(Fraction(-3, 2), 0, ctx50.mpf("0.09"), ctx50)
+    rhs = closed_form(Fraction(-3, 2), ctx50.mpf("0.09"), ctx50)
     assert abs(value - rhs) <= ctx50.tol(45)
 
 
 def test_collapse_identity_small_z(ctx50):
-    value, _ = derivative_weighted_sum(Fraction(-3, 2), 0, ctx50.tol(30), ctx50)
+    value, _ = derivative_weighted_sum(Fraction(-3, 2), ctx50.tol(30), ctx50)
     assert abs(value - 1) <= ctx50.tol(25)
 
 
@@ -136,13 +131,13 @@ def test_collapse_reproduces_first_kind_series(ctx50):
     # at z = k_4^2 the normalized sum times (1 - 2z) is the 2K/pi series
     pair = solve_kr(4, ctx50)
     z = pair.k ** 2
-    value, _ = derivative_weighted_sum(Fraction(-3, 2), 0, z, ctx50)
+    value, _ = derivative_weighted_sum(Fraction(-3, 2), z, ctx50)
     expect = (2 * K_ref(pair.k, ctx50) / ctx50.pi) / (1 - 2 * z)
     assert abs(value - expect) <= ctx50.tol(45)
 
 
 def test_eval_series_fixed_terms_gives_constant_term(ctx50):
-    spec = make_series_spec(Fraction(-3, 2), 0, ctx50.mpf("0.04"),
+    spec = make_series_spec(Fraction(-3, 2), ctx50.mpf("0.04"),
                             ctx50.mpf(7), ctx50.mpf("0.25"), ctx50)
     value, report = eval_series(spec, ctx50, n_terms=1)
     assert value == spec.beta
@@ -158,7 +153,7 @@ def test_eval_series_error_trace_improves(ctx50):
 
 def test_eval_series_runaway_guard():
     ctx = make_context(10)
-    spec = make_series_spec(Fraction(-3, 2), 0, ctx.mpf("0.4"), 1, 1, ctx)
+    spec = make_series_spec(Fraction(-3, 2), ctx.mpf("0.4"), 1, 1, ctx)
     with pytest.raises(SeriesConvergenceError):
         eval_series(spec, ctx, term_cap=8)
 
@@ -167,7 +162,7 @@ def test_eval_series_slow_z_converges(ctx50):
     # z near 1 just means many terms, not failure
     mu = Fraction(-3, 2)
     z = ctx50.mpf("0.9")
-    value, report = derivative_weighted_sum(mu, 0, z, ctx50)
+    value, report = derivative_weighted_sum(mu, z, ctx50)
     assert report.final_error_vs_oracle >= 45
     assert report.terms_used > 400
 
@@ -178,7 +173,7 @@ def test_first_kind_series(ctx50):
         value, report = two_K_over_pi(pair, ctx50)
         assert abs(value - 2 * K_ref(pair.k, ctx50) / ctx50.pi) <= ctx50.tol(45)
         assert report.final_error_vs_oracle >= 45
-        assert report.cross_checks["theta3_squared"] >= 45
+        assert ctx50.agreement_digits(value, theta3(nome(pair.r, ctx50), ctx50) ** 2) >= 45
 
 
 def test_first_kind_singular_at_r1(ctx50):
@@ -255,7 +250,6 @@ def _reference_eval_series(spec, ctx, n_terms=None):
     """
     z = spec.z
     mu_f = ctx.mpf(spec.mu)
-    nu_f = ctx.mpf(spec.nu)
     eps = ctx.tol(ctx.working_digits)
     s = ctx.zero
     c = ctx.one
@@ -269,7 +263,7 @@ def _reference_eval_series(spec, ctx, n_terms=None):
         if n_terms is not None:
             if n >= n_terms:
                 break
-        c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / ((1 - nu_f + (n - 1)) * n)
+        c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / (n * n)
         zp = zp * z
         if n_terms is None:
             bound = abs(c * zp) * (abs(spec.alpha) * (n + 2) + abs(spec.beta))
@@ -284,16 +278,13 @@ def _reference_eval_series(spec, ctx, n_terms=None):
 
 
 _small_rational = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 4))
-# 1 - nu must not be zero or a negative integer
-_nu = _small_rational.map(lambda nu: -nu if nu.denominator == 1 and nu >= 1 else nu)
 
 
 @st.composite
 def _series_params(draw):
-    """(mu, nu, z, alpha, beta): z in (0, 0.95), weights of either sign, or
+    """(mu, z, alpha, beta): z in (0, 0.95), weights of either sign, or
     z near 1/2 with the small 2K/pi-type beta = 1 - 2z."""
     mu = draw(_small_rational)
-    nu = draw(_nu)
     if draw(st.booleans()):
         z = Fraction(draw(st.integers(1, 949)), 1000)
         alpha = draw(_small_rational)
@@ -302,13 +293,13 @@ def _series_params(draw):
         z = Fraction(1, 2) + draw(st.sampled_from([-1, 1])) * Fraction(1, 10 ** draw(st.integers(2, 7)))
         alpha = -4 * (1 - z)
         beta = 1 - 2 * z
-    return mu, nu, z, alpha, beta
+    return mu, z, alpha, beta
 
 
 def _spec_or_reject(params, ctx):
-    mu, nu, z, alpha, beta = params
+    mu, z, alpha, beta = params
     try:
-        return make_series_spec(mu, nu, ctx.mpf(z), ctx.mpf(alpha), ctx.mpf(beta), ctx)
+        return make_series_spec(mu, ctx.mpf(z), ctx.mpf(alpha), ctx.mpf(beta), ctx)
     except SingularSeriesError:
         assume(False)
 
