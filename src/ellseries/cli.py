@@ -6,7 +6,8 @@
     ellseries bench --digits 500,1000,2000
 
 Exit codes: 0 success, 1 usage error, 2 precision/domain error,
-3 verification failure (including any oracle mismatch).  JSON goes to
+3 verification failure (including any oracle mismatch); a reader that
+closes stdout early ends the run with 1 and no traceback.  JSON goes to
 stdout, diagnostics to stderr.  Reported value digits are truncated, not
 rounded, so they are a prefix of any higher-precision run.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -327,7 +329,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # reader closed stdout (`| head`): exit 1 as the Python docs advise;
+        # devnull keeps the exit-time flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PrecisionError, DomainError, SingularSeriesError) as e:
         print(f"ellseries: {e}", file=sys.stderr)
         return EXIT_PRECISION

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .oracle import K_ref, agm
+from .oracle import K_ref, agm, b_quarter
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
-                        make_context)
+                        guard_digits_for, make_context)
 
 
 class Provenance(enum.Enum):
@@ -93,13 +93,12 @@ class MultiplierResult:
 
 
 def _one_minus(gap: BigReal, ctx: PrecisionContext) -> BigReal:
-    """1 - gap, subtracted with enough digits to stay strictly below 1."""
+    """1 - gap, rounded as make_context(need) would: strictly below 1."""
     need = ctx.working_digits + 10
     if gap < 1:
         mag = int(-ctx.log10_abs(gap)) + 30
         need = max(need, mag)
-    sub = make_context(need)
-    return 1 - sub.mpf(gap)
+    return ctx.fsub(1, gap, need + guard_digits_for(need))
 
 
 def _pair_from_gap(r: Fraction, k: BigReal, gap: BigReal,
@@ -303,54 +302,25 @@ def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormCompariso
     p16 = aud.root(p, 16)
     s2 = aud.sqrt(2)
 
-    out: List[PrintedFormComparison] = []
-
-    k400_printed = ((s2 - p4) / (s2 + p4)) ** 2
-    out.append(PrintedFormComparison(
-        label="k_400",
-        derived=pairs[1].k,
-        printed=k400_printed,
-        agreement_digits=ctx.agreement_digits(pairs[1].k, k400_printed),
-    ))
-
-    kp400_73 = aud.root(2 ** 7, 3) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2
-    out.append(PrintedFormComparison(
-        label="k'_400 (published coefficient 2^(7/3))",
-        derived=pairs[1].k_prime,
-        printed=kp400_73,
-        agreement_digits=ctx.agreement_digits(pairs[1].k_prime, kp400_73),
-        note="published/derived = 2^(7/12) ~ 1.4983; suspected typo, reported not asserted",
-    ))
-    kp400_74 = aud.root(2 ** 7, 4) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2
-    out.append(PrintedFormComparison(
-        label="k'_400 (corrected coefficient 2^(7/4))",
-        derived=pairs[1].k_prime,
-        printed=kp400_74,
-        agreement_digits=ctx.agreement_digits(pairs[1].k_prime, kp400_74),
-        note="coefficient from the Landen ascent",
-    ))
-
     a16 = (s2 + p4) ** 2
     b16 = 2 * aud.root(8, 4) * p8 * aud.sqrt(2 + sp)
-    k1600_printed = (a16 - b16) / (a16 + b16)
-    out.append(PrintedFormComparison(
-        label="k_1600",
-        derived=pairs[2].k,
-        printed=k1600_printed,
-        agreement_digits=ctx.agreement_digits(pairs[2].k, k1600_printed),
-    ))
-
     aw = 2 + 2 * aud.root(8, 4) * aud.sqrt(2 + sp) * p8 + 2 * s2 * p4 + sp
     bw = (2 * aud.root(2 ** 5, 8) * aud.root(2 + sp, 4)
           * aud.sqrt(2 * s2 + 4 * p4 + s2 * sp) * p16)
-    w_printed = (aw - bw) / (aw + bw)
-    out.append(PrintedFormComparison(
-        label="k_6400",
-        derived=pairs[3].k,
-        printed=w_printed,
-        agreement_digits=ctx.agreement_digits(pairs[3].k, w_printed),
-    ))
-    return out
+    rows = [  # (label, derived, printed, note)
+        ("k_400", pairs[1].k, ((s2 - p4) / (s2 + p4)) ** 2, ""),
+        ("k'_400 (published coefficient 2^(7/3))", pairs[1].k_prime,
+         aud.root(2 ** 7, 3) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2,
+         "published/derived = 2^(7/12) ~ 1.4983; suspected typo, reported not asserted"),
+        ("k'_400 (corrected coefficient 2^(7/4))", pairs[1].k_prime,
+         aud.root(2 ** 7, 4) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2,
+         "coefficient from the Landen ascent"),
+        ("k_1600", pairs[2].k, (a16 - b16) / (a16 + b16), ""),
+        ("k_6400", pairs[3].k, (aw - bw) / (aw + bw), ""),
+    ]
+    return [PrintedFormComparison(label, derived, printed,
+                                  ctx.agreement_digits(derived, printed), note)
+            for label, derived, printed, note in rows]
 
 
 # ---------------------------------------------------------------------
@@ -393,15 +363,23 @@ def _multiplier_polynomials(n: int, k: BigReal, ctx: PrecisionContext):
 
 def _newton_polish(f: Callable, fp: Callable, x: BigReal,
                    ctx: PrecisionContext) -> BigReal:
+    """Newton on f from x until the step is negligible or |f| stops falling.
+
+    At a tangent root f turns to rounding noise first; keep the better iterate.
+    """
+    fx = f(x)
     for _ in range(120):
         d = fp(x)
         if d == 0:
             break
-        step = f(x) / d
+        step = fx / d
         x_new = x - step
         if x_new == x or abs(step) <= abs(x) * ctx.tol(ctx.working_digits - 2):
             return x_new
-        x = x_new
+        f_new = f(x_new)
+        if abs(f_new) >= abs(fx):
+            break
+        x, fx = x_new, f_new
     return x
 
 
@@ -472,6 +450,4 @@ def K100_closed_value(ctx: PrecisionContext) -> BigReal:
     Validated elsewhere against the AGM evaluation of K at the closed-form
     k_100; this is the anchor for the headline-constant normalization.
     """
-    from .oracle import b_quarter
-
     return k100_radical_coefficient(ctx) * b_quarter(ctx)

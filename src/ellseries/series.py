@@ -11,9 +11,9 @@ order 0, with Pochhammer coefficients updated incrementally.  Choosing
 
 makes the derivative contribution collapse against the base
 hypergeometric term, leaving a single Legendre closed form; that
-identity (validated term-by-term against an independently summed right
-side) is the engine behind the fast series for 2K/pi, 4E/pi and the
-headline constant.
+identity is the engine behind the fast series for 2K/pi, 4E/pi and the
+headline constant.  It is checked by comparing the fixed-point sum with a
+right side evaluated by mpmath's hyp2f1, code this package did not write.
 
 At a singular modulus the sum converges geometrically in z = k_r^2, i.e.
 -2*log10(k_r) decimal digits per term: ~12.4 at r = 100 and ~108 at
@@ -66,13 +66,16 @@ class ConvergenceReport:
     ``error_trace`` holds (n, -log10 |partial_n - final|); the slope of
     that trace (excluding n = 0, whose error reflects the constant's own
     magnitude) is ``digits_per_term``.  ``final_error_vs_oracle`` is the
-    decimal agreement with the designated independent oracle.
+    decimal agreement with the designated independent oracle, and
+    ``oracle`` is that oracle's value when it was passed to
+    :func:`eval_series`.
     """
 
     terms_used: int
     error_trace: List[Tuple[int, float]]
     digits_per_term: Optional[float]
     final_error_vs_oracle: Optional[float] = None
+    oracle: Optional[BigReal] = None
     notes: List[str] = field(default_factory=list)
 
 
@@ -95,9 +98,13 @@ def make_series_spec(mu: Any, z: Any, alpha: Any, beta: Any,
 
 
 def _term_ratio(n: int, mu: Fraction) -> Tuple[int, int]:
-    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 as exact (num, den), den > 0."""
-    ratio = (n - mu) * (1 + mu + n) / (n + 1) ** 2
-    return ratio.numerator, ratio.denominator
+    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 as exact (num, den), den > 0.
+
+    For mu = p/q: (nq - p)(q + p + nq) / (q^2 (n+1)^2), unreduced, since the
+    kernel's floor of num/den ignores a common factor and a gcd is costly.
+    """
+    p, q = mu.numerator, mu.denominator
+    return (n * q - p) * (q + p + n * q), q * q * (n + 1) ** 2
 
 
 def _weight_denominator(mu: Any, z: BigReal, ctx: PrecisionContext) -> BigReal:
@@ -213,6 +220,7 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
         final_error_vs_oracle=(
             ctx.agreement_digits(final, oracle) if oracle is not None else None
         ),
+        oracle=oracle,
     )
     return final, report
 
@@ -232,44 +240,24 @@ def _slope(trace: List[Tuple[int, float]]) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------
-# order-0 Legendre functions P_mu, summed directly in mpf
+# order-0 Legendre functions P_mu, from mpmath's hyp2f1
 # ---------------------------------------------------------------------
 
-def _hyp2f1(mu: Any, y: BigReal, ctx: PrecisionContext) -> BigReal:
-    """2F1(-mu, mu+1; 1; y) by direct summation in mpf, |y| < 1."""
-    eps = ctx.tol(ctx.working_digits)
-    cap = _max_terms(abs(y), ctx) if 0 < abs(y) < 1 else 10 * ctx.working_digits
-    mu = ctx.mpf(mu)
-    a, b = -mu, mu + 1
-    s = ctx.zero
-    t = ctx.one
-    n = 0
-    while True:
-        s += t
-        t = t * (a + n) * (b + n) / (n + 1) ** 2 * y
-        n += 1
-        if abs(t) < eps:
-            break
-        if n >= cap:
-            raise SeriesConvergenceError(
-                f"hypergeometric sum did not converge within {cap} terms (y={y})"
-            )
-    return s
-
-
 def legendre_P(mu: Any, x: Any, ctx: PrecisionContext) -> BigReal:
-    """P_mu(x) = 2F1(-mu, mu+1; 1; (1-x)/2), summed directly; |1-x|/2 < 1."""
+    """P_mu(x) = 2F1(-mu, mu+1; 1; (1-x)/2) by mpmath's hyp2f1; |1-x|/2 < 1."""
     y = (1 - ctx.mpf(x)) / 2
     if abs(y) >= 1:
         raise DomainError(f"argument outside the convergence disc: (1-x)/2 = {y}")
-    return _hyp2f1(mu, y, ctx)
+    mu = ctx.mpf(mu)
+    return ctx.hyp2f1(-mu, mu + 1, 1, y)
 
 
 def phi_and_derivative(mu: Any, z: Any,
                        ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
     """(phi(z), phi'(z)) for phi(z) = 2F1(-mu, mu+1; 1; z) = P_mu(1-2z).
 
-    The derivative uses the closed form
+    phi and P_(1+mu) come from mpmath's hyp2f1.  The derivative uses the
+    closed form
 
         phi'(z) = [(D0 + 2(1+mu)z) phi(z) + (1+mu) P_(1+mu)(1-2z)] / (2 z (1-z))
 
@@ -280,7 +268,7 @@ def phi_and_derivative(mu: Any, z: Any,
     z = ctx.mpf(z)
     if z == 0 or z == 1:
         raise DomainError(f"derivative prefactor 1/(2 z (1-z)) singular at z={z}")
-    phi = _hyp2f1(mu_f, z, ctx)
+    phi = ctx.hyp2f1(-mu_f, mu_f + 1, 1, z)
     bracket = ((-1 - mu_f + 2 * (1 + mu_f) * z) * phi
                + (1 + mu_f) * legendre_P(mu_f + 1, 1 - 2 * z, ctx))
     return phi, bracket / (2 * (1 - z) * z)
@@ -289,7 +277,8 @@ def phi_and_derivative(mu: Any, z: Any,
 def closed_form(mu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
     """Right side of the collapse identity: a single shifted Legendre term.
 
-    (-1 - mu) P_(1+mu)(1-2z) / (-1 - mu + 2(mu+1) z)
+    (-1 - mu) P_(1+mu)(1-2z) / (-1 - mu + 2(mu+1) z), with P from
+    mpmath's hyp2f1 (:func:`legendre_P`).
     """
     mu_f = ctx.mpf(mu)
     z = ctx.mpf(z)
@@ -301,8 +290,9 @@ def derivative_weighted_sum(mu: Any, z: Any,
                             ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """Sum c_n z^n (alpha n + 1) with the collapsing alpha; oracle is the closed form.
 
-    The left side is summed term by term in fixed point; the right side is
-    the shifted Legendre function summed by the separate mpf loop.
+    The left side is summed term by term in fixed point; the right side,
+    kept as the report's ``oracle``, is :func:`closed_form`, whose Legendre
+    function comes from mpmath's hyp2f1.
     """
     z = ctx.mpf(z)
     alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx)

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -285,3 +289,19 @@ def test_elliptic_digits_are_prefixes_and_match_mpmath(log10_r, kind, digits, de
             assert abs(mp.mpf(value) - ref) <= abs(ref) * mp.mpf(10) ** (5 - d)
             values.append(value)
         assert values[1].startswith(values[0])
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # ~90 kB of JSON overfills the pipe, so the child is still writing when
+    # the reader closes it (the `ellseries bench | head -1` case)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ellseries", "bench", "--digits", ",".join(["100"] * 100),
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -1,5 +1,6 @@
 """Singular moduli: theta quotients, Landen ascent, closed forms, multipliers, scalings."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from ellseries import (DomainError, K_ref, K100_closed_value, ModulusPair,
                        chain_to_6400, eq2_residual, k100_closed_form,
                        k100_radical_coefficient, k_scale_16, k_scale_64,
                        landen_up, make_context, multiplier, solve_kr)
+from ellseries.moduli import _multiplier_polynomials, _newton_polish
+from ellseries.precision import PrecisionContext
 
 K4_EXACT = "0.171572875253809902396622551580603842860656249246103853646641"
 K100_COEFF = "0.211803271198514012717044518877575870181432102329188841311477"
@@ -51,6 +54,28 @@ def test_solve_matches_landen_chain(digits):
         pair = solve_kr(link.r, ctx)
         assert ctx.agreement_digits(pair.k, link.k) >= full
         assert ctx.agreement_digits(pair.k_prime_gap, link.k_prime_gap) >= full
+
+
+@pytest.mark.parametrize("build, elevated", [
+    # _k100_with_gap's 10 extra digits, then three Landen ascents
+    (chain_to_6400, lambda w: [w + 10]),
+    # _theta_modulus carries log10(pi sqrt(r)) + 10 extra digits
+    (lambda ctx: solve_kr(100, ctx), lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
+    (lambda ctx: solve_kr(Fraction(1, 100), ctx),
+     lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
+])
+def test_no_context_per_one_minus(ctx50, monkeypatch, build, elevated):
+    # a context costs ~1 ms to build; 1 - gap must not build one per call
+    built = []
+    post_init = PrecisionContext.__post_init__
+
+    def counting(self):
+        built.append(self.target_digits)
+        post_init(self)
+
+    monkeypatch.setattr(PrecisionContext, "__post_init__", counting)
+    build(ctx50)
+    assert built == elevated(ctx50.working_digits)
 
 
 def test_solve_domain(ctx50):
@@ -169,6 +194,23 @@ def test_multiplier_tangent_root_to_working_precision(ctx250):
     expect = (2 + ctx250.sqrt(5)) / 5
     assert ctx250.agreement_digits(res.value, expect) >= ctx250.working_digits - 5
     assert res.rejected == ()
+
+
+def test_tangent_root_polish_stops_when_f_stops_falling(ctx250):
+    # from the K-ratio, f at M_5(1) is rounding noise at once; the polish on
+    # f used to take all 120 Newton steps there
+    k = solve_kr(1, ctx250).k
+    f, fp, _ = _multiplier_polynomials(5, k, ctx250)
+    evals = []
+
+    def counted(m):
+        evals.append(m)
+        return f(m)
+
+    start = K_ref(solve_kr(25, ctx250).k, ctx250) / K_ref(k, ctx250)
+    x = _newton_polish(counted, fp, start, ctx250)
+    assert len(evals) <= 5
+    assert abs(f(x)) <= abs(f(start))
 
 
 def test_multiplier_bad_inputs(ctx50):

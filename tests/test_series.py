@@ -280,6 +280,16 @@ def _reference_eval_series(spec, ctx, n_terms=None):
 _small_rational = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 4))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000),
+       st.one_of(_small_rational, st.floats(-2.5, 2.5).map(Fraction)))
+def test_term_ratio_is_the_exact_coefficient_ratio(n, mu):
+    # verify draws mu as floats, whose Fractions have power-of-two denominators
+    num, den = _term_ratio(n, mu)
+    assert den > 0
+    assert Fraction(num, den) == (n - mu) * (1 + mu + n) / (n + 1) ** 2
+
+
 @st.composite
 def _series_params(draw):
     """(mu, z, alpha, beta): z in (0, 0.95), weights of either sign, or
@@ -333,3 +343,42 @@ def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
     ref, ref_terms, _, scale = _reference_eval_series(spec, ctx, n_terms=n_terms)
     assert report.terms_used == ref_terms == n_terms
     assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * max(ctx.one, scale)
+
+
+# ---------------------------------------------------------------------
+# mpmath's hyp2f1 against the mpf loop it replaced
+# ---------------------------------------------------------------------
+
+def _reference_hyp2f1(mu, y, ctx):
+    """2F1(-mu, mu+1; 1; y) by the direct mpf summation series.py used before."""
+    eps = ctx.tol(ctx.working_digits)
+    mu = ctx.mpf(mu)
+    a, b = -mu, mu + 1
+    s, t, n = ctx.zero, ctx.one, 0
+    while abs(t) >= eps:
+        s += t
+        t = t * (a + n) * (b + n) / (n + 1) ** 2 * y
+        n += 1
+    return s
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2, -0.1, exclude_min=True, exclude_max=True),
+       st.floats(0.01, 0.9, exclude_min=True, exclude_max=True))
+def test_legendre_and_closed_form_match_mpf_loop(ctx50, mu, z):
+    mu, z = ctx50.mpf(mu), ctx50.mpf(z)
+    assert abs(legendre_P(mu, 1 - 2 * z, ctx50)
+               - _reference_hyp2f1(mu, z, ctx50)) <= ctx50.tol(45)
+    # verify's filter: the closed form divides by D = (1 + mu)(2z - 1)
+    assume(abs((1 + mu) * (2 * z - 1)) >= 0.05)
+    expect = ((-1 - mu) * _reference_hyp2f1(mu + 1, z, ctx50)
+              / _weight_denominator(mu, z, ctx50))
+    assert abs(closed_form(mu, z, ctx50) - expect) <= ctx50.tol(45)
+
+
+def test_legendre_P_at_a_polynomial_zero(ctx50):
+    # P_(-2) = P_1(x) = x vanishes exactly at x = 0, where mpmath cannot
+    # reach relative accuracy
+    assert legendre_P(-2, 0, ctx50) == 0
+    phi, _ = phi_and_derivative(0, ctx50.mpf("0.5"), ctx50)
+    assert phi == 1
