@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from . import moduli, series
-from .oracle import E_ref, agm
+from .oracle import E_ref
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
 from .series import SeriesConvergenceError, SingularSeriesError
@@ -152,9 +152,8 @@ def _elliptic_series(kind: str, pair, ctx: PrecisionContext):
 
 
 def _elliptic_agm(kind: str, pair, ctx: PrecisionContext):
-    # K from the pair's own k': re-deriving sqrt(1 - k^2) cancels for k near 1
     if kind == "K":
-        return ctx.pi / (2 * agm(ctx.one, pair.k_prime, ctx))
+        return pair.K(ctx)
     return E_ref(pair.k, ctx)
 
 
@@ -164,7 +163,7 @@ def _cmd_elliptic(args) -> int:
         raise DomainError(f"--r must be a positive rational, got {r}")
     ctx = make_context(args.digits)
     t0 = time.perf_counter()
-    if args.method in ("series", "both") and r == 1:
+    if args.method != "agm" and r == 1:
         raise SingularSeriesError(
             "the series path is singular at r = 1: its term weight has "
             "denominator 1 - 2 k_r^2, which vanishes at k_1 = 1/sqrt(2); "
@@ -182,17 +181,13 @@ def _cmd_elliptic(args) -> int:
         agreement = ctx_hi.agreement_digits(value, value_hi)
         warnings.append("agm method: agreement measured against a recomputation "
                         "at 25 extra digits")
-    elif args.method == "series":
+    else:
+        # series and both: the series report already holds its agreement
+        # with the AGM oracle, the pair's K or E_ref
         value, report = _elliptic_series(args.kind, pair, ctx)
         terms_used = report.terms_used
         digits_per_term = report.digits_per_term
         agreement = report.final_error_vs_oracle
-    else:
-        value, report = _elliptic_series(args.kind, pair, ctx)
-        agm_value = _elliptic_agm(args.kind, pair, ctx)
-        terms_used = report.terms_used
-        digits_per_term = report.digits_per_term
-        agreement = ctx.agreement_digits(value, agm_value)
     elapsed = time.perf_counter() - t0
     rep = RunReport(
         command=f"elliptic {args.kind} r={r} method={args.method}",

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .oracle import K_ref, agm, b_quarter
+from .oracle import agm, b_quarter
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
                         guard_digits_for, make_context)
 
@@ -52,6 +52,10 @@ class ModulusPair:
     while the gap is perfectly representable.  ``k_prime`` itself is
     stored with enough digits to stay strictly below 1.
 
+    :meth:`K` keeps agm(1, k'_r) on the pair, so the AGM the defining-ratio
+    gate of :func:`eq2_residual` runs serves every later reader of K(k_r).
+    A pair's values carry the precision of the context that built it.
+
     The endpoints k = 0 and k = 1 are not singular moduli and are
     rejected at construction.
     """
@@ -61,6 +65,7 @@ class ModulusPair:
     k_prime: BigReal
     provenance: Provenance
     k_prime_gap: BigReal = None
+    _agm_k_prime: BigReal = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.k < 1) or not (0 < self.k_prime < 1):
@@ -74,6 +79,12 @@ class ModulusPair:
             raise DomainError(
                 f"complementary gap out of range at r={self.r}: {self.k_prime_gap}"
             )
+
+    def K(self, ctx: PrecisionContext) -> BigReal:
+        """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
+        if self._agm_k_prime is None:
+            object.__setattr__(self, "_agm_k_prime", agm(ctx.one, self.k_prime, ctx))
+        return ctx.pi / (2 * self._agm_k_prime)
 
 
 @dataclass(frozen=True)
@@ -115,14 +126,13 @@ def _pair_from_gap(r: Fraction, k: BigReal, gap: BigReal,
 def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
     """|K(k')/K(k) - sqrt(r)| for the pair, in cancellation-free form.
 
-    K(k) = pi/(2 agm(1, k')) and K(k') = pi/(2 agm(1, k)), so the defining
-    ratio equals agm(1, k')/agm(1, k).  Evaluating it this way uses the
-    pair's stored complementary modulus directly; re-deriving k' from
-    sqrt(1 - k'^2) inside K would cancel away ~ -2 log10(k) digits when k
-    is tiny (k_6400 ~ 1e-54 would cost ~108 of them).
+    K(k) is the pair's own :meth:`ModulusPair.K`, pi/(2 agm(1, k')), and
+    K(k') = pi/(2 agm(1, k)).  Both AGMs take the stored moduli directly;
+    re-deriving k' from sqrt(1 - k^2) inside K would cancel away
+    ~ -2 log10(k) digits when k is tiny (k_6400 ~ 1e-54 would cost ~108).
     """
-    ratio = agm(ctx.one, pair.k_prime, ctx) / agm(ctx.one, pair.k, ctx)
-    return abs(ratio - ctx.sqrt(ctx.mpf(pair.r)))
+    K_comp = ctx.pi / (2 * agm(ctx.one, pair.k, ctx))
+    return abs(K_comp / pair.K(ctx) - ctx.sqrt(ctx.mpf(pair.r)))
 
 
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
@@ -409,7 +419,7 @@ def multiplier(n: int, m: Rational, ctx: PrecisionContext) -> MultiplierResult:
 
     f, fp, fpp = _multiplier_polynomials(n, pair_m.k, ctx)
     pair_big = solve_kr(n * n * m, ctx)
-    k_ratio = K_ref(pair_big.k, ctx) / K_ref(pair_m.k, ctx)
+    k_ratio = pair_big.K(ctx) / pair_m.K(ctx)
 
     candidates = [c for c in (_newton_polish(f, fp, k_ratio, ctx),
                               _newton_polish(fp, fpp, k_ratio, ctx)) if 0 < c < 1]

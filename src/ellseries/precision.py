@@ -55,7 +55,7 @@ class PrecisionContext:
     ``working_digits = target_digits + guard_digits`` is the precision all
     arithmetic is carried at; results are trustworthy to roughly the
     target.  The context doubles as the elementary-function suite: sqrt,
-    n-th root, exp, ln, pi, 2F1, and tolerance-based comparison.  There
+    n-th root, exp, log10, pi, 2F1, and tolerance-based comparison.  There
     is no exact equality on BigReal; use :meth:`agrees`.
     """
 
@@ -133,12 +133,6 @@ class PrecisionContext:
 
     def exp(self, x: Any) -> BigReal:
         return self._mp.exp(self.mpf(x))
-
-    def ln(self, x: Any) -> BigReal:
-        x = self.mpf(x)
-        if x <= 0:
-            raise DomainError(f"ln of non-positive value {x}")
-        return self._mp.ln(x)
 
     def log10(self, x: Any) -> BigReal:
         x = self.mpf(x)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Tuple
 
 from . import moduli
-from .oracle import E_ref, K_ref, b_quarter
+from .oracle import E_ref, b_quarter
 from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
@@ -309,22 +309,18 @@ def two_K_over_pi(pair: moduli.ModulusPair,
                   ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """2 K(k_r)/pi as the weighted series in z = k_r^2 with mu = -3/2.
 
-    Term weight: -4(1-z) n + (1 - 2z).  Singular at r = 1 (the weight
-    normalization degenerates at z = 1/2); callers should use the AGM
-    oracle there; at small r, where the series cannot converge within the
-    runaway ceiling, it raises SeriesConvergenceError.  The report's
-    oracle is 2 K_ref/pi.
+    Term weight: -4(1-z) n + (1 - 2z).  At r = 1 (z = 1/2) the weight
+    denominator 1/2 - z vanishes and :func:`make_series_spec` raises
+    SingularSeriesError; use the AGM oracle there.  At small r, where the
+    series cannot converge within the runaway ceiling, it raises
+    SeriesConvergenceError, checked before z can round to 1.  The report's
+    oracle is 2/pi times the pair's K, pi/(2 agm(1, k'_r)) from the stored
+    k', whose AGM the defining-ratio gate already ran.
     """
-    k = pair.k
-    z = k * k
-    if abs(1 - 2 * z) <= ctx.tol(ctx.working_digits // 2):
-        raise SingularSeriesError(
-            "series for 2K/pi is singular at r = 1 (k^2 = 1/2); "
-            "use the AGM oracle instead"
-        )
+    z = pair.k * pair.k
     _require_convergent(z, ctx)
     spec = make_series_spec(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, ctx)
-    return eval_series(spec, ctx, oracle=2 * K_ref(k, ctx) / ctx.pi)
+    return eval_series(spec, ctx, oracle=2 * pair.K(ctx) / ctx.pi)
 
 
 def four_E_over_pi(pair: moduli.ModulusPair,
@@ -332,15 +328,15 @@ def four_E_over_pi(pair: moduli.ModulusPair,
     """4 E(k_r)/pi = 2 K(k_r)/pi + sum with mu = -1/2 and weight 4(1-z) n + (1 - 2z).
 
     The 2K/pi addend comes from its own series; the r = 1 singularity
-    propagates.  Oracle: 4 E_ref/pi from the AGM side sum.
+    propagates.  The report's oracle is 4 E_ref/pi from the AGM side sum.
     """
-    k = pair.k
-    z = k * k
+    z = pair.k * pair.k
     two_k, _ = two_K_over_pi(pair, ctx)
     spec = make_series_spec(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
     sigma, report = eval_series(spec, ctx)
     value = two_k + sigma
-    report.final_error_vs_oracle = ctx.agreement_digits(value, 4 * E_ref(k, ctx) / ctx.pi)
+    report.oracle = 4 * E_ref(pair.k, ctx) / ctx.pi
+    report.final_error_vs_oracle = ctx.agreement_digits(value, report.oracle)
     return value, report
 
 

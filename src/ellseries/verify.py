@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional
 
 from . import moduli, series
 from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
-from .precision import BigReal, PrecisionContext, make_context
+from .precision import PrecisionContext, make_context
 
 GROUPS = ("oracle", "moduli", "series", "chain")
 
@@ -39,12 +40,12 @@ class CheckResult:
 
 
 class _SolveCache:
-    """Per-run memo of theta-quotient pairs and K(k_r) (pure in (r, ctx))."""
+    """Per-run memo of theta-quotient pairs, the r = 100..6400 chain and the
+    headline constant (all pure in ctx); K(k_r) is each pair's own K."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._pairs: Dict[Fraction, moduli.ModulusPair] = {}
-        self._K: Dict[Fraction, BigReal] = {}
 
     def pair(self, r) -> moduli.ModulusPair:
         r = Fraction(r)
@@ -52,11 +53,13 @@ class _SolveCache:
             self._pairs[r] = moduli.solve_kr(r, self.ctx)
         return self._pairs[r]
 
-    def K(self, r):
-        r = Fraction(r)
-        if r not in self._K:
-            self._K[r] = K_ref(self.pair(r).k, self.ctx)
-        return self._K[r]
+    @cached_property
+    def chain(self) -> List[moduli.ModulusPair]:
+        return moduli.chain_to_6400(self.ctx)
+
+    @cached_property
+    def headline(self):
+        return series.gamma_quarter_series(self.ctx)
 
 
 def _residual_check(name: str, group: str, ctx: PrecisionContext,
@@ -103,10 +106,10 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     out.append(_residual_check("E-endpoints", "oracle", ctx, worst, t5))
 
     worst = ctx.zero
-    for k in grid:
+    for k, K_k in zip(grid, ks):
         kp = ctx.sqrt(1 - k * k)
-        lhs = (E_ref(k, ctx) * K_ref(kp, ctx) + E_ref(kp, ctx) * K_ref(k, ctx)
-               - K_ref(k, ctx) * K_ref(kp, ctx))
+        K_kp = K_ref(kp, ctx)
+        lhs = E_ref(k, ctx) * K_kp + E_ref(kp, ctx) * K_k - K_k * K_kp
         worst = max(worst, abs(lhs - ctx.pi / 2))
     out.append(_residual_check("legendre-relation", "oracle", ctx, worst, t5,
                                detail="E(k)K(k')+E(k')K(k)-K(k)K(k') = pi/2 on grid"))
@@ -120,7 +123,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (1, 2, 3, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
-        worst = max(worst, abs(2 * K_ref(pair.k, ctx) / ctx.pi - th * th))
+        worst = max(worst, abs(2 * pair.K(ctx) / ctx.pi - th * th))
     out.append(_residual_check("theta-K-identity", "oracle", ctx, worst, t5,
                                detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
                                       f"{_THETA_SHARED}"))
@@ -129,7 +132,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (1, 2, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
-        worst = max(worst, abs(th * th * ctx.pi / 2 - K_ref(pair.k, ctx)))
+        worst = max(worst, abs(th * th * ctx.pi / 2 - pair.K(ctx)))
     out.append(_residual_check("theta-nome-K", "oracle", ctx, worst, t5,
                                detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
                                       f"{_THETA_SHARED}"))
@@ -155,14 +158,14 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     out.append(_residual_check("landen-vs-solve", "moduli", ctx, worst, t10,
                                detail="ascent of k_r matches solve at 4r, r in {1,2,3,5}"))
 
-    closed = moduli.k100_closed_form(ctx)
+    closed = cache.chain[0]
     out.append(_residual_check(
         "k100-closed-vs-solve", "moduli", ctx,
         closed.k - cache.pair(100).k, t10))
 
     out.append(_residual_check(
         "K100-radical-vs-agm", "moduli", ctx,
-        moduli.K100_closed_value(ctx) - K_ref(closed.k, ctx), t10))
+        moduli.K100_closed_value(ctx) - closed.K(ctx), t10))
 
     worst_poly = ctx.zero
     worst_ratio = ctx.zero
@@ -172,8 +175,8 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
             res = moduli.multiplier(n, m, ctx)
             in_range = in_range and (0 < res.value < 1)
             worst_poly = max(worst_poly, abs(res.residual))
-            km = cache.K(m)
-            kn2m = cache.K(n * n * m)
+            km = cache.pair(m).K(ctx)
+            kn2m = cache.pair(n * n * m).K(ctx)
             worst_ratio = max(worst_ratio, abs(kn2m - res.value * km) / km)
     poly_row = _residual_check("multiplier-polynomials", "moduli", ctx,
                                worst_poly, t10,
@@ -185,24 +188,25 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
                                detail="|K[n^2 m] - M K[m]|/K[m]"))
 
     p1 = cache.pair(1)
+    K1 = p1.K(ctx)
     out.append(_residual_check(
         "scale16-at-r1", "moduli", ctx,
-        moduli.k_scale_16(p1, ctx) * cache.K(1) - cache.K(16), t10,
+        moduli.k_scale_16(p1, ctx) * K1 - cache.pair(16).K(ctx), t10,
         detail="((1+sqrt(k'))/2)^2 maps K[1] to K[16]"))
     out.append(_residual_check(
         "scale64-at-r1", "moduli", ctx,
-        moduli.k_scale_64(p1, ctx) * cache.K(1) - cache.K(64), t10,
+        moduli.k_scale_64(p1, ctx) * K1 - cache.pair(64).K(ctx), t10,
         detail="(sqrt(1+k')+sqrt(2 sqrt(k')))^2/8 maps K[1] to K[64]"))
 
     f16_twice = (moduli.k_scale_16(p1, ctx)
                  * moduli.k_scale_16(cache.pair(16), ctx))
     out.append(_residual_check(
         "scale16-twice-to-256", "moduli", ctx,
-        f16_twice * cache.K(1) - cache.K(256), t10,
+        f16_twice * K1 - cache.pair(256).K(ctx), t10,
         detail="two 16x scalings map K[1] to K[256]"))
 
     worst = ctx.zero
-    for pair in (p1, moduli.k100_closed_form(ctx)):
+    for pair in (p1, closed):
         m2_16r = (1 + moduli.landen_up(moduli.landen_up(pair, ctx), ctx).k_prime) / 2
         lhs = moduli.k_scale_64(pair, ctx)
         rhs = moduli.k_scale_16(pair, ctx) * m2_16r
@@ -252,7 +256,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (2, 3, 4, 100):
         pair = cache.pair(r)
         val, _ = series.two_K_over_pi(pair, ctx)
-        agm_side = 2 * K_ref(pair.k, ctx) / ctx.pi
+        agm_side = 2 * pair.K(ctx) / ctx.pi
         th = theta3(nome(r, ctx), ctx) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
     out.append(_residual_check("first-kind-triple", "series", ctx, worst, t5,
@@ -262,8 +266,8 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     worst = ctx.zero
     for r in (2, 3, 4):
         pair = cache.pair(r)
-        val, _ = series.four_E_over_pi(pair, ctx)
-        worst = max(worst, abs(val - 4 * E_ref(pair.k, ctx) / ctx.pi))
+        val, report = series.four_E_over_pi(pair, ctx)
+        worst = max(worst, abs(val - report.oracle))
     out.append(_residual_check("second-kind-vs-agm", "series", ctx, worst, t5,
                                detail="series = 4E/pi, r in {2,3,4}"))
 
@@ -286,7 +290,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
                                v_lo - v_hi, t5,
                                detail=f"{n_lo} vs {n_lo + 2} terms"))
 
-    value, report = series.gamma_quarter_series(ctx)
+    _, report = cache.headline
     out.append(CheckResult(
         "headline-vs-oracle", "series",
         report.final_error_vs_oracle >= ctx.target_digits - 5,
@@ -302,7 +306,7 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
     t10 = ctx.target_digits - 10
     w5 = ctx.working_digits - 5
 
-    pairs = moduli.chain_to_6400(ctx)
+    pairs = cache.chain
     worst = ctx.zero
     for pair in pairs:
         worst = max(worst, moduli.eq2_residual(pair, ctx))
@@ -336,15 +340,14 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
 
     out.append(_residual_check(
         "K6400-scaling-map", "chain", ctx,
-        moduli.k_scale_64(pairs[0], ctx) * K_ref(pairs[0].k, ctx)
-        - K_ref(pairs[3].k, ctx), t10,
+        moduli.k_scale_64(pairs[0], ctx) * pairs[0].K(ctx) - pairs[3].K(ctx), t10,
         detail="64x factor maps K[100] to K[6400]"))
 
     out.append(_residual_check(
         "K100-radical", "chain", ctx,
-        moduli.K100_closed_value(ctx) - K_ref(pairs[0].k, ctx), t10))
+        moduli.K100_closed_value(ctx) - pairs[0].K(ctx), t10))
 
-    value, report = series.gamma_quarter_series(ctx)
+    value, report = cache.headline
     oracle = b_quarter(ctx) / ctx.pi
     out.append(CheckResult(
         "normalization-derived", "chain",

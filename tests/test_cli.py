@@ -154,6 +154,50 @@ def test_elliptic_agm_method_at_r1(capsys):
     assert json.loads(out)["value_digits"].startswith("1.854074677301371918")
 
 
+def _count_oracle_calls(monkeypatch, names=("agm", "E_ref")):
+    """Count calls of oracle functions through every ellseries module that binds them."""
+    from ellseries import oracle
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n == "ellseries" or n.startswith("ellseries.")]
+    for name in names:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, attr, counted)
+    return counts
+
+
+# the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps agm(1, k')
+# for K, and agm reruns both at 25 extra digits
+@pytest.mark.parametrize("kind, method, agm_calls, e_ref_calls", [
+    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 4, 0)])
+def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, agm_calls, e_ref_calls):
+    counts = _count_oracle_calls(monkeypatch)
+    code, _, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
+                               "--method", method, "--format", "json"])
+    assert code == 0
+    assert counts == {"agm": agm_calls, "E_ref": e_ref_calls}
+
+
+@pytest.mark.parametrize("kind", ["K", "E"])
+def test_elliptic_series_and_both_report_alike(capsys, kind):
+    reports = {}
+    for method in ("series", "both"):
+        code, out, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
+                                     "--method", method, "--format", "json"])
+        assert code == 0
+        rep = json.loads(out)
+        del rep["command"], rep["elapsed_seconds"]
+        reports[method] = rep
+    assert reports["series"] == reports["both"]
+
+
 def test_elliptic_series_at_r1_is_domain_error(capsys):
     code, _, err = _run(capsys, ["elliptic", "K", "--r", "1", "--digits", "50",
                                  "--method", "series"])
