@@ -3,7 +3,7 @@
     ellseries constant gamma-quarter --digits 1000 [--format json]
     ellseries elliptic K --r 4 --digits 200 --method both
     ellseries verify --digits 250 --selection all
-    ellseries bench --digits 500,1000,2000
+    ellseries bench --digits 1000,10000,50000
 
 Exit codes: 0 success, 1 usage error, 2 precision/domain error,
 3 verification failure (including any oracle mismatch); a reader that
@@ -310,7 +310,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="terms, digits-per-term and wall time "
                                      "per precision target")
-    p.add_argument("--digits", default="500,1000,2000",
+    p.add_argument("--digits", default="1000,10000,50000",
                    help="comma-separated list of precision targets")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_bench)

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .oracle import agm, b_quarter
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
@@ -151,10 +151,10 @@ def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal
     p = hi.exp(-hi.pi * hi.sqrt(hi.mpf(r)) / 4)
     stop = p ** 4 * hi.tol(hi.working_digits)
     sums = [hi.zero] * 4  # by m mod 4
-    t, step, m = p, p, 1
+    t, step, p2, m = p, p, p * p, 1
     while t >= stop:
         sums[m % 4] += t
-        step *= p * p  # p^((m+1)^2) = p^(m^2) p^(2m+1)
+        step *= p2  # p^((m+1)^2) = p^(m^2) p^(2m+1)
         t *= step
         m += 1
     theta2 = 2 * (sums[1] + sums[3])
@@ -410,31 +410,36 @@ def multiplier(n: int, m: Rational, ctx: PrecisionContext) -> MultiplierResult:
     m = Fraction(m)
     if m <= 0:
         raise DomainError(f"multiplier requires m > 0, got {m}")
-    pair_m = solve_kr(m, ctx)
+    if n not in (2, 3, 5):
+        raise ValueError(f"multiplier defined for n in (2, 3, 5), got {n}")
+    pair_big = None if n == 2 else solve_kr(n * n * m, ctx)
+    return _multiplier_from_pairs(n, solve_kr(m, ctx), pair_big, ctx)
+
+
+def _multiplier_from_pairs(n: int, pair_m: ModulusPair, pair_big: Optional[ModulusPair],
+                           ctx: PrecisionContext) -> MultiplierResult:
+    """:func:`multiplier` from solved pairs at m and n^2 m (unused for n = 2)."""
     if n == 2:
         value = (1 + pair_m.k_prime) / 2
-        return MultiplierResult(n=2, m=m, value=value, residual=ctx.zero)
-    if n not in (3, 5):
-        raise ValueError(f"multiplier defined for n in (2, 3, 5), got {n}")
-
+        return MultiplierResult(n=2, m=pair_m.r, value=value, residual=ctx.zero)
     f, fp, fpp = _multiplier_polynomials(n, pair_m.k, ctx)
-    pair_big = solve_kr(n * n * m, ctx)
     k_ratio = pair_big.K(ctx) / pair_m.K(ctx)
 
     candidates = [c for c in (_newton_polish(f, fp, k_ratio, ctx),
                               _newton_polish(fp, fpp, k_ratio, ctx)) if 0 < c < 1]
     roots = [c for c in candidates if abs(f(c)) <= ctx.tol(ctx.target_digits)]
     if not roots:
-        raise RootSelectionError(f"no root of the M_{n}({m}) equation in (0,1) "
+        raise RootSelectionError(f"no root of the M_{n}({pair_m.r}) equation in (0,1) "
                                  f"polishes from the K-ratio {k_ratio}")
     best = min(roots, key=lambda c: abs(c - k_ratio))
     if abs(best - k_ratio) > ctx.tol(ctx.target_digits - 10):
         raise RootSelectionError(
-            f"root selection failed for M_{n}({m}): best candidate {best} "
+            f"root selection failed for M_{n}({pair_m.r}): best candidate {best} "
             f"vs K-ratio {k_ratio} (candidates: {roots})"
         )
     rejected = tuple(c for c in candidates if abs(c - best) > ctx.tol(10))
-    return MultiplierResult(n=n, m=m, value=best, residual=f(best), rejected=rejected)
+    return MultiplierResult(n=n, m=pair_m.r, value=best, residual=f(best),
+                            rejected=rejected)
 
 
 def k_scale_16(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:

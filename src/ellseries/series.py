@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, List, Optional, Tuple
+from functools import cached_property, partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from . import moduli
 from .oracle import E_ref, b_quarter
@@ -65,18 +66,26 @@ class ConvergenceReport:
 
     ``error_trace`` holds (n, -log10 |partial_n - final|); the slope of
     that trace (excluding n = 0, whose error reflects the constant's own
-    magnitude) is ``digits_per_term``.  ``final_error_vs_oracle`` is the
-    decimal agreement with the designated independent oracle, and
-    ``oracle`` is that oracle's value when it was passed to
-    :func:`eval_series`.
+    magnitude) is ``digits_per_term``.  Both are computed from ``_trace``
+    when first read: a sum whose caller reads only its value pays nothing
+    for them.  ``final_error_vs_oracle`` is the decimal agreement with the
+    designated independent oracle, and ``oracle`` is that oracle's value
+    when it was passed to :func:`eval_series`.
     """
 
     terms_used: int
-    error_trace: List[Tuple[int, float]]
-    digits_per_term: Optional[float]
+    _trace: Callable[[], List[Tuple[int, float]]] = field(repr=False, compare=False)
     final_error_vs_oracle: Optional[float] = None
     oracle: Optional[BigReal] = None
     notes: List[str] = field(default_factory=list)
+
+    @cached_property
+    def error_trace(self) -> List[Tuple[int, float]]:
+        return self._trace()
+
+    @cached_property
+    def digits_per_term(self) -> Optional[float]:
+        return _slope(self.error_trace)
 
 
 def _as_fraction(x: Any) -> Fraction:
@@ -97,13 +106,14 @@ def make_series_spec(mu: Any, z: Any, alpha: Any, beta: Any,
     return SeriesSpec(mu=mu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
 
 
-def _term_ratio(n: int, mu: Fraction) -> Tuple[int, int]:
-    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 as exact (num, den), den > 0.
+def _term_ratio(n: int, p: int, q: int) -> Tuple[int, int]:
+    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 for mu = p/q as exact (num, den).
 
-    For mu = p/q: (nq - p)(q + p + nq) / (q^2 (n+1)^2), unreduced, since the
-    kernel's floor of num/den ignores a common factor and a gcd is costly.
+    That is (nq - p)(q + p + nq) / (q^2 (n+1)^2) with den > 0, unreduced,
+    since the kernel's floor of num/den ignores a common factor and a gcd
+    is costly.  It takes p and q, not a Fraction, whose property reads
+    would cost the per-term loop more than the arithmetic does.
     """
-    p, q = mu.numerator, mu.denominator
     return (n * q - p) * (q + p + n * q), q * q * (n + 1) ** 2
 
 
@@ -149,6 +159,28 @@ def _max_terms(z: BigReal, ctx: PrecisionContext) -> int:
     return min(max(math.ceil(10 * predicted) + 16, 64), RUNAWAY_TERM_CEILING)
 
 
+def _lead(m: int, keep: int) -> Tuple[int, int]:
+    """(m >> s, s): the leading `keep` bits of m and the shift s >= 0."""
+    s = max(m.bit_length() - keep, 0)
+    return m >> s, s
+
+
+def _pow_lead(m: int, e: int, k: int, keep: int) -> Tuple[int, int]:
+    """(m 2^e)^k as (m', e'), m' cut to its leading `keep` bits after each
+    product of the binary powering, so a power far below 1 keeps its
+    relative precision."""
+    rm, re = 1, 0
+    while k:
+        if k & 1:
+            rm, s = _lead(rm * m, keep)
+            re += e + s
+        k >>= 1
+        if k:
+            m, s = _lead(m * m, keep)
+            e = 2 * e + s
+    return rm, re
+
+
 def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
                 n_terms: Optional[int] = None,
                 oracle: Optional[BigReal] = None,
@@ -157,72 +189,169 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
 
     Stops when the next term bound (including the (alpha*n + beta) growth
     factor) falls below 10^(-working_digits), or after exactly ``n_terms``
-    terms when given; a term that rounds to exactly 0 ends the sum at once,
-    since every later term is 0 too.  ``term_cap`` overrides the runaway
+    terms when given; a term under one fixed-point unit ends the sum at
+    once, as does a zero coefficient.  ``term_cap`` overrides the runaway
     guard (exceeding it raises, signalling a bug or a pathologically slow
-    z).  Without
-    ``n_terms``, a z whose predicted term count working_digits/|log10 z|
-    exceeds RUNAWAY_TERM_CEILING raises before the first term.
+    z).  Without ``n_terms``, a z whose predicted term count
+    working_digits/|log10 z| exceeds RUNAWAY_TERM_CEILING raises before
+    the first term.
 
-    The sum runs in binary fixed point: z, alpha, beta and each term are
-    integers in units of 2^-wp, where wp is the working precision plus
-    guard bits that grow with log2 of the term cap, and each term
-    follows from the last through the exact integer ratio of
-    :func:`_term_ratio`.  Partial sums are kept as those integers; the
-    error trace and the least-squares digits-per-term slope are read from
-    them with float logarithms of exact integer differences.
+    The sum runs in binary fixed point, with z, alpha, beta and the terms
+    as integers in units of 2^-wp (the working precision plus guard bits
+    that grow with log2 of the term cap), by Smith's concurrent sums
+    (D. M. Smith, Math. Comp. 52 (1989) 131-134; the rectangular
+    splitting of F. Johansson, arXiv:1310.2346).  With u ~ sqrt of the
+    predicted term count, term n is t_n = a_n z^(n mod u): the running
+    coefficient a_n steps by the exact integer ratio of
+    :func:`_term_ratio`, a linear-cost multiply and divide, and takes the
+    full-width z^u once per u terms.  Class n mod u keeps sum(a_n) and
+    sum(n a_n); at the end Horner's rule in z combines the classes and the
+    weight alpha*n + beta is applied twice.  That is about 4 sqrt(N)
+    full-width multiplies for N terms instead of 2N.
+
+    The sum never forms partial sums.  The stop rule reads the float
+    magnitude log10|t_n| = log10|a_n| + (n mod u) log10 z, so N is fixed
+    in the same pass.  The error trace -log10|P_n - S| and its
+    least-squares digits-per-term slope come from :func:`_tail_trace`
+    when the report is first read.
     """
     if n_terms is None:
         _require_convergent(spec.z, ctx)
     cap = term_cap if term_cap is not None else _max_terms(spec.z, ctx)
     wp = ctx.prec + 2 * (n_terms or cap).bit_length()
     one = 1 << wp
-    z = ctx.to_fixed(spec.z, wp)
     alpha = ctx.to_fixed(spec.alpha, wp)
     beta = ctx.to_fixed(spec.beta, wp)
-    eps = one // 10 ** ctx.working_digits
+    u = max(1, math.isqrt(math.ceil(min(_predicted_terms(spec.z, ctx), n_terms or cap))))
+    # z = z_m 2^z_e and z^u = zu_m 2^zu_e to wp significant bits: a product
+    # with a_n or a class sum then errs by a unit of that product, not of z
+    z_e = ctx.mag(spec.z) - wp
+    z_m = ctx.to_fixed(spec.z, -z_e)
+    zu_m, zu_e = _pow_lead(z_m, z_e, u, wp)
 
-    t = one  # c_n z^n
-    s = 0
-    partials: List[int] = []
-    n = 0
+    log10_z = ctx.log10_abs(spec.z)
+    log2_z = log10_z / LOG10_2
+    # stop rule |t_n| (|alpha| (n+2) + |beta|) < 10^-w in log10 of units,
+    # with the weight a float scaled by 2^-w_bits.  Neither it nor the
+    # one-unit floor can hold while log2 |t_n| >= near, so a bit length
+    # screens each term.
+    w_bits = max(abs(alpha), abs(beta), 1).bit_length()
+    a_w, b_w = abs(alpha) / (1 << w_bits), abs(beta) / (1 << w_bits)
+    stop_digits = (2 * wp - w_bits) * LOG10_2 - ctx.working_digits
+    w_min = 2 * a_w + b_w
+    near = 0.0
+    if n_terms is None:
+        near = (max(0.0, (stop_digits - math.log10(w_min)) / LOG10_2) if w_min
+                else math.inf)
+
+    p, q = spec.mu.numerator, spec.mu.denominator
+    s0 = [0] * u  # sum of a_n over n = j mod u
+    s1 = [0] * u  # sum of n a_n
+    coeffs = []  # signed a_n, for the error trace
+    a, positive = one, True  # |a_n| and its sign
+    n = j = 0
     while True:
-        s += (t * (alpha * n + beta)) >> wp
-        partials.append(s)
+        term = a if positive else -a
+        s0[j] += term
+        s1[j] += n * term
+        coeffs.append(term)
         n += 1
-        if n_terms is not None and n >= n_terms:
+        if n == n_terms:
             break
-        num, den = _term_ratio(n - 1, spec.mu)
-        prod = ((t * z) >> wp) * num
-        # round toward zero: terms may be negative
-        t = prod // den if prod >= 0 else -(-prod // den)
-        if t == 0:
+        num, den = _term_ratio(n - 1, p, q)
+        j += 1
+        if j == u:
+            j = 0
+            a = (a * zu_m) >> -zu_e
+        if num < 0:
+            positive = not positive
+            num = -num
+        a = a * num // den
+        if not a:
             break
-        if n_terms is None:
-            bound = (abs(t) * (abs(alpha) * (n + 2) + abs(beta))) >> wp
-            if bound < eps:
+        if a.bit_length() - 1 + j * log2_z < near:
+            mag = math.log10(a) + j * log10_z  # log10 |t_n| in units
+            if mag < 0:  # under one unit: the term rounds to 0
                 break
-            if n >= cap:
-                raise SeriesConvergenceError(
-                    f"series did not converge within {cap} terms "
-                    f"(z={spec.z}, alpha={spec.alpha}, beta={spec.beta})"
-                )
+            if n_terms is None and (not w_min or mag + math.log10(a_w * (n + 2) + b_w)
+                                    < stop_digits):
+                break
+        if n >= cap and n_terms is None:
+            raise SeriesConvergenceError(
+                f"series did not converge within {cap} terms "
+                f"(z={spec.z}, alpha={spec.alpha}, beta={spec.beta})"
+            )
 
-    final = ctx.from_fixed(s, wp)
-    # -log10 |P_n - S| with P_n - S in units of 2^-wp
-    unit_digits = wp * LOG10_2
-    trace = [(i, unit_digits - math.log10(abs(p - s)))
-             for i, p in enumerate(partials[:-1]) if p != s]
+    acc0, acc1 = s0[-1], s1[-1]
+    for j in range(u - 2, -1, -1):
+        acc0 = ((acc0 * z_m) >> -z_e) + s0[j]
+        acc1 = ((acc1 * z_m) >> -z_e) + s1[j]
+    final = ctx.from_fixed((alpha * acc1 + beta * acc0) >> wp, wp)
+
     report = ConvergenceReport(
-        terms_used=n_terms or len(partials),
-        error_trace=trace,
-        digits_per_term=_slope(trace),
+        terms_used=n_terms or len(coeffs),
+        _trace=partial(_tail_trace, coeffs, u, z_m, z_e, alpha, beta, wp),
         final_error_vs_oracle=(
             ctx.agreement_digits(final, oracle) if oracle is not None else None
         ),
         oracle=oracle,
     )
     return final, report
+
+
+# leading bits kept of each factor of a term in the error trace: a tail
+# that cancels to 10^-c of its largest term keeps ~(0.3 _TRACE_BITS - c)
+# digits
+_TRACE_BITS = 128
+
+
+def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
+                beta: int, wp: int) -> List[Tuple[int, float]]:
+    """(n, -log10 |S - P_n|) for n < N - 1, from the terms' leading bits.
+
+    Term n is a_n z^(n mod u) (alpha*n + beta), with a_n = ``coeffs[n]``,
+    alpha and beta in units of 2^-wp and z = z_m 2^z_e.  It is formed as
+    the product of its factors' leading _TRACE_BITS bits, and the tails
+    S - P_n are summed exactly from the end in units of 2^E, E the
+    exponent of the largest term so far.
+    """
+    z_top, shift = _lead(z_m, _TRACE_BITS)
+    z_top_e = z_e + shift
+    powers = []  # z^j ~ m 2^e, m its leading _TRACE_BITS bits
+    m, e = 1, 0
+    for _ in range(min(u, len(coeffs))):
+        powers.append((m, e))
+        m, shift = _lead(m * z_top, _TRACE_BITS)
+        e += z_top_e + shift
+    w_shift = max(max(abs(alpha), abs(beta)).bit_length() - _TRACE_BITS, 0)
+    alpha_top, beta_top = alpha >> w_shift, beta >> w_shift
+
+    # term n = a_top z_pow w_top 2^(a_shift + z_pow_e) in units of 2^(wp - w_shift)
+    offset = (2 * wp - w_shift) * LOG10_2
+    log10 = math.log10
+    trace = []
+    # no term lies below the last power of z, since a_shift >= 0
+    tail, big = 0, powers[-1][1]
+    n = len(coeffs) - 1
+    w_top = alpha_top * n + beta_top
+    for a in reversed(coeffs[1:]):
+        a_shift = a.bit_length() - _TRACE_BITS
+        if a_shift > 0:
+            a >>= a_shift
+        else:
+            a_shift = 0
+        z_pow, z_pow_e = powers[n % u]
+        exp = a_shift + z_pow_e
+        if exp > big:
+            tail >>= exp - big
+            big = exp
+        tail += (a * z_pow * w_top) >> (big - exp)
+        n -= 1
+        w_top -= alpha_top
+        if tail:
+            trace.append((n, offset - log10(abs(tail)) - big * LOG10_2))
+    trace.reverse()
+    return trace
 
 
 def _slope(trace: List[Tuple[int, float]]) -> Optional[float]:

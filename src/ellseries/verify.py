@@ -40,18 +40,26 @@ class CheckResult:
 
 
 class _SolveCache:
-    """Per-run memo of theta-quotient pairs, the r = 100..6400 chain and the
-    headline constant (all pure in ctx); K(k_r) is each pair's own K."""
+    """Per-run memo of theta-quotient pairs, their 2K/pi series, the
+    r = 100..6400 chain, the headline constant and the lemniscatic AGM
+    constant (all pure in ctx); K(k_r) is each pair's own K."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._pairs: Dict[Fraction, moduli.ModulusPair] = {}
+        self._two_K: Dict[Fraction, tuple] = {}
 
     def pair(self, r) -> moduli.ModulusPair:
         r = Fraction(r)
         if r not in self._pairs:
             self._pairs[r] = moduli.solve_kr(r, self.ctx)
         return self._pairs[r]
+
+    def two_K_over_pi(self, r) -> tuple:
+        r = Fraction(r)
+        if r not in self._two_K:
+            self._two_K[r] = series.two_K_over_pi(self.pair(r), self.ctx)
+        return self._two_K[r]
 
     @cached_property
     def chain(self) -> List[moduli.ModulusPair]:
@@ -60,6 +68,10 @@ class _SolveCache:
     @cached_property
     def headline(self):
         return series.gamma_quarter_series(self.ctx)
+
+    @cached_property
+    def b_quarter(self):
+        return b_quarter(self.ctx)
 
 
 def _residual_check(name: str, group: str, ctx: PrecisionContext,
@@ -116,7 +128,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
 
     out.append(_residual_check(
         "K-lemniscatic", "oracle", ctx,
-        K_ref(ctx.sqrt(2) / 2, ctx) - b_quarter(ctx) / 4, t5,
+        K_ref(ctx.sqrt(2) / 2, ctx) - cache.b_quarter / 4, t5,
         detail="K(1/sqrt2) = Gamma(1/4)^2/(4 sqrt(pi))"))
 
     worst = ctx.zero
@@ -172,7 +184,8 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     in_range = True
     for n in (2, 3, 5):
         for m in (1, 2):
-            res = moduli.multiplier(n, m, ctx)
+            res = moduli._multiplier_from_pairs(n, cache.pair(m), cache.pair(n * n * m),
+                                                ctx)
             in_range = in_range and (0 < res.value < 1)
             worst_poly = max(worst_poly, abs(res.residual))
             km = cache.pair(m).K(ctx)
@@ -255,7 +268,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     worst = ctx.zero
     for r in (2, 3, 4, 100):
         pair = cache.pair(r)
-        val, _ = series.two_K_over_pi(pair, ctx)
+        val, _ = cache.two_K_over_pi(r)
         agm_side = 2 * pair.K(ctx) / ctx.pi
         th = theta3(nome(r, ctx), ctx) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
@@ -275,7 +288,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     details = []
     for r in (4, 100):
         pair = cache.pair(r)
-        _, report = series.two_K_over_pi(pair, ctx)
+        _, report = cache.two_K_over_pi(r)
         expect = float(-2 * ctx.log10(pair.k))
         slope = report.digits_per_term
         details.append(f"r={r}: slope {slope:.2f} vs -2log10(k) = {expect:.2f}")
@@ -348,7 +361,7 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
         moduli.K100_closed_value(ctx) - pairs[0].K(ctx), t10))
 
     value, report = cache.headline
-    oracle = b_quarter(ctx) / ctx.pi
+    oracle = cache.b_quarter / ctx.pi
     out.append(CheckResult(
         "normalization-derived", "chain",
         report.final_error_vs_oracle >= t5,

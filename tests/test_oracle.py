@@ -3,8 +3,10 @@
 import ast
 import math
 import pathlib
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,51 @@ def test_agm_homogeneity(lam):
     lhs = agm(lam, 2 * lam, ctx)
     rhs = lam * agm(1, 2, ctx)
     assert abs(lhs - rhs) <= ctx.tol(32) * rhs
+
+
+def _mpmath_at(ctx, extra=20):
+    mp = mpmath.MPContext()
+    mp.dps = ctx.working_digits + extra
+    return mp
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-60, 6), st.floats(-60, 6), st.integers(30, 600))
+def test_agm_matches_mpmath(log10_a, log10_b, digits):
+    # log-uniform a, b in [1e-60, 1e6]: ratios up to 1e66 take the mpf
+    # steps before the fixed-point ones
+    ctx = make_context(digits)
+    a, b = ctx.mpf(10.0 ** log10_a), ctx.mpf(10.0 ** log10_b)
+    mp = _mpmath_at(ctx)
+    ref = mp.agm(mp.mpf(a), mp.mpf(b))
+    assert abs(agm(a, b, ctx) - ref) <= ctx.tol(ctx.working_digits - 2) * ref
+
+
+@pytest.mark.parametrize("digits, a, b", [
+    (250, "0.4285714285714285714", "0.4285714285714285714"),
+    (500, "1", "1e-54"),  # k_6400's size
+    (50, "1", "1e-48000"),  # the size of k'_r at r = 1/5e9
+])
+def test_agm_rows(digits, a, b):
+    ctx = make_context(digits)
+    a, b = ctx.mpf(a), ctx.mpf(b)
+    t0 = time.perf_counter()
+    value = agm(a, b, ctx)
+    # 1e-3 s here; a fixed point widened by the exponent gap takes seconds
+    assert time.perf_counter() - t0 < 0.5
+    if a == b:
+        assert value == a
+    mp = _mpmath_at(ctx)
+    ref = mp.agm(mp.mpf(a), mp.mpf(b))
+    assert abs(value - ref) <= ctx.tol(ctx.working_digits - 2) * ref
+
+
+@pytest.mark.parametrize("k", ["1e-30", "0.5", "0.99999999999999999999"])
+def test_E_ref_matches_mpmath_ellipe(ctx50, k):
+    k = ctx50.mpf(k)
+    mp = _mpmath_at(ctx50)
+    ref = mp.ellipe(mp.mpf(k) ** 2)
+    assert abs(E_ref(k, ctx50) - ref) <= ctx50.tol(ctx50.working_digits - 2) * ref
 
 
 def test_K_at_zero(ctx50):
@@ -132,6 +179,16 @@ def test_theta3_reference(ctx50):
     # theta3(e^-pi) = sqrt(2 K(1/sqrt2)/pi)
     assert abs(t - ctx50.sqrt(2 * K_ref(ctx50.sqrt(2) / 2, ctx50) / ctx50.pi)) \
         <= ctx50.tol(45)
+
+
+@pytest.mark.parametrize("digits, q", [(50, "0.0432139182637722497744"), (300, "0.99"),
+                                       (300, "1e-30"), (600, "1e-109")])
+def test_theta3_matches_mpmath_jtheta(digits, q):
+    ctx = make_context(digits)
+    q = ctx.mpf(q)
+    mp = _mpmath_at(ctx)
+    ref = mp.jtheta(3, 0, mp.mpf(q))
+    assert abs(theta3(q, ctx) - ref) <= ctx.tol(ctx.working_digits - 2) * ref
 
 
 def test_theta3_domain(ctx50):

@@ -1,5 +1,7 @@
 """Substrate: contexts, elementary functions, comparison semantics."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from ellseries import (DomainError, PrecisionContext, PrecisionError,
                        make_context, to_decimal_string)
+from ellseries.precision import ISQRT_NEWTON_BITS, isqrt
 
 # 50-digit reference values (independent table constants)
 SQRT2_50 = "1.4142135623730950488016887242096980785696718753769"
@@ -34,6 +37,29 @@ def test_rejects_bad_guard():
         PrecisionContext(target_digits=100, guard_digits=5)
     with pytest.raises(PrecisionError):
         PrecisionContext(target_digits=10000, guard_digits=50)
+
+
+def test_equal_working_precision_shares_one_mpmath_context():
+    ctx = make_context(100)
+    twin = PrecisionContext(target_digits=95, guard_digits=15)
+    assert twin.working_digits == ctx.working_digits
+    assert twin._mp is ctx._mp and twin.pi is ctx.pi
+    assert make_context(101)._mp is not ctx._mp
+    # hyp2f1 raises the shared context's precision only while it runs
+    prec = ctx.prec
+    ctx.hyp2f1(ctx.mpf(1) / 2, ctx.mpf(1) / 2, 1, ctx.mpf("0.3"))
+    assert twin.prec == prec
+
+
+def test_isqrt_on_both_sides_of_the_newton_threshold():
+    rng = random.Random(7)
+    for bits in (ISQRT_NEWTON_BITS - 64, ISQRT_NEWTON_BITS + 64):
+        root = rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1)
+        for n in (rng.getrandbits(bits), root * root - 1, root * root, root * root + 1):
+            if bits < ISQRT_NEWTON_BITS:
+                assert isqrt(n) == math.isqrt(n)
+            else:
+                assert abs(isqrt(n) - math.isqrt(n)) <= 1
 
 
 def test_sqrt2_reference(ctx50):

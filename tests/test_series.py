@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
                        four_E_over_pi, gamma_quarter_series, legendre_P,
                        make_context, make_series_spec, nome, phi_and_derivative,
                        solve_kr, theta3, two_K_over_pi)
-from ellseries.series import _term_ratio, _weight_denominator
+from ellseries.series import _slope, _term_ratio, _weight_denominator
 
 B_QUARTER_OVER_PI = "2.36068119803219245209067588111697717446743326976289459903173"
 
@@ -26,7 +27,7 @@ def _poch(x: Fraction, n: int) -> Fraction:
 
 
 def test_first_coefficient_step():
-    assert _term_ratio(0, Fraction(-3, 2)) == (-3, 4)
+    assert _term_ratio(0, -3, 2) == (-3, 4)
 
 
 @pytest.mark.parametrize("mu", [Fraction(-3, 2), Fraction(-1, 2), Fraction(-7, 10)])
@@ -34,7 +35,7 @@ def test_coefficients_match_pochhammer_products(mu):
     c = Fraction(1)
     for n in range(10):
         assert c == _poch(-mu, n) * _poch(1 + mu, n) / (math.factorial(n) ** 2)
-        num, den = _term_ratio(n, mu)
+        num, den = _term_ratio(n, mu.numerator, mu.denominator)
         assert den > 0
         c *= Fraction(num, den)
 
@@ -42,7 +43,7 @@ def test_coefficients_match_pochhammer_products(mu):
 def test_nonnegative_integer_mu_terminates():
     c = Fraction(1)
     for n in range(6):
-        num, den = _term_ratio(n, Fraction(2))
+        num, den = _term_ratio(n, 2, 1)
         c *= Fraction(num, den)
         if n >= 2:
             assert c == 0
@@ -285,7 +286,7 @@ _small_rational = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 4))
        st.one_of(_small_rational, st.floats(-2.5, 2.5).map(Fraction)))
 def test_term_ratio_is_the_exact_coefficient_ratio(n, mu):
     # verify draws mu as floats, whose Fractions have power-of-two denominators
-    num, den = _term_ratio(n, mu)
+    num, den = _term_ratio(n, mu.numerator, mu.denominator)
     assert den > 0
     assert Fraction(num, den) == (n - mu) * (1 + mu + n) / (n + 1) ** 2
 
@@ -343,6 +344,56 @@ def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
     ref, ref_terms, _, scale = _reference_eval_series(spec, ctx, n_terms=n_terms)
     assert report.terms_used == ref_terms == n_terms
     assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * max(ctx.one, scale)
+
+
+@pytest.mark.parametrize("params, digits, n_terms", [
+    # P_6 near z = 1/2: the tail after n = 0 cancels to 1e-9 of its terms
+    ((Fraction(6), Fraction(4999999, 10000000), Fraction(-5000001, 2500000),
+      Fraction(1, 5000000)), 50, None),
+    # coefficients up to ~1e6 with z^u ~ 1e-15: z^u needs its relative precision
+    ((Fraction(11), Fraction(1, 1000), Fraction(2), Fraction(0)), 85, 25),
+])
+def test_kernel_rows(params, digits, n_terms):
+    if n_terms is None:
+        test_fixed_point_kernel_matches_mpf_loop.hypothesis.inner_test(params, digits)
+    else:
+        test_fixed_point_kernel_exact_term_count.hypothesis.inner_test(params, digits, n_terms)
+
+
+def _exact_trace(spec, n_terms, dps):
+    """-log10 |S - P_n| for the first n_terms terms, summed by mpmath at dps digits."""
+    mp = mpmath.MPContext()
+    mp.dps = dps
+    z, alpha, beta = (mp.mpf(x) for x in (spec.z, spec.alpha, spec.beta))
+    mu = mp.mpf(spec.mu.numerator) / spec.mu.denominator
+    c, terms = mp.mpf(1), []
+    for n in range(n_terms):
+        terms.append(c * z ** n * (alpha * n + beta))
+        c *= (n - mu) * (1 + mu + n) / (n + 1) ** 2
+    trace, tail = [], mp.mpf(0)
+    for n in range(n_terms - 1, 0, -1):
+        tail += terms[n]
+        trace.append((n - 1, float(-mp.log10(abs(tail)))))
+    return trace[::-1]
+
+
+@pytest.mark.parametrize("r, digits, mu, sign", [
+    (Fraction(5701), 1000, Fraction(-3, 2), -1),  # 2K/pi, 11 terms
+    (Fraction(19, 3), 300, Fraction(-1, 2), 1),  # 4E/pi - 2K/pi, 140 terms
+])
+def test_error_trace_is_exact(r, digits, mu, sign):
+    # the trace's last points lie a few units above the fixed-point floor;
+    # the rounding of chained fixed-point partial sums moved them by up to
+    # 8e-6 digits and the slope by 3e-8
+    ctx = make_context(digits)
+    z = solve_kr(r, ctx).k ** 2
+    spec = make_series_spec(mu, z, sign * 4 * (1 - z), 1 - 2 * z, ctx)
+    _, report = eval_series(spec, ctx)
+    exact = _exact_trace(spec, report.terms_used, 2 * ctx.working_digits)
+    assert [n for n, _ in report.error_trace] == [n for n, _ in exact]
+    for (_, got), (_, want) in zip(report.error_trace, exact):
+        assert got == pytest.approx(want, abs=1e-9)
+    assert report.digits_per_term == pytest.approx(_slope(exact), abs=1e-10)
 
 
 # ---------------------------------------------------------------------
