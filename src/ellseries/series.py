@@ -326,7 +326,8 @@ def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
     w_shift = max(max(abs(alpha), abs(beta)).bit_length() - _TRACE_BITS, 0)
     alpha_top, beta_top = alpha >> w_shift, beta >> w_shift
 
-    # term n = a_top z_pow w_top 2^(a_shift + z_pow_e) in units of 2^(wp - w_shift)
+    # term n is a_top z_pow w_top 2^(a_shift + z_pow_e + w_shift - 2 wp); the
+    # tail is kept in units of 2^(big + w_shift - 2 wp)
     offset = (2 * wp - w_shift) * LOG10_2
     log10 = math.log10
     trace = []
