@@ -11,11 +11,11 @@ from .moduli import (ModulusPair, MultiplierResult, Provenance,
                      k100_closed_form, k100_radical_coefficient,
                      K100_closed_value, k_scale_16, k_scale_64, landen_up,
                      multiplier, solve_kr)
-from .series import (ConvergenceReport, SeriesConvergenceError, SeriesSpec,
+from .series import (ConvergenceReport, SeriesConvergenceError,
                      SingularSeriesError, closed_form,
                      derivative_weighted_sum, eval_series, four_E_over_pi,
-                     gamma_quarter_series, legendre_P, make_series_spec,
-                     phi_and_derivative, two_K_over_pi)
+                     gamma_quarter_series, legendre_P, phi_and_derivative,
+                     two_K_over_pi)
 from .verify import CheckResult, run_verify
 
 __version__ = "0.1.0"
@@ -29,8 +29,8 @@ __all__ = [
     "chain_to_6400", "chain_printed_comparison", "eq2_residual",
     "multiplier", "k_scale_16", "k_scale_64", "K100_closed_value",
     "k100_radical_coefficient",
-    "SeriesSpec", "ConvergenceReport", "SingularSeriesError",
-    "SeriesConvergenceError", "make_series_spec", "legendre_P",
+    "ConvergenceReport", "SingularSeriesError",
+    "SeriesConvergenceError", "legendre_P",
     "phi_and_derivative", "eval_series", "closed_form",
     "derivative_weighted_sum", "two_K_over_pi", "four_E_over_pi",
     "gamma_quarter_series",

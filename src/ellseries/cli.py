@@ -27,7 +27,7 @@ from . import moduli, series
 from .oracle import E_ref
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
-from .series import SeriesConvergenceError, SingularSeriesError
+from .series import SeriesConvergenceError
 from .verify import GROUPS, run_verify
 
 EXIT_OK = 0
@@ -163,12 +163,6 @@ def _cmd_elliptic(args) -> int:
         raise DomainError(f"--r must be a positive rational, got {r}")
     ctx = make_context(args.digits)
     t0 = time.perf_counter()
-    if args.method != "agm" and r == 1:
-        raise SingularSeriesError(
-            "the series path is singular at r = 1: its term weight has "
-            "denominator 1 - 2 k_r^2, which vanishes at k_1 = 1/sqrt(2); "
-            "use --method agm"
-        )
     pair = moduli.solve_kr(r, ctx)
     warnings: List[str] = []
     terms_used = 0
@@ -332,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # devnull keeps the exit-time flush from raising again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (PrecisionError, DomainError, SingularSeriesError) as e:
+    except (PrecisionError, DomainError) as e:
         print(f"ellseries: {e}", file=sys.stderr)
         return EXIT_PRECISION
     except UsageError as e:

@@ -52,8 +52,9 @@ class ModulusPair:
     while the gap is perfectly representable.  ``k_prime`` itself is
     stored with enough digits to stay strictly below 1.
 
-    :meth:`K` keeps agm(1, k'_r) on the pair, so the AGM the defining-ratio
-    gate of :func:`eq2_residual` runs serves every later reader of K(k_r).
+    :meth:`agm_k_prime` keeps agm(1, k'_r) on the pair, so the AGM the
+    defining-ratio gate of :func:`eq2_residual` runs serves every later
+    reader of K(k_r).
     A pair's values carry the precision of the context that built it.
 
     The endpoints k = 0 and k = 1 are not singular moduli and are
@@ -80,11 +81,15 @@ class ModulusPair:
                 f"complementary gap out of range at r={self.r}: {self.k_prime_gap}"
             )
 
-    def K(self, ctx: PrecisionContext) -> BigReal:
-        """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
+    def agm_k_prime(self, ctx: PrecisionContext) -> BigReal:
+        """agm(1, k'_r) from the stored k', computed once per pair."""
         if self._agm_k_prime is None:
             object.__setattr__(self, "_agm_k_prime", agm(ctx.one, self.k_prime, ctx))
-        return ctx.pi / (2 * self._agm_k_prime)
+        return self._agm_k_prime
+
+    def K(self, ctx: PrecisionContext) -> BigReal:
+        """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
+        return ctx.pi / (2 * self.agm_k_prime(ctx))
 
 
 @dataclass(frozen=True)
@@ -124,15 +129,15 @@ def _pair_from_gap(r: Fraction, k: BigReal, gap: BigReal,
 
 
 def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
-    """|K(k')/K(k) - sqrt(r)| for the pair, in cancellation-free form.
+    """|K(k')/K(k) - sqrt(r)| = |agm(1, k')/agm(1, k) - sqrt(r)| for the pair.
 
-    K(k) is the pair's own :meth:`ModulusPair.K`, pi/(2 agm(1, k')), and
-    K(k') = pi/(2 agm(1, k)).  Both AGMs take the stored moduli directly;
-    re-deriving k' from sqrt(1 - k^2) inside K would cancel away
-    ~ -2 log10(k) digits when k is tiny (k_6400 ~ 1e-54 would cost ~108).
+    agm(1, k') is the pair's own :meth:`ModulusPair.agm_k_prime`.  Both
+    AGMs take the stored moduli directly; re-deriving k' from
+    sqrt(1 - k^2) would cancel away ~ -2 log10(k) digits when k is tiny
+    (k_6400 ~ 1e-54 would cost ~108).
     """
-    K_comp = ctx.pi / (2 * agm(ctx.one, pair.k, ctx))
-    return abs(K_comp / pair.K(ctx) - ctx.sqrt(ctx.mpf(pair.r)))
+    return abs(pair.agm_k_prime(ctx) / agm(ctx.one, pair.k, ctx)
+               - ctx.sqrt(ctx.mpf(pair.r)))
 
 
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:

@@ -85,34 +85,26 @@ class PrecisionContext:
     """Decimal precision contract plus the elementary-function suite.
 
     ``working_digits = target_digits + guard_digits`` is the precision all
-    arithmetic is carried at; results are trustworthy to roughly the
+    arithmetic is carried at, with ``guard_digits`` set by
+    :func:`guard_digits_for`; results are trustworthy to roughly the
     target.  The context doubles as the elementary-function suite: sqrt,
     n-th root, exp, log10, pi, 2F1, and tolerance-based comparison.  There
     is no exact equality on BigReal; use :meth:`agrees`.
     """
 
     target_digits: int
-    guard_digits: int = field(default=-1)
+    guard_digits: int = field(init=False)
     _mp: MPContext = field(init=False, repr=False, compare=False)
     _pi: Any = field(init=False, repr=False, compare=False)
     _tols: Dict[int, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.target_digits < MIN_TARGET_DIGITS:
+        if not isinstance(self.target_digits, int) or self.target_digits < MIN_TARGET_DIGITS:
             raise PrecisionError(
-                "precision too low for guard policy: target_digits must be "
-                f">= {MIN_TARGET_DIGITS}, got {self.target_digits}"
+                "precision too low for guard policy: target_digits must be an "
+                f"integer >= {MIN_TARGET_DIGITS}, got {self.target_digits!r}"
             )
-        if self.guard_digits == -1:
-            object.__setattr__(self, "guard_digits", guard_digits_for(self.target_digits))
-        if self.guard_digits < MIN_GUARD_DIGITS:
-            raise PrecisionError(
-                f"guard_digits must be >= {MIN_GUARD_DIGITS}, got {self.guard_digits}"
-            )
-        if self.guard_digits < math.ceil(0.02 * self.target_digits):
-            raise PrecisionError(
-                "guard_digits must be at least 2% of target_digits"
-            )
+        object.__setattr__(self, "guard_digits", guard_digits_for(self.target_digits))
         mp, pi, tols = _shared_mp(self.working_digits)
         object.__setattr__(self, "_mp", mp)
         object.__setattr__(self, "_pi", pi)
@@ -255,12 +247,7 @@ class PrecisionContext:
 
 
 def make_context(target_digits: int) -> PrecisionContext:
-    """Build a context with the default guard policy max(10, 2% of target)."""
-    if not isinstance(target_digits, int) or target_digits < MIN_TARGET_DIGITS:
-        raise PrecisionError(
-            "precision too low for guard policy: target_digits must be an "
-            f"integer >= {MIN_TARGET_DIGITS}, got {target_digits!r}"
-        )
+    """Build a context with the guard policy max(10, 2% of target)."""
     return PrecisionContext(target_digits=target_digits)
 
 

@@ -5,15 +5,14 @@ The family summed here is
     sum_{n>=0} [(-mu)_n (1+mu)_n / (n!)^2] z^n (alpha*n + beta),
 
 a weighted 2F1(-mu, mu+1; 1; z) = P_mu(1-2z), the Legendre function of
-order 0, with Pochhammer coefficients updated incrementally.  Choosing
-
-    alpha = 2(z-1) / (-1 - mu + 2z(1+mu)),  beta = 1
-
-makes the derivative contribution collapse against the base
-hypergeometric term, leaving a single Legendre closed form; that
-identity is the engine behind the fast series for 2K/pi, 4E/pi and the
-headline constant.  It is checked by comparing the fixed-point sum with a
-right side evaluated by mpmath's hyp2f1, code this package did not write.
+order 0, with Pochhammer coefficients updated incrementally.  With
+phi(z) = P_mu(1-2z) the sum is beta*phi + alpha*z*phi'.  The weights of
+the 2K/pi and 4E/pi series have no denominator: for 2K/pi (mu = -3/2)
+the sum is (1-2z)phi - 4z(1-z)phi' = P_(-1/2)(1-2z), at every 0 < z < 1.
+The normalized weights alpha = 2(z-1)/D, beta = 1, with
+D = -1 - mu + 2z(1+mu), collapse the sum to a single Legendre closed
+form; that identity is checked against mpmath's hyp2f1, code this
+package did not write.
 
 At a singular modulus the sum converges geometrically in z = k_r^2, i.e.
 -2*log10(k_r) decimal digits per term: ~12.4 at r = 100 and ~108 at
@@ -36,28 +35,11 @@ from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
 class SingularSeriesError(ValueError):
-    """Series weight is singular for these parameters (e.g. r = 1)."""
+    """The normalized collapse weight's denominator D vanishes for these parameters."""
 
 
 class SeriesConvergenceError(RuntimeError):
     """Runaway-term guard tripped before the tail fell under tolerance."""
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Parameters of one weighted hypergeometric sum.
-
-    ``alpha``/``beta`` weight each term as (alpha*n + beta); beta = 1 is
-    the normalized form whose value is a single Legendre-type term.
-    The coefficients are [(-mu)_n (1+mu)_n / (n!)^2] z^n.  Construct
-    through :func:`make_series_spec`, which checks that 0 < z < 1 and that
-    the weight denominator D = -1 - mu + 2z(1+mu) is bounded away from zero.
-    """
-
-    mu: Fraction
-    z: BigReal
-    alpha: BigReal
-    beta: BigReal
 
 
 @dataclass
@@ -69,8 +51,8 @@ class ConvergenceReport:
     magnitude) is ``digits_per_term``.  Both are computed from ``_trace``
     when first read: a sum whose caller reads only its value pays nothing
     for them.  ``final_error_vs_oracle`` is the decimal agreement with the
-    designated independent oracle, and ``oracle`` is that oracle's value
-    when it was passed to :func:`eval_series`.
+    designated independent oracle, and ``oracle`` is that oracle's value;
+    :func:`eval_series` leaves both unset and :func:`_with_oracle` fills them.
     """
 
     terms_used: int
@@ -88,24 +70,6 @@ class ConvergenceReport:
         return _slope(self.error_trace)
 
 
-def _as_fraction(x: Any) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError(f"expected a rational parameter, got {type(x).__name__}")
-
-
-def make_series_spec(mu: Any, z: Any, alpha: Any, beta: Any,
-                     ctx: PrecisionContext) -> SeriesSpec:
-    mu = _as_fraction(mu)
-    z = ctx.mpf(z)
-    if not (0 < z < 1):
-        raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
-    _weight_denominator(mu, z, ctx)
-    return SeriesSpec(mu=mu, z=z, alpha=ctx.mpf(alpha), beta=ctx.mpf(beta))
-
-
 def _term_ratio(n: int, p: int, q: int) -> Tuple[int, int]:
     """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 for mu = p/q as exact (num, den).
 
@@ -120,8 +84,8 @@ def _term_ratio(n: int, p: int, q: int) -> Tuple[int, int]:
 def _weight_denominator(mu: Any, z: BigReal, ctx: PrecisionContext) -> BigReal:
     """D = -1 - mu + 2z(1+mu); the collapsing weight slope is alpha = 2(z-1)/D.
 
-    Raises when D is numerically zero (for the 2K/pi parameter mu = -3/2
-    that happens exactly at z = 1/2, i.e. r = 1).
+    Raises when D is numerically zero (for mu = -3/2 that happens exactly
+    at z = 1/2).
     """
     d = -1 - ctx.mpf(mu) + 2 * z * (1 + ctx.mpf(mu))
     if abs(d) <= ctx.tol(ctx.working_digits // 2):
@@ -181,20 +145,18 @@ def _pow_lead(m: int, e: int, k: int, keep: int) -> Tuple[int, int]:
     return rm, re
 
 
-def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
-                n_terms: Optional[int] = None,
-                oracle: Optional[BigReal] = None,
-                term_cap: Optional[int] = None) -> Tuple[BigReal, ConvergenceReport]:
-    """Sum the weighted series and instrument its convergence.
+def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
+                n_terms: Optional[int] = None) -> Tuple[BigReal, ConvergenceReport]:
+    """Sum the weighted series for rational mu and 0 < z < 1, and instrument it.
 
     Stops when the next term bound (including the (alpha*n + beta) growth
     factor) falls below 10^(-working_digits), or after exactly ``n_terms``
     terms when given; a term under one fixed-point unit ends the sum at
-    once, as does a zero coefficient.  ``term_cap`` overrides the runaway
-    guard (exceeding it raises, signalling a bug or a pathologically slow
-    z).  Without ``n_terms``, a z whose predicted term count
-    working_digits/|log10 z| exceeds RUNAWAY_TERM_CEILING raises before
-    the first term.
+    once, as does a zero coefficient.  Without ``n_terms``, a z whose
+    predicted term count working_digits/|log10 z| exceeds
+    RUNAWAY_TERM_CEILING raises SeriesConvergenceError before the first
+    term, and before z is checked, so a z that rounded to 1 gets the same
+    error; summing past ~10x the predicted count raises it too.
 
     The sum runs in binary fixed point, with z, alpha, beta and the terms
     as integers in units of 2^-wp (the working precision plus guard bits
@@ -215,21 +177,24 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
     least-squares digits-per-term slope come from :func:`_tail_trace`
     when the report is first read.
     """
+    z = ctx.mpf(z)
     if n_terms is None:
-        _require_convergent(spec.z, ctx)
-    cap = term_cap if term_cap is not None else _max_terms(spec.z, ctx)
+        _require_convergent(z, ctx)
+    if not (0 < z < 1):
+        raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
+    cap = _max_terms(z, ctx)
     wp = ctx.prec + 2 * (n_terms or cap).bit_length()
     one = 1 << wp
-    alpha = ctx.to_fixed(spec.alpha, wp)
-    beta = ctx.to_fixed(spec.beta, wp)
-    u = max(1, math.isqrt(math.ceil(min(_predicted_terms(spec.z, ctx), n_terms or cap))))
+    alpha = ctx.to_fixed(alpha, wp)
+    beta = ctx.to_fixed(beta, wp)
+    u = max(1, math.isqrt(math.ceil(min(_predicted_terms(z, ctx), n_terms or cap))))
     # z = z_m 2^z_e and z^u = zu_m 2^zu_e to wp significant bits: a product
     # with a_n or a class sum then errs by a unit of that product, not of z
-    z_e = ctx.mag(spec.z) - wp
-    z_m = ctx.to_fixed(spec.z, -z_e)
+    z_e = ctx.mag(z) - wp
+    z_m = ctx.to_fixed(z, -z_e)
     zu_m, zu_e = _pow_lead(z_m, z_e, u, wp)
 
-    log10_z = ctx.log10_abs(spec.z)
+    log10_z = ctx.log10_abs(z)
     log2_z = log10_z / LOG10_2
     # stop rule |t_n| (|alpha| (n+2) + |beta|) < 10^-w in log10 of units,
     # with the weight a float scaled by 2^-w_bits.  Neither it nor the
@@ -244,7 +209,8 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
         near = (max(0.0, (stop_digits - math.log10(w_min)) / LOG10_2) if w_min
                 else math.inf)
 
-    p, q = spec.mu.numerator, spec.mu.denominator
+    mu = Fraction(mu)
+    p, q = mu.numerator, mu.denominator
     s0 = [0] * u  # sum of a_n over n = j mod u
     s1 = [0] * u  # sum of n a_n
     coeffs = []  # signed a_n, for the error trace
@@ -278,8 +244,7 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
                 break
         if n >= cap and n_terms is None:
             raise SeriesConvergenceError(
-                f"series did not converge within {cap} terms "
-                f"(z={spec.z}, alpha={spec.alpha}, beta={spec.beta})"
+                f"series did not converge within {cap} terms (z={z})"
             )
 
     acc0, acc1 = s0[-1], s1[-1]
@@ -290,13 +255,16 @@ def eval_series(spec: SeriesSpec, ctx: PrecisionContext,
 
     report = ConvergenceReport(
         terms_used=n_terms or len(coeffs),
-        _trace=partial(_tail_trace, coeffs, u, z_m, z_e, alpha, beta, wp),
-        final_error_vs_oracle=(
-            ctx.agreement_digits(final, oracle) if oracle is not None else None
-        ),
-        oracle=oracle,
-    )
+        _trace=partial(_tail_trace, coeffs, u, z_m, z_e, alpha, beta, wp))
     return final, report
+
+
+def _with_oracle(value: BigReal, report: ConvergenceReport, oracle: BigReal,
+                 ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
+    """(value, report) with ``oracle`` and the value's agreement with it recorded."""
+    report.oracle = oracle
+    report.final_error_vs_oracle = ctx.agreement_digits(value, oracle)
+    return value, report
 
 
 # leading bits kept of each factor of a term in the error trace: a tail
@@ -426,9 +394,8 @@ def derivative_weighted_sum(mu: Any, z: Any,
     """
     z = ctx.mpf(z)
     alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx)
-    spec = make_series_spec(mu, z, alpha, 1, ctx)
-    rhs = closed_form(mu, z, ctx)
-    return eval_series(spec, ctx, oracle=rhs)
+    value, report = eval_series(mu, z, alpha, 1, ctx)
+    return _with_oracle(value, report, closed_form(mu, z, ctx), ctx)
 
 
 # ---------------------------------------------------------------------
@@ -439,35 +406,30 @@ def two_K_over_pi(pair: moduli.ModulusPair,
                   ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """2 K(k_r)/pi as the weighted series in z = k_r^2 with mu = -3/2.
 
-    Term weight: -4(1-z) n + (1 - 2z).  At r = 1 (z = 1/2) the weight
-    denominator 1/2 - z vanishes and :func:`make_series_spec` raises
-    SingularSeriesError; use the AGM oracle there.  At small r, where the
-    series cannot converge within the runaway ceiling, it raises
+    Term weight: -4(1-z) n + (1 - 2z), with no denominator, so r = 1
+    (z = 1/2) sums like any other r.  At small r, where the series cannot
+    converge within the runaway ceiling, :func:`eval_series` raises
     SeriesConvergenceError, checked before z can round to 1.  The report's
     oracle is 2/pi times the pair's K, pi/(2 agm(1, k'_r)) from the stored
     k', whose AGM the defining-ratio gate already ran.
     """
     z = pair.k * pair.k
-    _require_convergent(z, ctx)
-    spec = make_series_spec(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, ctx)
-    return eval_series(spec, ctx, oracle=2 * pair.K(ctx) / ctx.pi)
+    value, report = eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, ctx)
+    return _with_oracle(value, report, 2 * pair.K(ctx) / ctx.pi, ctx)
 
 
 def four_E_over_pi(pair: moduli.ModulusPair,
                    ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """4 E(k_r)/pi = 2 K(k_r)/pi + sum with mu = -1/2 and weight 4(1-z) n + (1 - 2z).
 
-    The 2K/pi addend comes from its own series; the r = 1 singularity
-    propagates.  The report's oracle is 4 E_ref/pi from the AGM side sum.
+    The 2K/pi addend comes from its own series; neither weight has a
+    denominator, so r = 1 is an ordinary point.  The report, that of the
+    mu = -1/2 sum, holds the oracle 4 E_ref/pi from the AGM side sum.
     """
     z = pair.k * pair.k
     two_k, _ = two_K_over_pi(pair, ctx)
-    spec = make_series_spec(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
-    sigma, report = eval_series(spec, ctx)
-    value = two_k + sigma
-    report.oracle = 4 * E_ref(pair.k, ctx) / ctx.pi
-    report.final_error_vs_oracle = ctx.agreement_digits(value, report.oracle)
-    return value, report
+    sigma, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
+    return _with_oracle(two_k + sigma, report, 4 * E_ref(pair.k, ctx) / ctx.pi, ctx)
 
 
 def gamma_quarter_series(ctx: PrecisionContext,
@@ -487,13 +449,12 @@ def gamma_quarter_series(ctx: PrecisionContext,
     pair100, pair6400 = chain[0], chain[3]
     w = pair6400.k
     z = w * w
-    spec = make_series_spec(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx)
-    sigma, report = eval_series(spec, ctx, n_terms=n_terms)
+    sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx,
+                                n_terms=n_terms)
     scale = moduli.k_scale_64(pair100, ctx)
     coeff = moduli.k100_radical_coefficient(ctx)
-    value = sigma / (coeff * scale)
-    oracle = b_quarter(ctx) / ctx.pi
-    report.final_error_vs_oracle = ctx.agreement_digits(value, oracle)
+    value, report = _with_oracle(sigma / (coeff * scale), report,
+                                 b_quarter(ctx) / ctx.pi, ctx)
     report.notes.append(
         "normalization derived from the modulus chain (scalar 640 = 8*80 against "
         "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "

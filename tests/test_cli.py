@@ -198,11 +198,25 @@ def test_elliptic_series_and_both_report_alike(capsys, kind):
     assert reports["series"] == reports["both"]
 
 
-def test_elliptic_series_at_r1_is_domain_error(capsys):
-    code, _, err = _run(capsys, ["elliptic", "K", "--r", "1", "--digits", "50",
-                                 "--method", "series"])
-    assert code == 2
-    assert "agm" in err
+R1_PREFIX = {"K": "1.854074677301371918433850347195", "E": "1.350643881047675502520"}
+
+
+@pytest.mark.parametrize("method", ["series", "both"])
+@pytest.mark.parametrize("kind", ["K", "E"])
+def test_elliptic_series_at_r1(capsys, kind, method):
+    # k_1^2 = 1/2: the series weights have no denominator to vanish there
+    code, out, err = _run(capsys, ["elliptic", kind, "--r", "1", "--digits", "50",
+                                   "--method", method, "--format", "json"])
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["value_digits"].startswith(R1_PREFIX[kind])
+    assert rep["oracle_agreement_digits"] >= 45
+
+
+def test_elliptic_series_at_small_r_hints_agm(capsys):
+    code, out, err = _run(capsys, ["elliptic", "K", "--r", "1/100", "--digits", "50"])
+    assert code == 3 and out == ""
+    assert "--method agm" in err
 
 
 def test_elliptic_zero_denominator_r_is_usage_error(capsys):

@@ -23,6 +23,9 @@ def test_guard_policy():
     assert make_context(1000).working_digits == 1020
     assert make_context(10).working_digits == 20
     assert make_context(5000).guard_digits == 100
+    # the policy is the only guard: a context takes no guard_digits option
+    with pytest.raises(TypeError):
+        PrecisionContext(target_digits=100, guard_digits=15)
 
 
 def test_rejects_low_precision():
@@ -30,19 +33,16 @@ def test_rejects_low_precision():
         make_context(5)
     with pytest.raises(PrecisionError):
         make_context(9)
-
-
-def test_rejects_bad_guard():
-    with pytest.raises(PrecisionError):
-        PrecisionContext(target_digits=100, guard_digits=5)
-    with pytest.raises(PrecisionError):
-        PrecisionContext(target_digits=10000, guard_digits=50)
+    # the checks live in the context itself, not only in make_context
+    for bad in (9, 100.0, "100"):
+        with pytest.raises(PrecisionError):
+            PrecisionContext(target_digits=bad)
 
 
 def test_equal_working_precision_shares_one_mpmath_context():
     ctx = make_context(100)
-    twin = PrecisionContext(target_digits=95, guard_digits=15)
-    assert twin.working_digits == ctx.working_digits
+    twin = make_context(100)
+    assert twin is not ctx
     assert twin._mp is ctx._mp and twin.pi is ctx.pi
     assert make_context(101)._mp is not ctx._mp
     # hyp2f1 raises the shared context's precision only while it runs

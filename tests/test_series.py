@@ -12,8 +12,9 @@ from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
                        SingularSeriesError, chain_to_6400,
                        closed_form, derivative_weighted_sum, eval_series,
                        four_E_over_pi, gamma_quarter_series, legendre_P,
-                       make_context, make_series_spec, nome, phi_and_derivative,
+                       make_context, nome, phi_and_derivative,
                        solve_kr, theta3, two_K_over_pi)
+from ellseries import series
 from ellseries.series import _slope, _term_ratio, _weight_denominator
 
 B_QUARTER_OVER_PI = "2.36068119803219245209067588111697717446743326976289459903173"
@@ -59,10 +60,16 @@ def test_alpha_of(ctx50):
 
 
 def test_series_spec_validation(ctx50):
+    for z in ("1.5", "0", "-0.25"):
+        with pytest.raises(DomainError):
+            eval_series(Fraction(-3, 2), ctx50.mpf(z), 1, 1, ctx50)
     with pytest.raises(DomainError):
-        make_series_spec(Fraction(-3, 2), ctx50.mpf("1.5"), 1, 1, ctx50)
-    with pytest.raises(SingularSeriesError):
-        make_series_spec(Fraction(-3, 2), ctx50.mpf("0.5"), 1, 1, ctx50)
+        eval_series(Fraction(-3, 2), ctx50.mpf("1.5"), 1, 1, ctx50, n_terms=3)
+    # a plain weighted sum has no denominator to vanish at z = 1/2
+    z = ctx50.mpf("0.5")
+    value, _ = eval_series(Fraction(-3, 2), z, 1, 1, ctx50)
+    phi, dphi = phi_and_derivative(Fraction(-3, 2), z, ctx50)
+    assert abs(value - (phi + z * dphi)) <= ctx50.tol(45)
 
 
 def test_legendre_P_first_kind_identity(ctx50):
@@ -110,8 +117,7 @@ def test_weighted_sum_equals_phi_combination(ctx50):
     mu = Fraction(-3, 2)
     z = ctx50.mpf("0.1")
     alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx50)
-    spec = make_series_spec(mu, z, alpha, 1, ctx50)
-    total, _ = eval_series(spec, ctx50)
+    total, _ = eval_series(mu, z, alpha, 1, ctx50)
     phi, dphi = phi_and_derivative(mu, z, ctx50)
     assert abs(total - (phi + alpha * z * dphi)) <= ctx50.tol(45)
 
@@ -138,10 +144,9 @@ def test_collapse_reproduces_first_kind_series(ctx50):
 
 
 def test_eval_series_fixed_terms_gives_constant_term(ctx50):
-    spec = make_series_spec(Fraction(-3, 2), ctx50.mpf("0.04"),
-                            ctx50.mpf(7), ctx50.mpf("0.25"), ctx50)
-    value, report = eval_series(spec, ctx50, n_terms=1)
-    assert value == spec.beta
+    value, report = eval_series(Fraction(-3, 2), ctx50.mpf("0.04"),
+                                ctx50.mpf(7), ctx50.mpf("0.25"), ctx50, n_terms=1)
+    assert value == ctx50.mpf("0.25")
     assert report.terms_used == 1
 
 
@@ -152,11 +157,11 @@ def test_eval_series_error_trace_improves(ctx50):
     assert all(b > a for a, b in zip(digits[2:], digits[3:]))
 
 
-def test_eval_series_runaway_guard():
+def test_eval_series_runaway_guard(monkeypatch):
     ctx = make_context(10)
-    spec = make_series_spec(Fraction(-3, 2), ctx.mpf("0.4"), 1, 1, ctx)
+    monkeypatch.setattr(series, "_max_terms", lambda z, ctx: 8)
     with pytest.raises(SeriesConvergenceError):
-        eval_series(spec, ctx, term_cap=8)
+        eval_series(Fraction(-3, 2), ctx.mpf("0.4"), 1, 1, ctx)
 
 
 def test_eval_series_slow_z_converges(ctx50):
@@ -177,9 +182,14 @@ def test_first_kind_series(ctx50):
         assert ctx50.agreement_digits(value, theta3(nome(pair.r, ctx50), ctx50) ** 2) >= 45
 
 
-def test_first_kind_singular_at_r1(ctx50):
-    with pytest.raises(SingularSeriesError):
-        two_K_over_pi(solve_kr(1, ctx50), ctx50)
+@pytest.mark.parametrize("digits", [50, 1500])
+def test_first_kind_at_r1(digits):
+    # z = k_1^2 = 1/2, where the weight -4(1-z) n + (1-2z) has no denominator
+    ctx = make_context(digits)
+    pair = solve_kr(1, ctx)
+    value, report = two_K_over_pi(pair, ctx)
+    assert ctx.agreement_digits(value, 2 * pair.K(ctx) / ctx.pi) >= digits - 5
+    assert report.final_error_vs_oracle >= digits - 5
 
 
 def test_first_kind_slope(ctx50):
@@ -198,9 +208,13 @@ def test_second_kind_series(ctx50):
         assert report.final_error_vs_oracle >= 45
 
 
-def test_second_kind_singular_at_r1(ctx50):
-    with pytest.raises(SingularSeriesError):
-        four_E_over_pi(solve_kr(1, ctx50), ctx50)
+@pytest.mark.parametrize("digits", [50, 1500])
+def test_second_kind_at_r1(digits):
+    ctx = make_context(digits)
+    pair = solve_kr(1, ctx)
+    value, report = four_E_over_pi(pair, ctx)
+    assert ctx.agreement_digits(value, 4 * E_ref(pair.k, ctx) / ctx.pi) >= digits - 5
+    assert report.final_error_vs_oracle >= digits - 5
 
 
 def test_second_kind_tiny_k_limit(ctx50):
@@ -244,13 +258,13 @@ def test_gamma_quarter_slope():
 # the fixed-point kernel against the mpf loop it replaced
 # ---------------------------------------------------------------------
 
-def _reference_eval_series(spec, ctx, n_terms=None):
+def _reference_eval_series(params, ctx, n_terms=None):
     """The mpf summation loop eval_series used before its fixed-point kernel.
 
     Returns (sum, terms used, error trace, largest |partial sum|).
     """
-    z = spec.z
-    mu_f = ctx.mpf(spec.mu)
+    mu, z, alpha, beta = params
+    mu_f = ctx.mpf(mu)
     eps = ctx.tol(ctx.working_digits)
     s = ctx.zero
     c = ctx.one
@@ -258,7 +272,7 @@ def _reference_eval_series(spec, ctx, n_terms=None):
     partials = []
     n = 0
     while True:
-        s += c * zp * (spec.alpha * n + spec.beta)
+        s += c * zp * (alpha * n + beta)
         partials.append(s)
         n += 1
         if n_terms is not None:
@@ -267,7 +281,7 @@ def _reference_eval_series(spec, ctx, n_terms=None):
         c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / (n * n)
         zp = zp * z
         if n_terms is None:
-            bound = abs(c * zp) * (abs(spec.alpha) * (n + 2) + abs(spec.beta))
+            bound = abs(c * zp) * (abs(alpha) * (n + 2) + abs(beta))
             if bound < eps:
                 break
     trace = []
@@ -307,21 +321,18 @@ def _series_params(draw):
     return mu, z, alpha, beta
 
 
-def _spec_or_reject(params, ctx):
+def _at_precision(params, ctx):
     mu, z, alpha, beta = params
-    try:
-        return make_series_spec(mu, ctx.mpf(z), ctx.mpf(alpha), ctx.mpf(beta), ctx)
-    except SingularSeriesError:
-        assume(False)
+    return mu, ctx.mpf(z), ctx.mpf(alpha), ctx.mpf(beta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_series_params(), st.integers(50, 600))
 def test_fixed_point_kernel_matches_mpf_loop(params, digits):
     ctx = make_context(digits)
-    spec = _spec_or_reject(params, ctx)
-    value, report = eval_series(spec, ctx)
-    ref, ref_terms, ref_trace, scale = _reference_eval_series(spec, ctx)
+    params = _at_precision(params, ctx)
+    value, report = eval_series(*params, ctx)
+    ref, ref_terms, ref_trace, scale = _reference_eval_series(params, ctx)
     assert report.terms_used == ref_terms
     # both sums carry absolute rounding error ~ 2^-prec times the largest partial
     scale = max(ctx.one, scale)
@@ -339,9 +350,9 @@ def test_fixed_point_kernel_matches_mpf_loop(params, digits):
 @given(_series_params(), st.integers(50, 600), st.integers(1, 40))
 def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
     ctx = make_context(digits)
-    spec = _spec_or_reject(params, ctx)
-    value, report = eval_series(spec, ctx, n_terms=n_terms)
-    ref, ref_terms, _, scale = _reference_eval_series(spec, ctx, n_terms=n_terms)
+    params = _at_precision(params, ctx)
+    value, report = eval_series(*params, ctx, n_terms=n_terms)
+    ref, ref_terms, _, scale = _reference_eval_series(params, ctx, n_terms=n_terms)
     assert report.terms_used == ref_terms == n_terms
     assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * max(ctx.one, scale)
 
@@ -360,12 +371,13 @@ def test_kernel_rows(params, digits, n_terms):
         test_fixed_point_kernel_exact_term_count.hypothesis.inner_test(params, digits, n_terms)
 
 
-def _exact_trace(spec, n_terms, dps):
+def _exact_trace(params, n_terms, dps):
     """-log10 |S - P_n| for the first n_terms terms, summed by mpmath at dps digits."""
     mp = mpmath.MPContext()
     mp.dps = dps
-    z, alpha, beta = (mp.mpf(x) for x in (spec.z, spec.alpha, spec.beta))
-    mu = mp.mpf(spec.mu.numerator) / spec.mu.denominator
+    mu, z, alpha, beta = params
+    z, alpha, beta = (mp.mpf(x) for x in (z, alpha, beta))
+    mu = mp.mpf(mu.numerator) / mu.denominator
     c, terms = mp.mpf(1), []
     for n in range(n_terms):
         terms.append(c * z ** n * (alpha * n + beta))
@@ -387,9 +399,9 @@ def test_error_trace_is_exact(r, digits, mu, sign):
     # 8e-6 digits and the slope by 3e-8
     ctx = make_context(digits)
     z = solve_kr(r, ctx).k ** 2
-    spec = make_series_spec(mu, z, sign * 4 * (1 - z), 1 - 2 * z, ctx)
-    _, report = eval_series(spec, ctx)
-    exact = _exact_trace(spec, report.terms_used, 2 * ctx.working_digits)
+    params = (mu, z, sign * 4 * (1 - z), 1 - 2 * z)
+    _, report = eval_series(*params, ctx)
+    exact = _exact_trace(params, report.terms_used, 2 * ctx.working_digits)
     assert [n for n, _ in report.error_trace] == [n for n, _ in exact]
     for (_, got), (_, want) in zip(report.error_trace, exact):
         assert got == pytest.approx(want, abs=1e-9)
