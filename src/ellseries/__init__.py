@@ -9,7 +9,7 @@ from .moduli import (ModulusPair, MultiplierResult, Provenance,
                      PrintedFormComparison, RootSelectionError,
                      chain_printed_comparison, chain_to_6400, eq2_residual,
                      k100_closed_form, k100_radical_coefficient,
-                     K100_closed_value, k_scale_16, k_scale_64, landen_up,
+                     k_scale_16, k_scale_64, landen_up,
                      multiplier, solve_kr)
 from .series import (ConvergenceReport, SeriesConvergenceError,
                      SingularSeriesError, closed_form,
@@ -27,8 +27,7 @@ __all__ = [
     "ModulusPair", "MultiplierResult", "Provenance", "PrintedFormComparison",
     "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
     "chain_to_6400", "chain_printed_comparison", "eq2_residual",
-    "multiplier", "k_scale_16", "k_scale_64", "K100_closed_value",
-    "k100_radical_coefficient",
+    "multiplier", "k_scale_16", "k_scale_64", "k100_radical_coefficient",
     "ConvergenceReport", "SingularSeriesError",
     "SeriesConvergenceError", "legendre_P",
     "phi_and_derivative", "eval_series", "closed_form",

@@ -267,6 +267,9 @@ def _cmd_bench(args) -> int:
         reports.append(_series_report(
             "bench two-K-over-pi(r=100)", d, ctx,
             lambda: series.two_K_over_pi(moduli.solve_kr(100, ctx), ctx)))
+        reports.append(_series_report(
+            "bench four-E-over-pi(r=100)", d, ctx,
+            lambda: series.four_E_over_pi(moduli.solve_kr(100, ctx), ctx)))
     _emit(reports, args.format)
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .oracle import agm, b_quarter
+from .oracle import agm
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
                         guard_digits_for, make_context)
 
@@ -398,32 +398,25 @@ def _newton_polish(f: Callable, fp: Callable, x: BigReal,
     return x
 
 
-def multiplier(n: int, m: Rational, ctx: PrecisionContext) -> MultiplierResult:
+def multiplier(n: int, pair_m: ModulusPair, pair_big: Optional[ModulusPair],
+               ctx: PrecisionContext) -> MultiplierResult:
     """M_n(m) such that K[n^2 m] = M_n(m) * K[m], for n in {2, 3, 5}.
 
-    n = 2 is the closed form (1 + k'_m)/2.  For n = 3 and 5 the value is a
-    root in (0, 1) of the known algebraic equation f, found by Newton from
-    the AGM ratio K[n^2 m]/K[m], which already holds it to working
-    precision.  Two polishes start there: one on f for a simple root, and
-    one on f' for a tangent (double) root, which is a simple root of f'.
-    Tangent roots do occur: at m = 1 the degree-6 equation for n = 5
-    touches zero at M = (2 + sqrt(5))/5 without crossing, where f is only
-    rounding noise and the polish on f stalls ~37 digits short.  Of the
-    candidates in (0, 1) with |f| <= 10^-target, the one nearest the
-    K-ratio is selected; it must lie within 10^-(target - 10) of it.
+    ``pair_m`` and ``pair_big`` are the solved pairs at m and n^2 m; n = 2
+    reads only ``pair_m``.  n = 2 is the closed form (1 + k'_m)/2.  For
+    n = 3 and 5 the value is a root in (0, 1) of the known algebraic
+    equation f, found by Newton from the AGM ratio K[n^2 m]/K[m], which
+    already holds it to working precision.  Two polishes start there: one
+    on f for a simple root, and one on f' for a tangent (double) root,
+    which is a simple root of f'.  Tangent roots do occur: at m = 1 the
+    degree-6 equation for n = 5 touches zero at M = (2 + sqrt(5))/5
+    without crossing, where f is only rounding noise and the polish on f
+    stalls ~37 digits short.  Of the candidates in (0, 1) with
+    |f| <= 10^-target, the one nearest the K-ratio is selected; it must
+    lie within 10^-(target - 10) of it.
     """
-    m = Fraction(m)
-    if m <= 0:
-        raise DomainError(f"multiplier requires m > 0, got {m}")
     if n not in (2, 3, 5):
         raise ValueError(f"multiplier defined for n in (2, 3, 5), got {n}")
-    pair_big = None if n == 2 else solve_kr(n * n * m, ctx)
-    return _multiplier_from_pairs(n, solve_kr(m, ctx), pair_big, ctx)
-
-
-def _multiplier_from_pairs(n: int, pair_m: ModulusPair, pair_big: Optional[ModulusPair],
-                           ctx: PrecisionContext) -> MultiplierResult:
-    """:func:`multiplier` from solved pairs at m and n^2 m (unused for n = 2)."""
     if n == 2:
         value = (1 + pair_m.k_prime) / 2
         return MultiplierResult(n=2, m=pair_m.r, value=value, residual=ctx.zero)
@@ -462,12 +455,3 @@ def k_scale_64(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
 def k100_radical_coefficient(ctx: PrecisionContext) -> BigReal:
     """(4 + 2 sqrt(5) + sqrt(2)(3 + 2*5^(1/4)))/80 ~ 0.211803; K[100] over b(1/4)."""
     return (4 + 2 * ctx.sqrt(5) + ctx.sqrt(2) * (3 + 2 * ctx.root(5, 4))) / 80
-
-
-def K100_closed_value(ctx: PrecisionContext) -> BigReal:
-    """K(k_100) from the radical coefficient times Gamma(1/4)^2/sqrt(pi).
-
-    Validated elsewhere against the AGM evaluation of K at the closed-form
-    k_100; this is the anchor for the headline-constant normalization.
-    """
-    return k100_radical_coefficient(ctx) * b_quarter(ctx)

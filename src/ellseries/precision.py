@@ -89,7 +89,8 @@ class PrecisionContext:
     :func:`guard_digits_for`; results are trustworthy to roughly the
     target.  The context doubles as the elementary-function suite: sqrt,
     n-th root, exp, log10, pi, 2F1, and tolerance-based comparison.  There
-    is no exact equality on BigReal; use :meth:`agrees`.
+    is no exact equality on BigReal; use :meth:`agreement_digits` or
+    compare a difference with :meth:`tol`.
     """
 
     target_digits: int
@@ -238,12 +239,6 @@ class PrecisionContext:
         if diff == 0:
             return float(self.working_digits)
         return min(-self.log10_abs(diff), float(self.working_digits))
-
-    def agrees(self, a: Any, b: Any, digits: int | None = None) -> bool:
-        """|a - b| <= 10^(-digits), defaulting to target_digits - 5."""
-        if digits is None:
-            digits = self.target_digits - 5
-        return abs(self.mpf(a) - self.mpf(b)) <= self.tol(digits)
 
 
 def make_context(target_digits: int) -> PrecisionContext:

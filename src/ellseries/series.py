@@ -8,7 +8,8 @@ a weighted 2F1(-mu, mu+1; 1; z) = P_mu(1-2z), the Legendre function of
 order 0, with Pochhammer coefficients updated incrementally.  With
 phi(z) = P_mu(1-2z) the sum is beta*phi + alpha*z*phi'.  The weights of
 the 2K/pi and 4E/pi series have no denominator: for 2K/pi (mu = -3/2)
-the sum is (1-2z)phi - 4z(1-z)phi' = P_(-1/2)(1-2z), at every 0 < z < 1.
+the sum is (1-2z)phi - 4z(1-z)phi' = P_(-1/2)(1-2z), at every 0 < z < 1,
+and 4E/pi (mu = -1/2) is the single sum with weight 2(1-z)(2n+1).
 The normalized weights alpha = 2(z-1)/D, beta = 1, with
 D = -1 - mu + 2z(1+mu), collapse the sum to a single Legendre closed
 form; that identity is checked against mpmath's hyp2f1, code this
@@ -420,16 +421,19 @@ def two_K_over_pi(pair: moduli.ModulusPair,
 
 def four_E_over_pi(pair: moduli.ModulusPair,
                    ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
-    """4 E(k_r)/pi = 2 K(k_r)/pi + sum with mu = -1/2 and weight 4(1-z) n + (1 - 2z).
+    """4 E(k_r)/pi as one series in z = k_r^2: mu = -1/2, weight 4(1-z) n + 2(1-z).
 
-    The 2K/pi addend comes from its own series; neither weight has a
-    denominator, so r = 1 is an ordinary point.  The report, that of the
-    mu = -1/2 sum, holds the oracle 4 E_ref/pi from the AGM side sum.
+    With c_n = ((1/2)_n/n!)^2, the coefficients of 2K/pi = sum c_n z^n,
+    E = (1-m)(K + 2m dK/dm) (Borwein & Borwein, "Pi and the AGM", ch. 1)
+    gives 4E/pi = 2(1-z) sum c_n z^n (2n+1).  This is the paper's 2K/pi
+    plus its mu = -1/2 sum with weight 4(1-z) n + (1 - 2z), folded into
+    one sum; ``verify`` checks the two forms agree.  The weight has no
+    denominator, so r = 1 is an ordinary point.  The report's oracle is
+    4 E_ref/pi from the AGM side sum.
     """
     z = pair.k * pair.k
-    two_k, _ = two_K_over_pi(pair, ctx)
-    sigma, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
-    return _with_oracle(two_k + sigma, report, 4 * E_ref(pair.k, ctx) / ctx.pi, ctx)
+    value, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), ctx)
+    return _with_oracle(value, report, 4 * E_ref(pair.k, ctx) / ctx.pi, ctx)
 
 
 def gamma_quarter_series(ctx: PrecisionContext,
@@ -462,7 +466,7 @@ def gamma_quarter_series(ctx: PrecisionContext,
     )
     if n_terms is None and report.final_error_vs_oracle < ctx.target_digits - 5:
         raise RuntimeError(
-            f"headline constant disagrees with the AGM oracle: "
+            f"headline constant does not match the AGM oracle: "
             f"{report.final_error_vs_oracle:.1f} digits at target {ctx.target_digits}"
         )
     return value, report

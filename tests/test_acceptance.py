@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from ellseries import (E_ref, K_ref, K100_closed_value, b_quarter,
+from ellseries import (E_ref, K_ref, b_quarter,
                        chain_to_6400, closed_form, derivative_weighted_sum,
                        eq2_residual, four_E_over_pi, gamma_quarter_series,
-                       k100_closed_form, k_scale_16, k_scale_64, landen_up,
+                       k100_closed_form, k100_radical_coefficient,
+                       k_scale_16, k_scale_64, landen_up,
                        make_context, multiplier, nome, phi_and_derivative,
                        solve_kr, theta3, two_K_over_pi)
 from ellseries.cli import main
@@ -109,10 +110,11 @@ def test_criterion_5_multipliers(ctx250, capsys):
     worst_ratio = 0.0
     for n in (2, 3, 5):
         for m in (1, 2):
-            res = multiplier(n, m, ctx250)
+            pair_m, pair_big = solve_kr(m, ctx250), solve_kr(n * n * m, ctx250)
+            res = multiplier(n, pair_m, pair_big, ctx250)
             assert abs(res.residual) < tol_poly
-            km = K_ref(solve_kr(m, ctx250).k, ctx250)
-            knm = K_ref(solve_kr(n * n * m, ctx250).k, ctx250)
+            km = K_ref(pair_m.k, ctx250)
+            knm = K_ref(pair_big.k, ctx250)
             assert abs(knm - res.value * km) < ctx250.tol(235) * km
             worst_poly = max(worst_poly, float(abs(res.residual)))
             worst_ratio = max(worst_ratio, float(abs(knm - res.value * km) / km))
@@ -133,7 +135,8 @@ def test_criterion_6_moduli_consistency(ctx250, capsys):
         diff = abs(up.k - solve_kr(4 * Fraction(r), ctx250).k)
         assert diff < tol
         worst_landen = max(worst_landen, float(diff))
-    d3 = abs(K100_closed_value(ctx250) - K_ref(closed.k, ctx250))
+    d3 = abs(k100_radical_coefficient(ctx250) * b_quarter(ctx250)
+             - K_ref(closed.k, ctx250))
     assert d3 < tol
     with capsys.disabled():
         print(f"ACCEPTANCE 6: PASS - k100 closed vs solve {float(d1):.1e}, "

@@ -300,12 +300,14 @@ def test_bench_json(capsys):
     code, out, _ = _run(capsys, ["bench", "--digits", "150", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
-    assert len(rows) == 2
+    assert len(rows) == 3
     for row in rows:
         assert set(row.keys()) == SCHEMA_KEYS
     assert rows[0]["command"] == "bench gamma-quarter"
     assert rows[1]["command"] == "bench two-K-over-pi(r=100)"
     assert rows[1]["digits_per_term"] == pytest.approx(12.44, abs=0.3)
+    assert rows[2]["command"] == "bench four-E-over-pi(r=100)"
+    assert rows[2]["digits_per_term"] == pytest.approx(12.44, abs=0.3)
 
 
 def _mpmath_reference(kind, r, digits):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellseries import (DomainError, K_ref, K100_closed_value, ModulusPair,
+from ellseries import (DomainError, K_ref, ModulusPair,
                        Provenance, b_quarter, chain_printed_comparison,
                        chain_to_6400, eq2_residual, k100_closed_form,
                        k100_radical_coefficient, k_scale_16, k_scale_64,
@@ -148,7 +148,7 @@ def test_chain_printed_forms(ctx50):
 
 
 def test_multiplier_degree2(ctx50):
-    res = multiplier(2, 1, ctx50)
+    res = multiplier(2, solve_kr(1, ctx50), None, ctx50)
     assert abs(res.value - ctx50.mpf(M2_1)) <= ctx50.tol(50)
     assert res.residual == 0
     # closed form against the AGM ratio
@@ -159,7 +159,7 @@ def test_multiplier_degree2(ctx50):
 def test_multiplier_degree5_m1_is_tangent_root(ctx50):
     # M_5(1) = (2 + sqrt(5))/5, a double root of the degree-6 equation:
     # the polynomial touches zero there without changing sign
-    res = multiplier(5, 1, ctx50)
+    res = multiplier(5, solve_kr(1, ctx50), solve_kr(25, ctx50), ctx50)
     assert abs(res.value - (2 + ctx50.sqrt(5)) / 5) <= ctx50.tol(45)
     assert abs(res.residual) <= ctx50.tol(ctx50.target_digits)
 
@@ -167,10 +167,11 @@ def test_multiplier_degree5_m1_is_tangent_root(ctx50):
 def test_multiplier_ratios(ctx50):
     for n in (2, 3, 5):
         for m in (1, 2):
-            res = multiplier(n, m, ctx50)
+            pair_m, pair_big = solve_kr(m, ctx50), solve_kr(n * n * m, ctx50)
+            res = multiplier(n, pair_m, pair_big, ctx50)
             assert 0 < res.value < 1
-            km = K_ref(solve_kr(m, ctx50).k, ctx50)
-            kn = K_ref(solve_kr(n * n * m, ctx50).k, ctx50)
+            km = K_ref(pair_m.k, ctx50)
+            kn = K_ref(pair_big.k, ctx50)
             assert abs(kn - res.value * km) <= ctx50.tol(42) * km
             assert abs(res.residual) <= ctx50.tol(ctx50.target_digits)
 
@@ -178,8 +179,9 @@ def test_multiplier_ratios(ctx50):
 def test_multiplier_rejected_is_a_critical_point(ctx50):
     # the polish on f' from the K-ratio lands, at m = 2, on a critical point
     # of the degree-6 equation that is no root: it is recorded, not selected
-    res = multiplier(5, 2, ctx50)
-    k2 = solve_kr(2, ctx50).k ** 2
+    pair2 = solve_kr(2, ctx50)
+    res = multiplier(5, pair2, solve_kr(50, ctx50), ctx50)
+    k2 = pair2.k ** 2
     c = 256 * k2 * (1 - k2)
     (crit,) = res.rejected
     u = 5 * crit - 1
@@ -190,7 +192,7 @@ def test_multiplier_rejected_is_a_critical_point(ctx50):
 def test_multiplier_tangent_root_to_working_precision(ctx250):
     # at the double root M_5(1) a Newton polish on f alone stalls ~37 digits
     # from the root; the polish on f' reaches working precision
-    res = multiplier(5, 1, ctx250)
+    res = multiplier(5, solve_kr(1, ctx250), solve_kr(25, ctx250), ctx250)
     expect = (2 + ctx250.sqrt(5)) / 5
     assert ctx250.agreement_digits(res.value, expect) >= ctx250.working_digits - 5
     assert res.rejected == ()
@@ -214,10 +216,9 @@ def test_tangent_root_polish_stops_when_f_stops_falling(ctx250):
 
 
 def test_multiplier_bad_inputs(ctx50):
+    # m <= 0 has no pair to pass: solve_kr raises DomainError (test_solve_domain)
     with pytest.raises(ValueError):
-        multiplier(4, 1, ctx50)
-    with pytest.raises(DomainError):
-        multiplier(3, -1, ctx50)
+        multiplier(4, solve_kr(1, ctx50), solve_kr(16, ctx50), ctx50)
 
 
 def test_scale16(ctx50):
@@ -254,9 +255,8 @@ def test_scale64_composes_with_scale16(ctx50):
                    - k_scale_16(pair, ctx50) * m2_16r) <= ctx50.tol(45)
 
 
-def test_K100_closed_value(ctx50):
+def test_K100_radical_value(ctx50):
     coeff = k100_radical_coefficient(ctx50)
     assert abs(coeff - ctx50.mpf(K100_COEFF)) <= ctx50.tol(48)
-    value = K100_closed_value(ctx50)
+    value = coeff * b_quarter(ctx50)
     assert abs(value - K_ref(k100_closed_form(ctx50).k, ctx50)) <= ctx50.tol(45)
-    assert abs(value / b_quarter(ctx50) - coeff) <= ctx50.tol(50)

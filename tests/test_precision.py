@@ -115,11 +115,6 @@ def test_agreement_semantics(ctx50):
     a = ctx50.mpf(1)
     b = a + ctx50.tol(20)
     assert 19 <= ctx50.agreement_digits(a, b) <= 21
-    assert ctx50.agrees(a, b, digits=15)
-    assert not ctx50.agrees(a, b, digits=30)
-    # default tolerance is target - 5
-    assert ctx50.agrees(a, a + ctx50.tol(46))
-    assert not ctx50.agrees(a, a + ctx50.tol(40))
 
 
 def test_decimal_string_truncates(ctx50):

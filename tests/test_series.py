@@ -217,6 +217,38 @@ def test_second_kind_at_r1(digits):
     assert report.final_error_vs_oracle >= digits - 5
 
 
+def test_second_kind_is_one_sum(ctx50, monkeypatch):
+    sums = []
+
+    def counting(*args, **kwargs):
+        sums.append(args[0])
+        return eval_series(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("4E/pi summed the 2K/pi series")
+
+    monkeypatch.setattr(series, "eval_series", counting)
+    monkeypatch.setattr(series, "two_K_over_pi", refuse)
+    pair = solve_kr(4, ctx50)
+    _, report = four_E_over_pi(pair, ctx50)
+    assert sums == [Fraction(-1, 2)]
+    assert report.final_error_vs_oracle >= 45
+
+
+@pytest.mark.parametrize("digits,r", [(50, 1), (300, Fraction(19, 3)), (1500, 100),
+                                      (50, Fraction(1, 2))])
+def test_second_kind_matches_paper_two_sum_form(digits, r):
+    # the paper's form: 2K/pi plus the mu = -1/2 sum with weight
+    # 4(1-z) n + (1-2z); at r = 1/2, z > 1/2 and that weight's 1-2z is negative
+    ctx = make_context(digits)
+    pair = solve_kr(r, ctx)
+    z = pair.k * pair.k
+    two_k, _ = two_K_over_pi(pair, ctx)
+    sigma, _ = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
+    value, _ = four_E_over_pi(pair, ctx)
+    assert ctx.agreement_digits(value, two_k + sigma) >= ctx.working_digits - 2
+
+
 def test_second_kind_tiny_k_limit(ctx50):
     # k -> 0: 2K/pi -> 1 and 4E/pi -> 2
     pair = chain_to_6400(ctx50)[3]

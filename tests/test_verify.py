@@ -22,6 +22,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     assert all(c.passed for c in results)
     # one solve per r: the multiplier rows polish from the cached pairs
     assert max(n for (name, _), n in calls.items() if name == "solve_kr") == 1
-    # 2K/pi once per r in {2, 3, 4, 100}, plus inside 4E/pi for r in {2, 3, 4}
-    assert calls[("two_K_over_pi", "")] == 7
+    # 2K/pi once per r in {2, 3, 4, 100}; 4E/pi is its own sum, and the
+    # paper's two-sum form of it reads the cached 2K/pi
+    assert calls[("two_K_over_pi", "")] == 4
     assert calls[("b_quarter", "")] == 1
