@@ -15,11 +15,11 @@ rounded, so they are a prefix of any higher-precision run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional
 
@@ -36,46 +36,38 @@ EXIT_PRECISION = 2
 EXIT_VERIFY = 3
 
 
-@dataclass
-class RunReport:
-    """One command's result in the stable reporting schema."""
+def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
+                digits_per_term: Optional[float], agreement: Optional[float],
+                elapsed: float, warnings: List[str]) -> dict:
+    """One command's result in the stable reporting schema: its JSON object."""
+    return {
+        "command": command,
+        "target_digits": ctx.target_digits,
+        "value_digits": to_decimal_string(ctx, value, ctx.target_digits),
+        "terms_used": terms_used,
+        "digits_per_term": digits_per_term,
+        "oracle_agreement_digits": (0 if agreement is None
+                                    else min(int(agreement), ctx.working_digits)),
+        "elapsed_seconds": elapsed,
+        "warnings": warnings,
+    }
 
-    command: str
-    target_digits: int
-    value_digits: str
-    terms_used: int
-    digits_per_term: Optional[float]
-    oracle_agreement_digits: int
-    elapsed: float
-    warnings: List[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "target_digits": self.target_digits,
-            "value_digits": self.value_digits,
-            "terms_used": self.terms_used,
-            "digits_per_term": self.digits_per_term,
-            "oracle_agreement_digits": self.oracle_agreement_digits,
-            "elapsed_seconds": self.elapsed,
-            "warnings": list(self.warnings),
-        }
-
-    def to_text(self) -> str:
-        dpt = "n/a" if self.digits_per_term is None else f"{self.digits_per_term:.2f}"
-        lines = [
-            f"command:           {self.command}",
-            f"target digits:     {self.target_digits}",
-            f"value:             {self.value_digits}",
-            f"terms used:        {self.terms_used}",
-            f"digits per term:   {dpt}",
-            f"oracle agreement:  {self.oracle_agreement_digits} digits",
-            f"elapsed:           {self.elapsed:.3f} s",
-        ]
-        if self.warnings:
-            lines.append("warnings:")
-            lines.extend(f"  - {w}" for w in self.warnings)
-        return "\n".join(lines)
+def _report_text(rep: dict) -> str:
+    dpt = rep["digits_per_term"]
+    lines = [
+        f"command:           {rep['command']}",
+        f"target digits:     {rep['target_digits']}",
+        f"value:             {rep['value_digits']}",
+        f"terms used:        {rep['terms_used']}",
+        f"digits per term:   {'n/a' if dpt is None else f'{dpt:.2f}'}",
+        f"oracle agreement:  {rep['oracle_agreement_digits']} digits",
+        f"elapsed:           {rep['elapsed_seconds']:.3f} s",
+    ]
+    if rep["warnings"]:
+        lines.append("warnings:")
+        lines.extend(f"  - {w}" for w in rep["warnings"])
+    return "\n".join(lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,36 +83,21 @@ class UsageError(ValueError):
     """Command-line value errors that map to exit code 1."""
 
 
-def _emit(reports: List[RunReport], fmt: str) -> None:
+def _emit(reports: List[dict], fmt: str) -> None:
     if fmt == "json":
-        payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
     else:
-        print("\n\n".join(r.to_text() for r in reports))
+        print("\n\n".join(_report_text(r) for r in reports))
 
 
-def _agreement_int(ctx: PrecisionContext, digits: Optional[float]) -> int:
-    if digits is None:
-        return 0
-    return min(int(digits), ctx.working_digits)
-
-
-def _series_report(command: str, digits: int, ctx: PrecisionContext,
-                   compute: Callable[[], tuple]) -> RunReport:
+def _series_report(command: str, ctx: PrecisionContext,
+                   compute: Callable[[], tuple]) -> dict:
     """Time ``compute() -> (value, ConvergenceReport)`` and report its result."""
     t0 = time.perf_counter()
     value, report = compute()
     elapsed = time.perf_counter() - t0
-    return RunReport(
-        command=command,
-        target_digits=digits,
-        value_digits=to_decimal_string(ctx, value, digits),
-        terms_used=report.terms_used,
-        digits_per_term=report.digits_per_term,
-        oracle_agreement_digits=_agreement_int(ctx, report.final_error_vs_oracle),
-        elapsed=elapsed,
-        warnings=list(report.notes),
-    )
+    return _run_report(command, ctx, value, report.terms_used, report.digits_per_term,
+                       report.final_error_vs_oracle, elapsed, list(report.notes))
 
 
 def _rational(text: str) -> Fraction:
@@ -137,7 +114,7 @@ def _cmd_constant(args) -> int:
         raise UsageError(f"--terms must be an integer in 1..{series.RUNAWAY_TERM_CEILING}, "
                          f"got {args.terms}")
     ctx = make_context(args.digits)
-    rep = _series_report(f"constant {args.name}", args.digits, ctx,
+    rep = _series_report(f"constant {args.name}", ctx,
                          lambda: series.gamma_quarter_series(ctx, n_terms=args.terms))
     _emit([rep], args.format)
     return EXIT_OK
@@ -183,16 +160,8 @@ def _cmd_elliptic(args) -> int:
         digits_per_term = report.digits_per_term
         agreement = report.final_error_vs_oracle
     elapsed = time.perf_counter() - t0
-    rep = RunReport(
-        command=f"elliptic {args.kind} r={r} method={args.method}",
-        target_digits=args.digits,
-        value_digits=to_decimal_string(ctx, value, args.digits),
-        terms_used=terms_used,
-        digits_per_term=digits_per_term,
-        oracle_agreement_digits=_agreement_int(ctx, agreement),
-        elapsed=elapsed,
-        warnings=warnings,
-    )
+    rep = _run_report(f"elliptic {args.kind} r={r} method={args.method}", ctx, value,
+                      terms_used, digits_per_term, agreement, elapsed, warnings)
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -259,16 +228,17 @@ def _cmd_bench(args) -> int:
     for d in targets:
         if d < 100:
             raise PrecisionError(f"bench requires each digits >= 100, got {d}")
-    reports: List[RunReport] = []
-    for d in targets:
-        ctx = make_context(d)
-        reports.append(_series_report("bench gamma-quarter", d, ctx,
+    # every target passes the context's ceiling check before any row runs
+    contexts = [make_context(d) for d in targets]
+    reports: List[dict] = []
+    for ctx in contexts:
+        reports.append(_series_report("bench gamma-quarter", ctx,
                                       lambda: series.gamma_quarter_series(ctx)))
         reports.append(_series_report(
-            "bench two-K-over-pi(r=100)", d, ctx,
+            "bench two-K-over-pi(r=100)", ctx,
             lambda: series.two_K_over_pi(moduli.solve_kr(100, ctx), ctx)))
         reports.append(_series_report(
-            "bench four-E-over-pi(r=100)", d, ctx,
+            "bench four-E-over-pi(r=100)", ctx,
             lambda: series.four_E_over_pi(moduli.solve_kr(100, ctx), ctx)))
     _emit(reports, args.format)
     return EXIT_OK
@@ -315,6 +285,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        # The process's own command line (`python -m ellseries`, the console
+        # script).  Nearly all of the ~17k objects the GC tracks after start-up
+        # live until exit, so move them to the permanent generation: every
+        # later GC pass, the exit's included, skips them.  In-process callers
+        # pass argv and keep their GC as it is.
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

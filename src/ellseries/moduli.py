@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .oracle import agm
 from .precision import (BigReal, DomainError, PrecisionContext, Rational,
@@ -42,7 +41,6 @@ class RootSelectionError(RuntimeError):
     """No multiplier-polynomial root reproduces the AGM K-ratio (a bug)."""
 
 
-@dataclass(frozen=True)
 class ModulusPair:
     """(r, k_r, k'_r) with the provenance of how the pair was obtained.
 
@@ -61,30 +59,32 @@ class ModulusPair:
     rejected at construction.
     """
 
-    r: Fraction
-    k: BigReal
-    k_prime: BigReal
-    provenance: Provenance
-    k_prime_gap: BigReal = None
-    _agm_k_prime: BigReal = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("r", "k", "k_prime", "provenance", "k_prime_gap", "_agm_k_prime")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.k < 1) or not (0 < self.k_prime < 1):
+    def __init__(self, r: Fraction, k: BigReal, k_prime: BigReal,
+                 provenance: Provenance, k_prime_gap: BigReal = None) -> None:
+        if not (0 < k < 1) or not (0 < k_prime < 1):
             raise DomainError(
-                f"degenerate modulus pair at r={self.r}: k={self.k}, "
-                f"k'={self.k_prime} (both must lie strictly inside (0,1))"
+                f"degenerate modulus pair at r={r}: k={k}, "
+                f"k'={k_prime} (both must lie strictly inside (0,1))"
             )
-        if self.k_prime_gap is None:
-            object.__setattr__(self, "k_prime_gap", 1 - self.k_prime)
-        if not (0 < self.k_prime_gap < 1):
+        if k_prime_gap is None:
+            k_prime_gap = 1 - k_prime
+        if not (0 < k_prime_gap < 1):
             raise DomainError(
-                f"complementary gap out of range at r={self.r}: {self.k_prime_gap}"
+                f"complementary gap out of range at r={r}: {k_prime_gap}"
             )
+        self.r = r
+        self.k = k
+        self.k_prime = k_prime
+        self.provenance = provenance
+        self.k_prime_gap = k_prime_gap
+        self._agm_k_prime = None
 
     def agm_k_prime(self, ctx: PrecisionContext) -> BigReal:
         """agm(1, k'_r) from the stored k', computed once per pair."""
         if self._agm_k_prime is None:
-            object.__setattr__(self, "_agm_k_prime", agm(ctx.one, self.k_prime, ctx))
+            self._agm_k_prime = agm(ctx.one, self.k_prime, ctx)
         return self._agm_k_prime
 
     def K(self, ctx: PrecisionContext) -> BigReal:
@@ -92,8 +92,7 @@ class ModulusPair:
         return ctx.pi / (2 * self.agm_k_prime(ctx))
 
 
-@dataclass(frozen=True)
-class MultiplierResult:
+class MultiplierResult(NamedTuple):
     """Multiplier M_n(m) = K[n^2 m]/K[m] with its defining-polynomial residual.
 
     ``rejected`` holds the Newton-polished candidates in (0, 1) that were
@@ -284,8 +283,7 @@ def chain_to_6400(ctx: PrecisionContext) -> List[ModulusPair]:
     return pairs
 
 
-@dataclass(frozen=True)
-class PrintedFormComparison:
+class PrintedFormComparison(NamedTuple):
     """A chain value recomputed from a published radical, vs the derived one."""
 
     label: str

@@ -8,7 +8,7 @@ context that created them ("BigReal" in the public API); arithmetic is
 faithfully rounded at the working precision, which leaves several digits
 of slack under every tolerance used by the verification suite.
 
-Contexts are immutable after construction and operations are pure.
+Contexts are not changed after construction and operations are pure.
 Contexts of equal working precision share one mpmath context, its pi and
 its memoized tolerances: building an mpmath context plus pi measured
 0.3-1.5 ms, and a 500-digit ``verify`` builds 26 contexts at 7 working
@@ -21,7 +21,6 @@ precision at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Tuple, Union
 
@@ -36,6 +35,13 @@ BigReal = Any
 Rational = Union[int, Fraction]
 
 MIN_TARGET_DIGITS = 10
+# Largest target any context accepts, checked before an mpmath context is
+# built.  `elliptic K --r 100` took 9 s, 31 s and 140 s at 50k, 100k and
+# 200k digits (x4.5 per doubling at the top), so about 10 min at 400k; the
+# headline constant (16 s and 53 s at 100k and 200k) gets there near 600k.
+# A run's own elevated contexts carry up to 2% + 80 digits more than its
+# target, so the largest --digits a command accepts is about 392k.
+MAX_TARGET_DIGITS = 400_000
 MIN_GUARD_DIGITS = 10
 LOG10_2 = math.log10(2)
 
@@ -80,7 +86,6 @@ def guard_digits_for(target_digits: int) -> int:
     return max(MIN_GUARD_DIGITS, math.ceil(0.02 * target_digits))
 
 
-@dataclass(frozen=True)
 class PrecisionContext:
     """Decimal precision contract plus the elementary-function suite.
 
@@ -93,23 +98,23 @@ class PrecisionContext:
     compare a difference with :meth:`tol`.
     """
 
-    target_digits: int
-    guard_digits: int = field(init=False)
-    _mp: MPContext = field(init=False, repr=False, compare=False)
-    _pi: Any = field(init=False, repr=False, compare=False)
-    _tols: Dict[int, Any] = field(init=False, repr=False, compare=False)
+    __slots__ = ("target_digits", "guard_digits", "_mp", "_pi", "_tols")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.target_digits, int) or self.target_digits < MIN_TARGET_DIGITS:
+    def __init__(self, target_digits: int) -> None:
+        if not isinstance(target_digits, int) or target_digits < MIN_TARGET_DIGITS:
             raise PrecisionError(
                 "precision too low for guard policy: target_digits must be an "
-                f"integer >= {MIN_TARGET_DIGITS}, got {self.target_digits!r}"
+                f"integer >= {MIN_TARGET_DIGITS}, got {target_digits!r}"
             )
-        object.__setattr__(self, "guard_digits", guard_digits_for(self.target_digits))
-        mp, pi, tols = _shared_mp(self.working_digits)
-        object.__setattr__(self, "_mp", mp)
-        object.__setattr__(self, "_pi", pi)
-        object.__setattr__(self, "_tols", tols)
+        if target_digits > MAX_TARGET_DIGITS:
+            raise PrecisionError(
+                f"precision above the ceiling: the run needs a context of "
+                f"{target_digits} digits, past the {MAX_TARGET_DIGITS}-digit ceiling "
+                f"where a run takes about 10 min"
+            )
+        self.target_digits = target_digits
+        self.guard_digits = guard_digits_for(target_digits)
+        self._mp, self._pi, self._tols = _shared_mp(self.working_digits)
 
     @property
     def working_digits(self) -> int:

@@ -25,7 +25,6 @@ module beyond the arithmetic substrate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Tuple
@@ -43,7 +42,6 @@ class SeriesConvergenceError(RuntimeError):
     """Runaway-term guard tripped before the tail fell under tolerance."""
 
 
-@dataclass
 class ConvergenceReport:
     """Measured convergence of one summation.
 
@@ -56,11 +54,15 @@ class ConvergenceReport:
     :func:`eval_series` leaves both unset and :func:`_with_oracle` fills them.
     """
 
-    terms_used: int
-    _trace: Callable[[], List[Tuple[int, float]]] = field(repr=False, compare=False)
-    final_error_vs_oracle: Optional[float] = None
-    oracle: Optional[BigReal] = None
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, terms_used: int, _trace: Callable[[], List[Tuple[int, float]]],
+                 final_error_vs_oracle: Optional[float] = None,
+                 oracle: Optional[BigReal] = None,
+                 notes: Optional[List[str]] = None) -> None:
+        self.terms_used = terms_used
+        self._trace = _trace
+        self.final_error_vs_oracle = final_error_vs_oracle
+        self.oracle = oracle
+        self.notes = [] if notes is None else notes
 
     @cached_property
     def error_trace(self) -> List[Tuple[int, float]]:
@@ -279,10 +281,12 @@ def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
     """(n, -log10 |S - P_n|) for n < N - 1, from the terms' leading bits.
 
     Term n is a_n z^(n mod u) (alpha*n + beta), with a_n = ``coeffs[n]``,
-    alpha and beta in units of 2^-wp and z = z_m 2^z_e.  It is formed as
-    the product of its factors' leading _TRACE_BITS bits, and the tails
-    S - P_n are summed exactly from the end in units of 2^E, E the
-    exponent of the largest term so far.
+    alpha and beta in units of 2^-wp and z = z_m 2^z_e.  The weight is
+    formed exactly, so one that cancels at some n keeps only its
+    fixed-point rounding there; the term is the product of its three
+    factors' leading _TRACE_BITS bits, and the tails S - P_n are summed
+    exactly from the end in units of 2^E, E the exponent of the largest
+    term so far.
     """
     z_top, shift = _lead(z_m, _TRACE_BITS)
     z_top_e = z_e + shift
@@ -292,32 +296,31 @@ def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
         powers.append((m, e))
         m, shift = _lead(m * z_top, _TRACE_BITS)
         e += z_top_e + shift
-    w_shift = max(max(abs(alpha), abs(beta)).bit_length() - _TRACE_BITS, 0)
-    alpha_top, beta_top = alpha >> w_shift, beta >> w_shift
-
     # term n is a_top z_pow w_top 2^(a_shift + z_pow_e + w_shift - 2 wp); the
-    # tail is kept in units of 2^(big + w_shift - 2 wp)
-    offset = (2 * wp - w_shift) * LOG10_2
+    # tail is kept in units of 2^(big - 2 wp)
+    offset = 2 * wp * LOG10_2
     log10 = math.log10
     trace = []
-    # no term lies below the last power of z, since a_shift >= 0
+    # no term lies below the last power of z, since a_shift, w_shift >= 0
     tail, big = 0, powers[-1][1]
     n = len(coeffs) - 1
-    w_top = alpha_top * n + beta_top
+    w = alpha * n + beta
     for a in reversed(coeffs[1:]):
-        a_shift = a.bit_length() - _TRACE_BITS
-        if a_shift > 0:
-            a >>= a_shift
-        else:
-            a_shift = 0
-        z_pow, z_pow_e = powers[n % u]
-        exp = a_shift + z_pow_e
-        if exp > big:
-            tail >>= exp - big
-            big = exp
-        tail += (a * z_pow * w_top) >> (big - exp)
+        if w:
+            a_shift = a.bit_length() - _TRACE_BITS
+            if a_shift > 0:
+                a >>= a_shift
+            else:
+                a_shift = 0
+            w_top, w_shift = _lead(w, _TRACE_BITS)
+            z_pow, z_pow_e = powers[n % u]
+            exp = a_shift + z_pow_e + w_shift
+            if exp > big:
+                tail >>= exp - big
+                big = exp
+            tail += (a * z_pow * w_top) >> (big - exp)
         n -= 1
-        w_top -= alpha_top
+        w -= alpha
         if tail:
             trace.append((n, offset - log10(abs(tail)) - big * LOG10_2))
     trace.reverse()

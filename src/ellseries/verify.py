@@ -14,7 +14,6 @@ is observed and the corrected form verifies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional
@@ -30,13 +29,18 @@ _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
                  "mathematics as theta3; independent gate: solve-defining-ratio")
 
 
-@dataclass
 class CheckResult:
-    name: str
-    group: str
-    passed: bool
-    detail: str
-    residual_digits: Optional[float] = None
+    """One check's outcome; ``residual_digits`` is None for a check with no residual."""
+
+    __slots__ = ("name", "group", "passed", "detail", "residual_digits")
+
+    def __init__(self, name: str, group: str, passed: bool, detail: str,
+                 residual_digits: Optional[float] = None) -> None:
+        self.name = name
+        self.group = group
+        self.passed = passed
+        self.detail = detail
+        self.residual_digits = residual_digits
 
 
 class _SolveCache:

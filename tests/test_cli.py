@@ -56,6 +56,11 @@ EXIT_CODES = [
     # k_r^2 rounds to 1 at 50 digits; it used to exit 2 from the z < 1 check
     pytest.param(["elliptic", "K", "--r", "1/5000000000", "--digits", "50"], 3,
                  id="series-z-rounds-to-1"),
+    # rejected before any mpmath context is built; it used to run until killed
+    pytest.param(["constant", "gamma-quarter", "--digits", "99999999999999999999"], 2,
+                 id="digits-above-ceiling"),
+    # checked for every target before the 50k rows run (~20 s)
+    pytest.param(["bench", "--digits", "50000,500000"], 2, id="bench-above-ceiling"),
 ]
 
 

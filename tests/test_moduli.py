@@ -67,13 +67,13 @@ def test_solve_matches_landen_chain(digits):
 def test_no_context_per_one_minus(ctx50, monkeypatch, build, elevated):
     # a context costs ~1 ms to build; 1 - gap must not build one per call
     built = []
-    post_init = PrecisionContext.__post_init__
+    init = PrecisionContext.__init__
 
-    def counting(self):
-        built.append(self.target_digits)
-        post_init(self)
+    def counting(self, target_digits):
+        built.append(target_digits)
+        init(self, target_digits)
 
-    monkeypatch.setattr(PrecisionContext, "__post_init__", counting)
+    monkeypatch.setattr(PrecisionContext, "__init__", counting)
     build(ctx50)
     assert built == elevated(ctx50.working_digits)
 

@@ -395,6 +395,10 @@ def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
       Fraction(1, 5000000)), 50, None),
     # coefficients up to ~1e6 with z^u ~ 1e-15: z^u needs its relative precision
     ((Fraction(11), Fraction(1, 1000), Fraction(2), Fraction(0)), 85, 25),
+    # the weight n/3 - 1 cancels at n = 3 to its fixed-point rounding, so
+    # P_2 is S past the resolved digits; a weight cut to the leading bits of
+    # max(|alpha|, |beta|) kept 2^-128 of it and put a point at 45.6 digits
+    ((Fraction(3), Fraction(1, 1000), Fraction(1, 3), Fraction(-1)), 50, None),
 ])
 def test_kernel_rows(params, digits, n_terms):
     if n_terms is None:
