@@ -5,9 +5,9 @@ independent AGM and theta-function oracles."""
 from .precision import (BigReal, DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
 from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
-from .moduli import (ModulusPair, MultiplierResult, Provenance,
-                     PrintedFormComparison, RootSelectionError,
-                     chain_printed_comparison, chain_to_6400, eq2_residual,
+from .moduli import (ModulusPair, MultiplierResult, PrintedFormComparison,
+                     RootSelectionError, chain_printed_comparison,
+                     chain_to_6400, eq2_residual,
                      k100_closed_form, k100_radical_coefficient,
                      k_scale_16, k_scale_64, landen_up,
                      multiplier, solve_kr)
@@ -24,7 +24,7 @@ __all__ = [
     "BigReal", "PrecisionContext", "PrecisionError", "DomainError",
     "make_context", "to_decimal_string",
     "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
-    "ModulusPair", "MultiplierResult", "Provenance", "PrintedFormComparison",
+    "ModulusPair", "MultiplierResult", "PrintedFormComparison",
     "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
     "chain_to_6400", "chain_printed_comparison", "eq2_residual",
     "multiplier", "k_scale_16", "k_scale_64", "k100_radical_coefficient",

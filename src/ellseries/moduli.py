@@ -16,20 +16,12 @@ manipulation is attempted.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .oracle import agm
-from .precision import (BigReal, DomainError, PrecisionContext, Rational,
-                        guard_digits_for, make_context)
-
-
-class Provenance(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    LANDEN_CHAIN = "landen_chain"
-    THETA_QUOTIENT = "theta_quotient"
+from .precision import BigReal, DomainError, PrecisionContext, Rational, make_context
 
 
 # A pair keeps k'_r strictly below 1, which takes -log10(1 - k'_r) ~
@@ -42,34 +34,34 @@ class RootSelectionError(RuntimeError):
 
 
 class ModulusPair:
-    """(r, k_r, k'_r) with the provenance of how the pair was obtained.
+    """(r, k_r, k'_r) with the complementary gap 1 - k'_r.
 
     ``k_prime_gap`` is 1 - k'_r carried as its own value: for large r the
     complementary modulus hugs 1 so closely (k'_6400 is ~1e-109 below it)
     that a bare float at moderate precision cannot hold the difference,
-    while the gap is perfectly representable.  ``k_prime`` itself is
-    stored with enough digits to stay strictly below 1.
+    while the gap is perfectly representable.  ``k_prime`` is formed from
+    it by exact subtraction, so k' + gap = 1 exactly and k' stays strictly
+    below 1.  k' is then wider than the context that built the pair, and
+    for r < 1 so are k and the gap; round them with ``ctx.mpf`` before
+    multiplying them.
 
     :meth:`agm_k_prime` keeps agm(1, k'_r) on the pair, so the AGM the
     defining-ratio gate of :func:`eq2_residual` runs serves every later
     reader of K(k_r).
-    A pair's values carry the precision of the context that built it.
 
     The endpoints k = 0 and k = 1 are not singular moduli and are
     rejected at construction.
     """
 
-    __slots__ = ("r", "k", "k_prime", "provenance", "k_prime_gap", "_agm_k_prime")
+    __slots__ = ("r", "k", "k_prime", "k_prime_gap", "_agm_k_prime")
 
     def __init__(self, r: Fraction, k: BigReal, k_prime: BigReal,
-                 provenance: Provenance, k_prime_gap: BigReal = None) -> None:
+                 k_prime_gap: BigReal) -> None:
         if not (0 < k < 1) or not (0 < k_prime < 1):
             raise DomainError(
                 f"degenerate modulus pair at r={r}: k={k}, "
                 f"k'={k_prime} (both must lie strictly inside (0,1))"
             )
-        if k_prime_gap is None:
-            k_prime_gap = 1 - k_prime
         if not (0 < k_prime_gap < 1):
             raise DomainError(
                 f"complementary gap out of range at r={r}: {k_prime_gap}"
@@ -77,7 +69,6 @@ class ModulusPair:
         self.r = r
         self.k = k
         self.k_prime = k_prime
-        self.provenance = provenance
         self.k_prime_gap = k_prime_gap
         self._agm_k_prime = None
 
@@ -107,21 +98,12 @@ class MultiplierResult(NamedTuple):
     rejected: Tuple[BigReal, ...] = ()
 
 
-def _one_minus(gap: BigReal, ctx: PrecisionContext) -> BigReal:
-    """1 - gap, rounded as make_context(need) would: strictly below 1."""
-    need = ctx.working_digits + 10
-    if gap < 1:
-        mag = int(-ctx.log10_abs(gap)) + 30
-        need = max(need, mag)
-    return ctx.fsub(1, gap, need + guard_digits_for(need))
-
-
 def _pair_from_gap(r: Fraction, k: BigReal, gap: BigReal,
-                   provenance: Provenance, ctx: PrecisionContext) -> ModulusPair:
-    k_prime = _one_minus(gap, ctx)
-    pair = ModulusPair(r=r, k=k, k_prime=k_prime, provenance=provenance,
-                       k_prime_gap=gap)
-    # identity k^2 + k'^2 = 1 in gap form: k^2 = gap*(2 - gap)
+                   ctx: PrecisionContext) -> ModulusPair:
+    pair = ModulusPair(r=r, k=k, k_prime=ctx.exact_sub(1, gap), k_prime_gap=gap)
+    # identity k^2 + k'^2 = 1 in gap form: k^2 = gap*(2 - gap), on values
+    # rounded first: squaring an exact k of 319 kbit (r = 1/5e9) costs 18 ms
+    k, gap = ctx.mpf(k), ctx.mpf(gap)
     if abs(k * k - gap * (2 - gap)) > ctx.tol(ctx.working_digits - 8):
         raise DomainError(f"modulus identity k^2 + k'^2 = 1 violated at r={r}")
     return pair
@@ -172,10 +154,11 @@ def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal
 def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     """The singular modulus pair at r from the theta quotient of :func:`_theta_modulus`.
 
-    For r < 1 it is the pair at 1/r with k and k' swapped, built directly:
-    :func:`_pair_from_gap` would form k' as 1 - (1 - k'), losing the digits
-    of a tiny k'.  Every pair must pass the AGM defining ratio
-    K(k')/K(k) = sqrt(r) of :func:`eq2_residual`.
+    For r < 1 it is the pair at 1/r with k and k' swapped: k = 1 - gap and
+    gap = 1 - k, both exact, so the k' that :func:`_pair_from_gap` forms as
+    1 - gap is exactly k_{1/r}, tiny or not.  Every pair must pass the
+    modulus identity and the AGM defining ratio K(k')/K(k) = sqrt(r) of
+    :func:`eq2_residual`.
     """
     r = Fraction(r)
     if r <= 0:
@@ -183,14 +166,10 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     if max(r, 1 / r) > R_MAX:
         raise DomainError(f"r={r} is outside {1 / R_MAX:.3g} <= r <= {R_MAX:.3g}, "
                           f"where k'_r < 1 takes at most 100k digits")
-    if r >= 1:
-        k, gap = _theta_modulus(r, ctx)
-        pair = _pair_from_gap(r, k, gap, Provenance.THETA_QUOTIENT, ctx)
-    else:
-        k, gap = _theta_modulus(1 / r, ctx)
-        pair = ModulusPair(r=r, k=_one_minus(gap, ctx), k_prime=k,
-                           provenance=Provenance.THETA_QUOTIENT,
-                           k_prime_gap=_one_minus(k, ctx))
+    k, gap = _theta_modulus(max(r, 1 / r), ctx)
+    if r < 1:
+        k, gap = ctx.exact_sub(1, gap), ctx.exact_sub(1, k)
+    pair = _pair_from_gap(r, k, gap, ctx)
     res = eq2_residual(pair, ctx)
     if res > ctx.tol(ctx.working_digits - 5):
         raise RuntimeError(
@@ -227,7 +206,7 @@ def landen_up(pair: ModulusPair, ctx: PrecisionContext) -> ModulusPair:
     modulus identity is asserted on the result.
     """
     k4, delta4 = _landen_step(pair.k_prime_gap, ctx)
-    return _pair_from_gap(4 * pair.r, k4, delta4, Provenance.LANDEN_CHAIN, ctx)
+    return _pair_from_gap(4 * pair.r, k4, delta4, ctx)
 
 
 def _p_radical(ctx: PrecisionContext) -> BigReal:
@@ -263,7 +242,7 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     p; the defining-ratio residual at r = 100 is asserted numerically.
     """
     k, gap = _k100_with_gap(ctx)
-    pair = _pair_from_gap(Fraction(100), k, gap, Provenance.CLOSED_FORM, ctx)
+    pair = _pair_from_gap(Fraction(100), k, gap, ctx)
     res = eq2_residual(pair, ctx)
     if res > ctx.tol(ctx.working_digits - 5):
         raise RuntimeError(f"k_100 closed form fails the defining ratio: {res}")

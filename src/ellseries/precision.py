@@ -9,11 +9,14 @@ faithfully rounded at the working precision, which leaves several digits
 of slack under every tolerance used by the verification suite.
 
 Contexts are not changed after construction and operations are pure.
-Contexts of equal working precision share one mpmath context, its pi and
-its memoized tolerances: building an mpmath context plus pi measured
-0.3-1.5 ms, and a 500-digit ``verify`` builds 26 contexts at 7 working
-precisions.  mpmath's ``hyp2f1`` raises the shared context's ``prec``
-while it runs and restores it on return, so the package is
+:meth:`PrecisionContext.exact_sub` is the one operation that does not
+round: its result may be wider than the context.  Contexts of equal
+working precision share one mpmath context and its memoized tolerances:
+building an mpmath context measured 0.6 ms, and a 500-digit ``verify``
+builds 26 contexts at 7 working precisions.  pi is read from mpmath's
+own per-precision cache, so it is computed on first read, not when a
+context is built.  mpmath's ``hyp2f1`` raises the shared context's
+``prec`` while it runs and restores it on return, so the package is
 single-threaded: no two threads may compute at the same working
 precision at once.
 """
@@ -68,16 +71,16 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-# working digits -> (mpmath context, its pi, memo of tol(d) by d)
-_SHARED: Dict[int, Tuple[MPContext, Any, Dict[int, Any]]] = {}
+# working digits -> (mpmath context, memo of tol(d) by d)
+_SHARED: Dict[int, Tuple[MPContext, Dict[int, Any]]] = {}
 
 
-def _shared_mp(working_digits: int) -> Tuple[MPContext, Any, Dict[int, Any]]:
+def _shared_mp(working_digits: int) -> Tuple[MPContext, Dict[int, Any]]:
     shared = _SHARED.get(working_digits)
     if shared is None:
         mp = MPContext()
         mp.dps = working_digits
-        shared = _SHARED[working_digits] = (mp, +mp.pi, {})
+        shared = _SHARED[working_digits] = (mp, {})
     return shared
 
 
@@ -98,7 +101,7 @@ class PrecisionContext:
     compare a difference with :meth:`tol`.
     """
 
-    __slots__ = ("target_digits", "guard_digits", "_mp", "_pi", "_tols")
+    __slots__ = ("target_digits", "guard_digits", "_mp", "_tols")
 
     def __init__(self, target_digits: int) -> None:
         if not isinstance(target_digits, int) or target_digits < MIN_TARGET_DIGITS:
@@ -114,7 +117,7 @@ class PrecisionContext:
             )
         self.target_digits = target_digits
         self.guard_digits = guard_digits_for(target_digits)
-        self._mp, self._pi, self._tols = _shared_mp(self.working_digits)
+        self._mp, self._tols = _shared_mp(self.working_digits)
 
     @property
     def working_digits(self) -> int:
@@ -138,7 +141,8 @@ class PrecisionContext:
 
     @property
     def pi(self) -> BigReal:
-        return self._pi
+        """pi at working precision; mpmath caches its bits per precision."""
+        return +self._mp.pi
 
     def tol(self, digits: int) -> BigReal:
         """10^(-digits) as a BigReal, memoized per working precision."""
@@ -221,9 +225,9 @@ class PrecisionContext:
         """man * 2^-bits rounded to working precision."""
         return self._mp.mpf((man, -bits))
 
-    def fsub(self, x: Any, y: Any, working_digits: int) -> BigReal:
-        """x - y rounded once as a context of `working_digits` digits would."""
-        return self._mp.fsub(x, y, dps=working_digits)
+    def exact_sub(self, x: Any, y: Any) -> BigReal:
+        """x - y without rounding, as wide as the operands' span needs."""
+        return self._mp.fsub(x, y, exact=True)
 
     # ---- comparison semantics ---------------------------------------
 

@@ -54,15 +54,13 @@ class ConvergenceReport:
     :func:`eval_series` leaves both unset and :func:`_with_oracle` fills them.
     """
 
-    def __init__(self, terms_used: int, _trace: Callable[[], List[Tuple[int, float]]],
-                 final_error_vs_oracle: Optional[float] = None,
-                 oracle: Optional[BigReal] = None,
-                 notes: Optional[List[str]] = None) -> None:
+    def __init__(self, terms_used: int,
+                 _trace: Callable[[], List[Tuple[int, float]]]) -> None:
         self.terms_used = terms_used
         self._trace = _trace
-        self.final_error_vs_oracle = final_error_vs_oracle
-        self.oracle = oracle
-        self.notes = [] if notes is None else notes
+        self.final_error_vs_oracle: Optional[float] = None
+        self.oracle: Optional[BigReal] = None
+        self.notes: List[str] = []
 
     @cached_property
     def error_trace(self) -> List[Tuple[int, float]]:

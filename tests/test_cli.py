@@ -61,6 +61,12 @@ EXIT_CODES = [
                  id="digits-above-ceiling"),
     # checked for every target before the 50k rows run (~20 s)
     pytest.param(["bench", "--digits", "50000,500000"], 2, id="bench-above-ceiling"),
+    # an elevated context trips the ceiling; pi for the 408k-digit top
+    # context used to take ~12 s before it did
+    pytest.param(["elliptic", "K", "--r", "100", "--digits", "399999"], 2,
+                 id="elliptic-elevated-above-ceiling"),
+    pytest.param(["constant", "gamma-quarter", "--digits", "399999"], 2,
+                 id="constant-elevated-above-ceiling"),
 ]
 
 

@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ellseries import (DomainError, K_ref, ModulusPair,
-                       Provenance, b_quarter, chain_printed_comparison,
+                       b_quarter, chain_printed_comparison,
                        chain_to_6400, eq2_residual, k100_closed_form,
                        k100_radical_coefficient, k_scale_16, k_scale_64,
                        landen_up, make_context, multiplier, solve_kr)
@@ -22,7 +23,6 @@ def test_solve_r1_symmetry(ctx50):
     pair = solve_kr(1, ctx50)
     assert abs(pair.k - ctx50.sqrt(2) / 2) <= ctx50.tol(50)
     assert abs(pair.k - pair.k_prime) <= ctx50.tol(50)
-    assert pair.provenance is Provenance.THETA_QUOTIENT
 
 
 def test_solve_r4(ctx50):
@@ -64,8 +64,9 @@ def test_solve_matches_landen_chain(digits):
     (lambda ctx: solve_kr(Fraction(1, 100), ctx),
      lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
 ])
-def test_no_context_per_one_minus(ctx50, monkeypatch, build, elevated):
-    # a context costs ~1 ms to build; 1 - gap must not build one per call
+def test_pairs_build_only_their_elevated_contexts(ctx50, monkeypatch, build, elevated):
+    # a context costs ~1 ms to build; beyond the elevated contexts of the
+    # closed form or the theta sum, forming a pair must build none
     built = []
     init = PrecisionContext.__init__
 
@@ -78,6 +79,15 @@ def test_no_context_per_one_minus(ctx50, monkeypatch, build, elevated):
     assert built == elevated(ctx50.working_digits)
 
 
+@pytest.mark.parametrize("digits", [50, 1000])
+def test_k_prime_plus_gap_is_exactly_one(digits):
+    ctx = make_context(digits)
+    pairs = [solve_kr(r, ctx) for r in (1, 100, 6400, Fraction(1, 100),
+                                        Fraction(1, 5_000_000_000))]
+    for pair in pairs + chain_to_6400(ctx):
+        assert mpmath.fadd(pair.k_prime, pair.k_prime_gap, exact=True) == 1, pair.r
+
+
 def test_solve_domain(ctx50):
     with pytest.raises(DomainError):
         solve_kr(0, ctx50)
@@ -88,17 +98,16 @@ def test_solve_domain(ctx50):
 def test_pair_rejects_endpoints(ctx50):
     with pytest.raises(DomainError):
         ModulusPair(r=Fraction(1), k=ctx50.zero, k_prime=ctx50.one,
-                    provenance=Provenance.THETA_QUOTIENT)
+                    k_prime_gap=ctx50.zero)
     with pytest.raises(DomainError):
         ModulusPair(r=Fraction(1), k=ctx50.one, k_prime=ctx50.zero,
-                    provenance=Provenance.THETA_QUOTIENT)
+                    k_prime_gap=ctx50.one)
 
 
 def test_landen_from_r1(ctx50):
     up = landen_up(solve_kr(1, ctx50), ctx50)
     assert up.r == Fraction(4)
     assert abs(up.k - ctx50.mpf(K4_EXACT)) <= ctx50.tol(45)
-    assert up.provenance is Provenance.LANDEN_CHAIN
 
 
 def test_landen_matches_solver(ctx50):
@@ -118,7 +127,6 @@ def test_landen_keeps_k_prime_near_one(ctx50):
 
 def test_k100_closed_form(ctx50):
     pair = k100_closed_form(ctx50)
-    assert pair.provenance is Provenance.CLOSED_FORM
     # k_100 ~ 6.03e-7; 2 - sqrt(p) ~ 2.4e-6 (p just below 4)
     assert -6.3 < float(ctx50.log10(pair.k)) < -6.1
     assert abs(pair.k ** 2 + pair.k_prime ** 2 - 1) <= ctx50.tol(ctx50.working_digits - 8)

@@ -43,7 +43,7 @@ def test_equal_working_precision_shares_one_mpmath_context():
     ctx = make_context(100)
     twin = make_context(100)
     assert twin is not ctx
-    assert twin._mp is ctx._mp and twin.pi is ctx.pi
+    assert twin._mp is ctx._mp and twin.pi == ctx.pi
     assert make_context(101)._mp is not ctx._mp
     # hyp2f1 raises the shared context's precision only while it runs
     prec = ctx.prec

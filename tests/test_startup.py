@@ -40,7 +40,7 @@ def test_public_names_unchanged():
         "BigReal", "PrecisionContext", "PrecisionError", "DomainError",
         "make_context", "to_decimal_string",
         "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
-        "ModulusPair", "MultiplierResult", "Provenance", "PrintedFormComparison",
+        "ModulusPair", "MultiplierResult", "PrintedFormComparison",
         "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
         "chain_to_6400", "chain_printed_comparison", "eq2_residual",
         "multiplier", "k_scale_16", "k_scale_64", "k100_radical_coefficient",
