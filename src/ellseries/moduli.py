@@ -34,42 +34,43 @@ class RootSelectionError(RuntimeError):
 
 
 class ModulusPair:
-    """(r, k_r, k'_r) with the complementary gap 1 - k'_r.
+    """(r, k_r, k'_r) with the complementary gap 1 - k'_r, built from k and the gap.
 
     ``k_prime_gap`` is 1 - k'_r carried as its own value: for large r the
     complementary modulus hugs 1 so closely (k'_6400 is ~1e-109 below it)
     that a bare float at moderate precision cannot hold the difference,
-    while the gap is perfectly representable.  ``k_prime`` is formed from
-    it by exact subtraction, so k' + gap = 1 exactly and k' stays strictly
-    below 1.  k' is then wider than the context that built the pair, and
-    for r < 1 so are k and the gap; round them with ``ctx.mpf`` before
-    multiplying them.
+    while the gap is perfectly representable.  The constructor forms
+    ``k_prime`` from it by exact subtraction, so k' + gap = 1 exactly and
+    k' stays strictly below 1.  k' is then wider than the context that
+    built the pair, and for r < 1 so are k and the gap; round them with
+    ``ctx.mpf`` before multiplying them.
+
+    The constructor rejects a k or a gap outside (0, 1): the endpoints are
+    not singular moduli.  It also checks the modulus identity
+    k^2 + k'^2 = 1 in gap form, k^2 = gap (2 - gap), on values rounded to
+    ``ctx``: squaring an exact k of 319 kbit (r = 1/5e9) would cost 18 ms.
 
     :meth:`agm_k_prime` keeps agm(1, k'_r) on the pair, so the AGM the
     defining-ratio gate of :func:`eq2_residual` runs serves every later
     reader of K(k_r).
-
-    The endpoints k = 0 and k = 1 are not singular moduli and are
-    rejected at construction.
     """
 
     __slots__ = ("r", "k", "k_prime", "k_prime_gap", "_agm_k_prime")
 
-    def __init__(self, r: Fraction, k: BigReal, k_prime: BigReal,
-                 k_prime_gap: BigReal) -> None:
-        if not (0 < k < 1) or not (0 < k_prime < 1):
+    def __init__(self, r: Fraction, k: BigReal, gap: BigReal,
+                 ctx: PrecisionContext) -> None:
+        if not (0 < k < 1) or not (0 < gap < 1):
             raise DomainError(
                 f"degenerate modulus pair at r={r}: k={k}, "
-                f"k'={k_prime} (both must lie strictly inside (0,1))"
+                f"1 - k'={gap} (both must lie strictly inside (0,1))"
             )
-        if not (0 < k_prime_gap < 1):
-            raise DomainError(
-                f"complementary gap out of range at r={r}: {k_prime_gap}"
-            )
+        k_w, gap_w = ctx.mpf(k), ctx.mpf(gap)
+        if abs(k_w * k_w - gap_w * (2 - gap_w)) > ctx.tol(ctx.working_digits - 8):
+            raise DomainError(f"modulus identity k^2 + k'^2 = 1 violated at r={r}")
         self.r = r
         self.k = k
-        self.k_prime = k_prime
-        self.k_prime_gap = k_prime_gap
+        self.k_prime = ctx.exact_sub(1, gap)
+        self.k_prime_gap = gap
         self._agm_k_prime = None
 
     def agm_k_prime(self, ctx: PrecisionContext) -> BigReal:
@@ -98,17 +99,6 @@ class MultiplierResult(NamedTuple):
     rejected: Tuple[BigReal, ...] = ()
 
 
-def _pair_from_gap(r: Fraction, k: BigReal, gap: BigReal,
-                   ctx: PrecisionContext) -> ModulusPair:
-    pair = ModulusPair(r=r, k=k, k_prime=ctx.exact_sub(1, gap), k_prime_gap=gap)
-    # identity k^2 + k'^2 = 1 in gap form: k^2 = gap*(2 - gap), on values
-    # rounded first: squaring an exact k of 319 kbit (r = 1/5e9) costs 18 ms
-    k, gap = ctx.mpf(k), ctx.mpf(gap)
-    if abs(k * k - gap * (2 - gap)) > ctx.tol(ctx.working_digits - 8):
-        raise DomainError(f"modulus identity k^2 + k'^2 = 1 violated at r={r}")
-    return pair
-
-
 def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
     """|K(k')/K(k) - sqrt(r)| = |agm(1, k')/agm(1, k) - sqrt(r)| for the pair.
 
@@ -119,6 +109,16 @@ def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
     """
     return abs(pair.agm_k_prime(ctx) / agm(ctx.one, pair.k, ctx)
                - ctx.sqrt(ctx.mpf(pair.r)))
+
+
+def _check_defining_ratio(pair: ModulusPair, source: str,
+                          ctx: PrecisionContext) -> ModulusPair:
+    """The pair, once :func:`eq2_residual` is within 10^-(working - 5); else RuntimeError."""
+    res = eq2_residual(pair, ctx)
+    if res > ctx.tol(ctx.working_digits - 5):
+        raise RuntimeError(f"{source} fails the defining ratio at r={pair.r}: "
+                           f"residual {res}")
+    return pair
 
 
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
@@ -155,7 +155,7 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     """The singular modulus pair at r from the theta quotient of :func:`_theta_modulus`.
 
     For r < 1 it is the pair at 1/r with k and k' swapped: k = 1 - gap and
-    gap = 1 - k, both exact, so the k' that :func:`_pair_from_gap` forms as
+    gap = 1 - k, both exact, so the k' that :class:`ModulusPair` forms as
     1 - gap is exactly k_{1/r}, tiny or not.  Every pair must pass the
     modulus identity and the AGM defining ratio K(k')/K(k) = sqrt(r) of
     :func:`eq2_residual`.
@@ -169,18 +169,11 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     k, gap = _theta_modulus(max(r, 1 / r), ctx)
     if r < 1:
         k, gap = ctx.exact_sub(1, gap), ctx.exact_sub(1, k)
-    pair = _pair_from_gap(r, k, gap, ctx)
-    res = eq2_residual(pair, ctx)
-    if res > ctx.tol(ctx.working_digits - 5):
-        raise RuntimeError(
-            f"theta-quotient modulus fails the defining ratio at r={r}: "
-            f"residual {res}"
-        )
-    return pair
+    return _check_defining_ratio(ModulusPair(r, k, gap, ctx), "theta-quotient modulus", ctx)
 
 
-def _landen_step(delta: BigReal, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
-    """One ascent r -> 4r expressed in the complementary gap delta = 1 - k'_r.
+def landen_up(pair: ModulusPair, ctx: PrecisionContext) -> ModulusPair:
+    """Landen ascent r -> 4r of a modulus pair, in the complementary gap delta = 1 - k'_r.
 
     k_{4r} = (1 - k'_r)/(1 + k'_r)        = delta / (2 - delta)
     1 - k'_{4r} = (1 - sqrt(k'_r))^2/(1 + k'_r)
@@ -188,25 +181,15 @@ def _landen_step(delta: BigReal, ctx: PrecisionContext) -> Tuple[BigReal, BigRea
 
     Carrying delta instead of k' keeps every stage cancellation-free: the
     gap squares per ascent (k_6400's is ~1e-108), so forming 1 - k' by
-    subtraction would forfeit -log10(delta) digits per stage.
+    subtraction would forfeit -log10(delta) digits per stage.  The
+    complementary modulus never passes through sqrt(1 - k^2), and the
+    modulus identity is asserted on the result.
     """
+    delta = pair.k_prime_gap
     kp = 1 - delta
     k4 = delta / (2 - delta)
     delta4 = delta * delta / ((1 + ctx.sqrt(kp)) ** 2 * (1 + kp))
-    return k4, delta4
-
-
-def landen_up(pair: ModulusPair, ctx: PrecisionContext) -> ModulusPair:
-    """Landen ascent r -> 4r of a modulus pair.
-
-    Equivalent to k_{4r} = (1 - k'_r)/(1 + k'_r) and
-    k'_{4r} = 2 sqrt(k'_r)/(1 + k'_r), evaluated through the gap
-    recurrence of :func:`_landen_step` on the pair's stored gap; the
-    complementary modulus never passes through sqrt(1 - k^2).  The
-    modulus identity is asserted on the result.
-    """
-    k4, delta4 = _landen_step(pair.k_prime_gap, ctx)
-    return _pair_from_gap(4 * pair.r, k4, delta4, ctx)
+    return ModulusPair(4 * pair.r, k4, delta4, ctx)
 
 
 def _p_radical(ctx: PrecisionContext) -> BigReal:
@@ -215,38 +198,27 @@ def _p_radical(ctx: PrecisionContext) -> BigReal:
     return 2 + 216 * f4 - 96 * f4 ** 3
 
 
-def _k100_with_gap(ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
-    """(k_100, 1 - k'_100), computed with extra internal digits.
+def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
+    """Closed form for the r = 100 pair.
 
-    The radicals cancel ~9 digits (2 - sqrt(p) is ~2.4e-6 and the p surd
-    itself loses two more), so the values are formed at elevated precision
-    and returned fully accurate at the caller's working precision.  The
-    gap uses 1 - k'_100 = (sqrt(2) - p^(1/4))^2/(2 + sqrt(p)), again
-    avoiding subtraction of nearly equal rounded quantities.
+    k_100 = (2 - sqrt(p))/(2 + sqrt(p)) and
+    k'_100 = 2 sqrt(2) p^(1/4)/(2 + sqrt(p)) with the quartic surd p from
+    :func:`_p_radical`.  The gap uses 1 - k'_100 = (sqrt(2) - p^(1/4))^2
+    /(2 + sqrt(p)), avoiding subtraction of nearly equal rounded
+    quantities.  The radicals cancel ~9 digits (2 - sqrt(p) is ~2.4e-6 and
+    the p surd itself loses two more), so k and the gap are formed with 10
+    extra digits and are fully accurate at the caller's working precision.
+    The modulus identity holds algebraically for any p; the defining-ratio
+    residual at r = 100 is asserted numerically.
     """
     hi = make_context(ctx.working_digits + 10)
     p = _p_radical(hi)
     sp = hi.sqrt(p)
     p4 = hi.root(p, 4)
     k = (2 - sp) / (2 + sp)
-    delta = (hi.sqrt(2) - p4) ** 2 / (2 + sp)
-    return k, delta
-
-
-def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
-    """Closed form for the r = 100 pair.
-
-    k_100 = (2 - sqrt(p))/(2 + sqrt(p)) and
-    k'_100 = 2 sqrt(2) p^(1/4)/(2 + sqrt(p)) with the quartic surd p from
-    :func:`_p_radical`.  The modulus identity holds algebraically for any
-    p; the defining-ratio residual at r = 100 is asserted numerically.
-    """
-    k, gap = _k100_with_gap(ctx)
-    pair = _pair_from_gap(Fraction(100), k, gap, ctx)
-    res = eq2_residual(pair, ctx)
-    if res > ctx.tol(ctx.working_digits - 5):
-        raise RuntimeError(f"k_100 closed form fails the defining ratio: {res}")
-    return pair
+    gap = (hi.sqrt(2) - p4) ** 2 / (2 + sp)
+    return _check_defining_ratio(ModulusPair(Fraction(100), k, gap, ctx),
+                                 "k_100 closed form", ctx)
 
 
 def chain_to_6400(ctx: PrecisionContext) -> List[ModulusPair]:
@@ -269,7 +241,6 @@ class PrintedFormComparison(NamedTuple):
     derived: BigReal
     printed: BigReal
     agreement_digits: float
-    note: str = ""
 
 
 def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormComparison]:
@@ -299,20 +270,18 @@ def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormCompariso
     aw = 2 + 2 * aud.root(8, 4) * aud.sqrt(2 + sp) * p8 + 2 * s2 * p4 + sp
     bw = (2 * aud.root(2 ** 5, 8) * aud.root(2 + sp, 4)
           * aud.sqrt(2 * s2 + 4 * p4 + s2 * sp) * p16)
-    rows = [  # (label, derived, printed, note)
-        ("k_400", pairs[1].k, ((s2 - p4) / (s2 + p4)) ** 2, ""),
+    rows = [  # (label, derived, printed)
+        ("k_400", pairs[1].k, ((s2 - p4) / (s2 + p4)) ** 2),
         ("k'_400 (published coefficient 2^(7/3))", pairs[1].k_prime,
-         aud.root(2 ** 7, 3) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2,
-         "published/derived = 2^(7/12) ~ 1.4983; suspected typo, reported not asserted"),
+         aud.root(2 ** 7, 3) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2),
         ("k'_400 (corrected coefficient 2^(7/4))", pairs[1].k_prime,
-         aud.root(2 ** 7, 4) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2,
-         "coefficient from the Landen ascent"),
-        ("k_1600", pairs[2].k, (a16 - b16) / (a16 + b16), ""),
-        ("k_6400", pairs[3].k, (aw - bw) / (aw + bw), ""),
+         aud.root(2 ** 7, 4) * p8 * aud.sqrt(2 + sp) / (s2 + p4) ** 2),
+        ("k_1600", pairs[2].k, (a16 - b16) / (a16 + b16)),
+        ("k_6400", pairs[3].k, (aw - bw) / (aw + bw)),
     ]
     return [PrintedFormComparison(label, derived, printed,
-                                  ctx.agreement_digits(derived, printed), note)
-            for label, derived, printed, note in rows]
+                                  ctx.agreement_digits(derived, printed))
+            for label, derived, printed in rows]
 
 
 # ---------------------------------------------------------------------

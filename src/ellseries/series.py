@@ -196,19 +196,11 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     zu_m, zu_e = _pow_lead(z_m, z_e, u, wp)
 
     log10_z = ctx.log10_abs(z)
-    log2_z = log10_z / LOG10_2
     # stop rule |t_n| (|alpha| (n+2) + |beta|) < 10^-w in log10 of units,
-    # with the weight a float scaled by 2^-w_bits.  Neither it nor the
-    # one-unit floor can hold while log2 |t_n| >= near, so a bit length
-    # screens each term.
+    # with the weight a float scaled by 2^-w_bits
     w_bits = max(abs(alpha), abs(beta), 1).bit_length()
     a_w, b_w = abs(alpha) / (1 << w_bits), abs(beta) / (1 << w_bits)
     stop_digits = (2 * wp - w_bits) * LOG10_2 - ctx.working_digits
-    w_min = 2 * a_w + b_w
-    near = 0.0
-    if n_terms is None:
-        near = (max(0.0, (stop_digits - math.log10(w_min)) / LOG10_2) if w_min
-                else math.inf)
 
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
@@ -236,13 +228,12 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
         a = a * num // den
         if not a:
             break
-        if a.bit_length() - 1 + j * log2_z < near:
-            mag = math.log10(a) + j * log10_z  # log10 |t_n| in units
-            if mag < 0:  # under one unit: the term rounds to 0
-                break
-            if n_terms is None and (not w_min or mag + math.log10(a_w * (n + 2) + b_w)
-                                    < stop_digits):
-                break
+        mag = math.log10(a) + j * log10_z  # log10 |t_n| in units
+        if mag < 0:  # under one unit: the term rounds to 0
+            break
+        weight = a_w * (n + 2) + b_w
+        if n_terms is None and (not weight or mag + math.log10(weight) < stop_digits):
+            break
         if n >= cap and n_terms is None:
             raise SeriesConvergenceError(
                 f"series did not converge within {cap} terms (z={z})"

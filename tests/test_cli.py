@@ -35,6 +35,8 @@ EXIT_CODES = [
     pytest.param(["elliptic", "K", "--r", "abc", "--digits", "50"], 1, id="malformed-r"),
     pytest.param(["elliptic", "K", "--r", "0", "--digits", "50"], 2, id="nonpositive-r"),
     pytest.param(["verify", "--digits", "5"], 2, id="verify-low-digits"),
+    # past cli.VERIFY_MAX_DIGITS; 100k digits projects to about an hour
+    pytest.param(["verify", "--digits", "100000"], 2, id="verify-above-ceiling"),
     pytest.param(["verify", "--digits", "60", "--selection", "bogus"], 1,
                  id="verify-bad-selection"),
     # an empty selection verifies nothing, so it must not report a pass
@@ -360,6 +362,64 @@ def test_elliptic_digits_are_prefixes_and_match_mpmath(log10_r, kind, digits, de
             assert abs(mp.mpf(value) - ref) <= abs(ref) * mp.mpf(10) ** (5 - d)
             values.append(value)
         assert values[1].startswith(values[0])
+
+
+def _json_report(capsys, cmd):
+    code, out, err = _run(capsys, cmd.split() + ["--format", "json"])
+    assert code == 0, err
+    return json.loads(out)
+
+
+# argv -> terms_used: every reported digit and the term count are pinned, so
+# a change that moves a last digit or a stopping point fails here
+EXACT_ROWS = [
+    ("elliptic K --r 82 --digits 1500", 138),
+    ("elliptic E --r 82 --digits 1500", 138),
+    ("elliptic K --r 19/3 --digits 500", 229),
+    ("elliptic E --r 19/3 --digits 300", 140),
+    ("elliptic K --r 5701 --digits 1000", 11),
+    ("elliptic K --r 500000 --digits 100", 1),
+    ("elliptic K --r 1/7 --method agm --digits 300", 0),
+    ("elliptic K --r 1/150 --method agm --digits 300", 0),
+    ("elliptic E --r 1/3 --method agm --digits 300", 0),
+    ("elliptic E --r 1 --digits 300", 1030),
+    ("constant gamma-quarter --digits 1000", 10),
+    ("constant gamma-quarter --digits 3000", 29),
+    ("constant gamma-quarter --digits 300 --terms 3", 3),
+]
+
+
+@pytest.mark.parametrize("cmd, terms", EXACT_ROWS)
+def test_exact_digits_and_term_count(capsys, cmd, terms):
+    rep = _json_report(capsys, cmd)
+    argv = cmd.split()
+    digits = int(argv[argv.index("--digits") + 1])
+    if argv[0] == "constant":
+        # Gamma(1/4)^2/pi^(3/2) = 2/agm(1, 1/sqrt(2))
+        mp = mpmath.MPContext()
+        mp.dps = digits + 30
+        ref = 2 / mp.agm(1, 1 / mp.sqrt(2))
+    else:
+        mp, ref = _mpmath_reference(argv[1], Fraction(argv[3]), digits + 20)
+    # every value is above 1, so the point falls inside the first digits + 1 characters
+    assert rep["value_digits"] == mp.nstr(ref, digits + 20, strip_zeros=False)[:digits + 1]
+    assert rep["terms_used"] == terms
+
+
+@pytest.mark.parametrize("cmd, digits", [
+    ("constant gamma-quarter", 5000),
+    ("constant gamma-quarter", 12000),
+    ("constant gamma-quarter", 20000),
+    ("elliptic K --r 100", 5000),
+    ("elliptic K --r 100", 12000),
+    ("elliptic K --r 100", 20000),
+    ("elliptic E --r 4", 5000),
+])
+def test_digits_are_prefixes_to_20k(capsys, cmd, digits):
+    short = _json_report(capsys, f"{cmd} --digits {digits}")["value_digits"]
+    long = _json_report(capsys, f"{cmd} --digits {digits + 37}")["value_digits"]
+    assert len(short) == digits + 1
+    assert long.startswith(short)
 
 
 def test_closed_stdout_pipe_exits_without_traceback():

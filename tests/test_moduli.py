@@ -57,7 +57,7 @@ def test_solve_matches_landen_chain(digits):
 
 
 @pytest.mark.parametrize("build, elevated", [
-    # _k100_with_gap's 10 extra digits, then three Landen ascents
+    # k100_closed_form's 10 extra digits, then three Landen ascents
     (chain_to_6400, lambda w: [w + 10]),
     # _theta_modulus carries log10(pi sqrt(r)) + 10 extra digits
     (lambda ctx: solve_kr(100, ctx), lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
@@ -97,11 +97,15 @@ def test_solve_domain(ctx50):
 
 def test_pair_rejects_endpoints(ctx50):
     with pytest.raises(DomainError):
-        ModulusPair(r=Fraction(1), k=ctx50.zero, k_prime=ctx50.one,
-                    k_prime_gap=ctx50.zero)
+        ModulusPair(Fraction(1), ctx50.zero, ctx50.zero, ctx50)
     with pytest.raises(DomainError):
-        ModulusPair(r=Fraction(1), k=ctx50.one, k_prime=ctx50.zero,
-                    k_prime_gap=ctx50.one)
+        ModulusPair(Fraction(1), ctx50.one, ctx50.one, ctx50)
+
+
+def test_pair_rejects_a_k_and_gap_that_break_the_identity(ctx50):
+    # both lie in (0, 1), but k_4 and the gap of k_2 miss k^2 + k'^2 = 1
+    with pytest.raises(DomainError, match="identity"):
+        ModulusPair(Fraction(4), solve_kr(4, ctx50).k, solve_kr(2, ctx50).k_prime_gap, ctx50)
 
 
 def test_landen_from_r1(ctx50):
