@@ -102,25 +102,8 @@ def _weight_denominator(mu: Any, z: BigReal, ctx: PrecisionContext) -> BigReal:
 RUNAWAY_TERM_CEILING = 2_000_000
 
 
-def _predicted_terms(z: BigReal, ctx: PrecisionContext) -> float:
-    """working_digits/|log10 z|, the term count the geometric ratio z predicts."""
-    log10z = abs(ctx.log10_abs(z))
-    return ctx.working_digits / log10z if log10z > 0 else math.inf
-
-
-def _require_convergent(z: BigReal, ctx: PrecisionContext) -> None:
-    """Raise before summing past the ceiling; inf means z is within 1e-16 of 1."""
-    predicted = _predicted_terms(z, ctx)
-    if predicted > RUNAWAY_TERM_CEILING:
-        need = f"about {predicted:.3g}" if predicted < math.inf else "over 1e16"
-        raise SeriesConvergenceError(
-            f"series would need {need} terms for {ctx.working_digits} digits, "
-            f"more than the {RUNAWAY_TERM_CEILING}-term ceiling; use --method agm")
-
-
-def _max_terms(z: BigReal, ctx: PrecisionContext) -> int:
+def _max_terms(predicted: float) -> int:
     """Runaway guard: ~10x the predicted term count, at most the ceiling."""
-    predicted = min(_predicted_terms(z, ctx), RUNAWAY_TERM_CEILING)
     return min(max(math.ceil(10 * predicted) + 16, 64), RUNAWAY_TERM_CEILING)
 
 
@@ -144,6 +127,12 @@ def _pow_lead(m: int, e: int, k: int, keep: int) -> Tuple[int, int]:
             m, s = _lead(m * m, keep)
             e = 2 * e + s
     return rm, re
+
+
+# leading bits kept of each factor of a term in the error trace: a tail
+# that cancels to 10^-c of its largest term keeps ~(0.3 _TRACE_BITS - c)
+# digits
+_TRACE_BITS = 128
 
 
 def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
@@ -174,28 +163,35 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
 
     The sum never forms partial sums.  The stop rule reads the float
     magnitude log10|t_n| = log10|a_n| + (n mod u) log10 z, so N is fixed
-    in the same pass.  The error trace -log10|P_n - S| and its
-    least-squares digits-per-term slope come from :func:`_tail_trace`
-    when the report is first read.
+    in the same pass.  Of each term the loop keeps only a_n's leading
+    _TRACE_BITS bits, from which :func:`_tail_trace` forms the error trace
+    -log10|P_n - S| and its least-squares digits-per-term slope when the
+    report is first read.
     """
     z = ctx.mpf(z)
-    if n_terms is None:
-        _require_convergent(z, ctx)
+    log10_z = ctx.log10_abs(z)
+    # working_digits/|log10 z|, the term count the geometric ratio z predicts;
+    # inf means z is within 1e-16 of 1
+    predicted = ctx.working_digits / abs(log10_z) if log10_z else math.inf
+    if n_terms is None and predicted > RUNAWAY_TERM_CEILING:
+        need = f"about {predicted:.3g}" if predicted < math.inf else "over 1e16"
+        raise SeriesConvergenceError(
+            f"series would need {need} terms for {ctx.working_digits} digits, "
+            f"more than the {RUNAWAY_TERM_CEILING}-term ceiling; use --method agm")
     if not (0 < z < 1):
         raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
-    cap = _max_terms(z, ctx)
-    wp = ctx.prec + 2 * (n_terms or cap).bit_length()
+    cap = n_terms or _max_terms(predicted)
+    wp = ctx.prec + 2 * cap.bit_length()
     one = 1 << wp
     alpha = ctx.to_fixed(alpha, wp)
     beta = ctx.to_fixed(beta, wp)
-    u = max(1, math.isqrt(math.ceil(min(_predicted_terms(z, ctx), n_terms or cap))))
+    u = max(1, math.isqrt(math.ceil(min(predicted, cap))))
     # z = z_m 2^z_e and z^u = zu_m 2^zu_e to wp significant bits: a product
     # with a_n or a class sum then errs by a unit of that product, not of z
     z_e = ctx.mag(z) - wp
     z_m = ctx.to_fixed(z, -z_e)
     zu_m, zu_e = _pow_lead(z_m, z_e, u, wp)
 
-    log10_z = ctx.log10_abs(z)
     # stop rule |t_n| (|alpha| (n+2) + |beta|) < 10^-w in log10 of units,
     # with the weight a float scaled by 2^-w_bits
     w_bits = max(abs(alpha), abs(beta), 1).bit_length()
@@ -206,14 +202,15 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     p, q = mu.numerator, mu.denominator
     s0 = [0] * u  # sum of a_n over n = j mod u
     s1 = [0] * u  # sum of n a_n
-    coeffs = []  # signed a_n, for the error trace
+    coeffs = []  # signed a_n cut to its leading _TRACE_BITS bits, as (a, shift)
     a, positive = one, True  # |a_n| and its sign
     n = j = 0
     while True:
         term = a if positive else -a
         s0[j] += term
         s1[j] += n * term
-        coeffs.append(term)
+        s = a.bit_length() - _TRACE_BITS
+        coeffs.append((term >> s, s) if s > 0 else (term, 0))
         n += 1
         if n == n_terms:
             break
@@ -234,7 +231,7 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
         weight = a_w * (n + 2) + b_w
         if n_terms is None and (not weight or mag + math.log10(weight) < stop_digits):
             break
-        if n >= cap and n_terms is None:
+        if n >= cap:
             raise SeriesConvergenceError(
                 f"series did not converge within {cap} terms (z={z})"
             )
@@ -259,23 +256,17 @@ def _with_oracle(value: BigReal, report: ConvergenceReport, oracle: BigReal,
     return value, report
 
 
-# leading bits kept of each factor of a term in the error trace: a tail
-# that cancels to 10^-c of its largest term keeps ~(0.3 _TRACE_BITS - c)
-# digits
-_TRACE_BITS = 128
-
-
-def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
-                beta: int, wp: int) -> List[Tuple[int, float]]:
+def _tail_trace(coeffs: List[Tuple[int, int]], u: int, z_m: int, z_e: int,
+                alpha: int, beta: int, wp: int) -> List[Tuple[int, float]]:
     """(n, -log10 |S - P_n|) for n < N - 1, from the terms' leading bits.
 
-    Term n is a_n z^(n mod u) (alpha*n + beta), with a_n = ``coeffs[n]``,
-    alpha and beta in units of 2^-wp and z = z_m 2^z_e.  The weight is
-    formed exactly, so one that cancels at some n keeps only its
-    fixed-point rounding there; the term is the product of its three
-    factors' leading _TRACE_BITS bits, and the tails S - P_n are summed
-    exactly from the end in units of 2^E, E the exponent of the largest
-    term so far.
+    Term n is a_n z^(n mod u) (alpha*n + beta), with ``coeffs[n]`` = (a, s)
+    the leading _TRACE_BITS bits of a_n, a_n ~ a 2^s, alpha and beta in
+    units of 2^-wp and z = z_m 2^z_e.  The weight is formed exactly, so
+    one that cancels at some n keeps only its fixed-point rounding there;
+    the term is the product of its three factors' leading _TRACE_BITS
+    bits, and the tails S - P_n are summed exactly from the end in units
+    of 2^E, E the exponent of the largest term so far.
     """
     z_top, shift = _lead(z_m, _TRACE_BITS)
     z_top_e = z_e + shift
@@ -294,13 +285,8 @@ def _tail_trace(coeffs: List[int], u: int, z_m: int, z_e: int, alpha: int,
     tail, big = 0, powers[-1][1]
     n = len(coeffs) - 1
     w = alpha * n + beta
-    for a in reversed(coeffs[1:]):
+    for a, a_shift in reversed(coeffs[1:]):
         if w:
-            a_shift = a.bit_length() - _TRACE_BITS
-            if a_shift > 0:
-                a >>= a_shift
-            else:
-                a_shift = 0
             w_top, w_shift = _lead(w, _TRACE_BITS)
             z_pow, z_pow_e = powers[n % u]
             exp = a_shift + z_pow_e + w_shift

@@ -305,14 +305,13 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     out.append(CheckResult("digits-per-term-slope", "series", ok,
                            "; ".join(details) + " (within 10%)"))
 
-    n_lo = -(-ctx.target_digits // 100) + 1
-    v_lo, _ = series.gamma_quarter_series(ctx, n_terms=n_lo)
-    v_hi, _ = series.gamma_quarter_series(ctx, n_terms=n_lo + 2)
+    value, report = cache.headline
+    n = report.terms_used
+    v_hi, _ = series.gamma_quarter_series(ctx, n_terms=n + 2)
     out.append(_residual_check("headline-termination-insensitive", "series", ctx,
-                               v_lo - v_hi, t5,
-                               detail=f"{n_lo} vs {n_lo + 2} terms"))
+                               value - v_hi, t5,
+                               detail=f"{n} terms (stop rule) vs {n + 2} (forced)"))
 
-    _, report = cache.headline
     out.append(CheckResult(
         "headline-vs-oracle", "series",
         report.final_error_vs_oracle >= ctx.target_digits - 5,

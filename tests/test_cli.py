@@ -386,6 +386,8 @@ EXACT_ROWS = [
     ("constant gamma-quarter --digits 1000", 10),
     ("constant gamma-quarter --digits 3000", 29),
     ("constant gamma-quarter --digits 300 --terms 3", 3),
+    # the sum ends at its 10th term, the 11th being under one unit
+    ("constant gamma-quarter --digits 1000 --terms 12", 12),
 ]
 
 

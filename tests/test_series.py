@@ -1,6 +1,8 @@
 """Series engine: coefficients, the collapse identity, K/E series, the constant."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -159,9 +161,27 @@ def test_eval_series_error_trace_improves(ctx50):
 
 def test_eval_series_runaway_guard(monkeypatch):
     ctx = make_context(10)
-    monkeypatch.setattr(series, "_max_terms", lambda z, ctx: 8)
+    monkeypatch.setattr(series, "_max_terms", lambda predicted: 8)
     with pytest.raises(SeriesConvergenceError):
         eval_series(Fraction(-3, 2), ctx.mpf("0.4"), 1, 1, ctx)
+
+
+def test_held_report_keeps_no_full_width_terms():
+    # 5,330 terms at 4000 digits: the report keeps each coefficient's leading
+    # 128 bits, not its ~13k-bit full width (over 5 MB if it did)
+    ctx = make_context(4000)
+    tracemalloc.start()
+    try:
+        pair = solve_kr(2, ctx)
+        _, report = two_K_over_pi(pair, ctx)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.terms_used > 5000
+    assert kept < 2_000_000
+    expect = float(-2 * ctx.log10(pair.k))
+    assert abs(report.digits_per_term - expect) <= 0.1 * expect
 
 
 def test_eval_series_slow_z_converges(ctx50):
