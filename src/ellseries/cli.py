@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from . import moduli, series
-from .oracle import E_ref
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
 from .series import SeriesConvergenceError
@@ -128,34 +127,28 @@ def _elliptic_series(kind: str, pair, ctx: PrecisionContext):
     return raw * ctx.pi / 4, report
 
 
-def _elliptic_agm(kind: str, pair, ctx: PrecisionContext):
-    if kind == "K":
-        return pair.K(ctx)
-    return E_ref(pair.k, ctx)
-
-
 def _cmd_elliptic(args) -> int:
     r = args.r
     if r <= 0:
         raise DomainError(f"--r must be a positive rational, got {r}")
     ctx = make_context(args.digits)
     t0 = time.perf_counter()
-    pair = moduli.solve_kr(r, ctx)
     warnings: List[str] = []
     terms_used = 0
     digits_per_term = None
     if args.method == "agm":
-        value = _elliptic_agm(args.kind, pair, ctx)
+        # the pair at 25 extra digits first: its contexts are the run's
+        # largest, so a run past the ceiling exits before any other work
         ctx_hi = make_context(args.digits + 25)
-        pair_hi = moduli.solve_kr(r, ctx_hi)
-        value_hi = _elliptic_agm(args.kind, pair_hi, ctx_hi)
+        value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)(ctx_hi)
+        value = getattr(moduli.solve_kr(r, ctx), args.kind)(ctx)
         agreement = ctx_hi.agreement_digits(value, value_hi)
         warnings.append("agm method: agreement measured against a recomputation "
                         "at 25 extra digits")
     else:
         # series and both: the series report already holds its agreement
-        # with the AGM oracle, the pair's K or E_ref
-        value, report = _elliptic_series(args.kind, pair, ctx)
+        # with the AGM oracle, the pair's K or E
+        value, report = _elliptic_series(args.kind, moduli.solve_kr(r, ctx), ctx)
         terms_used = report.terms_used
         digits_per_term = report.digits_per_term
         agreement = report.final_error_vs_oracle

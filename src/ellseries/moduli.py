@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .oracle import agm
+from .oracle import E_agm, agm
 from .precision import BigReal, DomainError, PrecisionContext, Rational, make_context
 
 
@@ -82,6 +82,10 @@ class ModulusPair:
     def K(self, ctx: PrecisionContext) -> BigReal:
         """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
         return ctx.pi / (2 * self.agm_k_prime(ctx))
+
+    def E(self, ctx: PrecisionContext) -> BigReal:
+        """E(k_r) by the AGM side sum from the stored k and k' (:func:`oracle.E_agm`)."""
+        return E_agm(self.k, self.k_prime, ctx)
 
 
 class MultiplierResult(NamedTuple):

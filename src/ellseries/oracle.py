@@ -11,7 +11,7 @@ identities are classical; see Borwein & Borwein, "Pi and the AGM".
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from .precision import BigReal, DomainError, PrecisionContext, Rational, isqrt
 
@@ -20,69 +20,60 @@ from .precision import BigReal, DomainError, PrecisionContext, Rational, isqrt
 _GUARD_BITS = 32
 
 
-def _to_fixed_pair(a: BigReal, b: BigReal,
-                   ctx: PrecisionContext) -> Tuple[int, int, int, int]:
-    """(x, y, bits, stop): a and b in units of 2^-bits, with the larger at
-    ~prec + guard bits, and the |x - y| below which one more AGM step
-    leaves an error under a unit."""
+def _agm(a: Any, b: Any, ctx: PrecisionContext,
+         c0: Any = None) -> Tuple[BigReal, Optional[BigReal]]:
+    """agm(a, b) and, given c0, the side sum sum_{n>=0} 2^(n-1) c_n^2.
+
+    The steps are a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n) and
+    c_{n+1} = (a_n-b_n)/2.  While one argument exceeds twice the other,
+    each step takes the square root of their product in mpf arithmetic.
+    The remaining steps run in binary fixed point with the substrate's
+    integer square root, at the working precision plus 32 guard bits
+    relative to the larger argument: the iterates then share their leading
+    bits, so one fixed scale holds both.  A fixed scale set by the smaller
+    argument instead would widen every step by the exponent gap (b = 1e-54
+    at r = 6400, 1e-48000 at r = 5e9).  The loop stops once a_n - b_n falls
+    below half the fixed-point width, since the next mean is then within
+    (a_n - b_n)^2/(8 a_n) of the limit.
+
+    The side sum, None without c0, costs a square per step.  It
+    accumulates in the same fixed point and takes the c_n after the last
+    step too, since its weight 2^(n-1) grows with the step count.
+    """
+    a, b = ctx.mpf(a), ctx.mpf(b)
+    if a <= 0 or b <= 0:
+        raise DomainError(f"agm requires positive arguments, got ({a}, {b})")
+    side = c0 is not None
+    if side:
+        c0 = ctx.mpf(c0)
+        csum = c0 * c0 / 2
+    n = 0  # steps taken; c_{n+1} has weight 2^n
+    while a > 2 * b or b > 2 * a:
+        if side:
+            c = (a - b) / 2
+            csum += ctx.mpf(2) ** n * c * c
+        a, b, n = (a + b) / 2, ctx.sqrt(a * b), n + 1
     bits = ctx.prec + _GUARD_BITS - ctx.mag(max(a, b))
-    return (ctx.to_fixed(a, bits), ctx.to_fixed(b, bits), bits,
-            1 << ((ctx.prec + _GUARD_BITS) // 2))
+    x, y = ctx.to_fixed(a, bits), ctx.to_fixed(b, bits)
+    stop = 1 << ((ctx.prec + _GUARD_BITS) // 2)
+    s = ctx.to_fixed(csum, bits) if side else None
+    while True:
+        if side:
+            c = (x - y) >> 1
+            s += (c * c) >> (bits - n)
+        if abs(x - y) <= stop:
+            break
+        x, y, n = (x + y) >> 1, isqrt(x * y), n + 1
+    return ctx.from_fixed((x + y) >> 1, bits), (ctx.from_fixed(s, bits) if side else None)
 
 
 def agm(a: Any, b: Any, ctx: PrecisionContext) -> BigReal:
     """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n).
 
     Quadratically convergent: the iteration count is O(log(working_digits)).
-    While one argument exceeds twice the other, each step takes the square
-    root of their ratio in mpf arithmetic.  The remaining steps run in
-    binary fixed point with the substrate's integer square root, at the
-    working precision plus 32 guard bits relative to the larger argument:
-    the iterates then share their leading bits, so one fixed scale holds
-    both.  A fixed scale set by the smaller argument instead would widen
-    every step by the exponent gap (b = 1e-54 at r = 6400, 1e-48000 at
-    r = 5e9).  The loop stops once a_n - b_n falls below half the
-    fixed-point width, since the next mean is then within
-    (a_n - b_n)^2/(8 a_n) of the limit.
+    Stepped by :func:`_agm`, without the side sum.
     """
-    a = ctx.mpf(a)
-    b = ctx.mpf(b)
-    if a <= 0 or b <= 0:
-        raise DomainError(f"agm requires positive arguments, got ({a}, {b})")
-    while a > 2 * b or b > 2 * a:
-        a, b = (a + b) / 2, ctx.sqrt(a * b)
-    x, y, bits, stop = _to_fixed_pair(a, b, ctx)
-    while abs(x - y) > stop:
-        x, y = (x + y) >> 1, isqrt(x * y)
-    return ctx.from_fixed((x + y) >> 1, bits)
-
-
-def _agm_with_side_sum(k: BigReal, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
-    """AGM(1, k') together with sum 2^(n-1) c_n^2 over the c-sequence c_0 = k.
-
-    Steps as :func:`agm` does, the side sum accumulating in the same
-    fixed point; the c_n after the last step is added too, since its
-    weight 2^(n-1) grows with the step count.
-    """
-    a = ctx.one
-    b = ctx.sqrt(1 - k * k)
-    csum = k * k / 2
-    n = 0
-    while a > 2 * b:  # a_n >= b_n: the arithmetic mean bounds the geometric
-        c = (a - b) / 2
-        a, b = (a + b) / 2, ctx.sqrt(a * b)
-        n += 1
-        csum += ctx.mpf(2) ** (n - 1) * c * c
-    x, y, bits, stop = _to_fixed_pair(a, b, ctx)
-    s = ctx.to_fixed(csum, bits)
-    while True:
-        c = (x - y) >> 1
-        n += 1
-        s += (c * c) >> (bits - n + 1)
-        if x - y <= stop:
-            break
-        x, y = (x + y) >> 1, isqrt(x * y)
-    return ctx.from_fixed((x + y) >> 1, bits), ctx.from_fixed(s, bits)
+    return _agm(a, b, ctx)[0]
 
 
 def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
@@ -96,23 +87,32 @@ def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
     return ctx.pi / (2 * agm(ctx.one, ctx.sqrt(1 - k * k), ctx))
 
 
-def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
-    """Complete elliptic integral of the second kind via the AGM side sum.
+def E_agm(k: Any, k_prime: Any, ctx: PrecisionContext) -> BigReal:
+    """E(k) from k and its complement k' = sqrt(1 - k^2), by the AGM side sum.
 
-    E(k) = K(k) * (1 - sum_{n>=0} 2^(n-1) c_n^2) with c_0 = k and
-    c_{n+1} = (a_n - b_n)/2 along the AGM(1, k') iteration, stepped as
-    :func:`agm` steps: in mpf while 1 > 2 k'_n, then in fixed point with
-    the side sum in the same units.  The endpoint E(1) = 1 is returned
-    exactly (the AGM degenerates there).
+    E(k) = K(k) * (1 - sum_{n>=0} 2^(n-1) c_n^2) with K(k) = pi/(2 agm(1, k')),
+    c_0 = k and c_{n+1} = (a_n - b_n)/2 along the AGM(1, k') iteration of
+    :func:`_agm`.  k' (0 < k' <= 1) is taken as given, so a caller that
+    holds it exactly (a solved modulus pair) does not lose it to
+    sqrt(1 - k^2) near k = 1.  E >= 1 is clamped at 1: below
+    k' ~ 10^(-working/2), E - 1 is under the rounding error of
+    K (1 - sum), which would otherwise read 0.999....
+    """
+    limit, csum = _agm(ctx.one, k_prime, ctx, c0=k)
+    return max(ctx.pi / (2 * limit) * (1 - csum), ctx.one)
+
+
+def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
+    """Complete elliptic integral of the second kind, :func:`E_agm` at k' = sqrt(1 - k^2).
+
+    The endpoint E(1) = 1 is returned exactly (the AGM degenerates there).
     """
     k = ctx.mpf(k)
     if k < 0 or k > 1:
         raise DomainError(f"E requires 0 <= k <= 1, got {k}")
     if k == 1:
         return ctx.one
-    limit, csum = _agm_with_side_sum(k, ctx)
-    bigk = ctx.pi / (2 * limit)
-    return bigk * (1 - csum)
+    return E_agm(k, ctx.sqrt(1 - k * k), ctx)
 
 
 def theta3(q: Any, ctx: PrecisionContext) -> BigReal:

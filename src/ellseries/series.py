@@ -30,7 +30,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from . import moduli
-from .oracle import E_ref, b_quarter
+from .oracle import b_quarter
 from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
@@ -407,11 +407,11 @@ def four_E_over_pi(pair: moduli.ModulusPair,
     plus its mu = -1/2 sum with weight 4(1-z) n + (1 - 2z), folded into
     one sum; ``verify`` checks the two forms agree.  The weight has no
     denominator, so r = 1 is an ordinary point.  The report's oracle is
-    4 E_ref/pi from the AGM side sum.
+    4/pi times the pair's E, from the AGM side sum.
     """
     z = pair.k * pair.k
     value, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), ctx)
-    return _with_oracle(value, report, 4 * E_ref(pair.k, ctx) / ctx.pi, ctx)
+    return _with_oracle(value, report, 4 * pair.E(ctx) / ctx.pi, ctx)
 
 
 def gamma_quarter_series(ctx: PrecisionContext,

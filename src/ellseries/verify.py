@@ -298,7 +298,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (4, 100):
         pair = cache.pair(r)
         _, report = cache.two_K_over_pi(r)
-        expect = float(-2 * ctx.log10(pair.k))
+        expect = -2 * ctx.log10_abs(pair.k)
         slope = report.digits_per_term
         details.append(f"r={r}: slope {slope:.2f} vs -2log10(k) = {expect:.2f}")
         ok = ok and slope is not None and abs(slope - expect) <= 0.1 * expect

@@ -167,7 +167,7 @@ def test_elliptic_agm_method_at_r1(capsys):
     assert json.loads(out)["value_digits"].startswith("1.854074677301371918")
 
 
-def _count_oracle_calls(monkeypatch, names=("agm", "E_ref")):
+def _count_oracle_calls(monkeypatch, names=("agm", "E_agm")):
     """Count calls of oracle functions through every ellseries module that binds them."""
     from ellseries import oracle
     counts = dict.fromkeys(names, 0)
@@ -187,15 +187,35 @@ def _count_oracle_calls(monkeypatch, names=("agm", "E_ref")):
 
 
 # the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps agm(1, k')
-# for K, and agm reruns both at 25 extra digits
-@pytest.mark.parametrize("kind, method, agm_calls, e_ref_calls", [
-    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 4, 0)])
-def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, agm_calls, e_ref_calls):
+# for K, E's side-sum AGM runs once per pair, and agm reruns all at 25
+# extra digits
+@pytest.mark.parametrize("kind, method, agm_calls, e_agm_calls", [
+    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 4, 0), ("E", "agm", 4, 2)])
+def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, agm_calls, e_agm_calls):
     counts = _count_oracle_calls(monkeypatch)
     code, _, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
                                "--method", method, "--format", "json"])
     assert code == 0
-    assert counts == {"agm": agm_calls, "E_ref": e_ref_calls}
+    assert counts == {"agm": agm_calls, "E_agm": e_agm_calls}
+
+
+def test_elliptic_agm_past_the_ceiling_solves_nothing_at_the_target(capsys, monkeypatch):
+    # the +25-digit pair's theta context is the run's largest; solving it
+    # first exits 2 before the target-digit pair is solved
+    from ellseries import moduli, precision
+    monkeypatch.setattr(precision, "MAX_TARGET_DIGITS", 3000)
+    solved = []
+    solve_kr = moduli.solve_kr
+
+    def recorded(r, ctx):
+        solved.append(ctx.target_digits)
+        return solve_kr(r, ctx)
+
+    monkeypatch.setattr(moduli, "solve_kr", recorded)
+    code, out, err = _run(capsys, ["elliptic", "K", "--r", "2", "--digits", "2930",
+                                   "--method", "agm"])
+    assert code == 2 and out == "" and "ceiling" in err
+    assert 2930 not in solved
 
 
 @pytest.mark.parametrize("kind", ["K", "E"])
@@ -324,17 +344,26 @@ def test_bench_json(capsys):
 
 
 def _mpmath_reference(kind, r, digits):
-    """K or E at k_r from mpmath alone, at m = (theta2/theta3)^4, q = e^(-pi sqrt(r))."""
+    """K or E at k_r from mpmath alone, at m = (theta2/theta3)^4, q = e^(-pi sqrt(s)).
+
+    s = max(r, 1/r).  For r < 1, k_r = k'_s (Borwein & Borwein, ch. 1), so
+    K(k_r) = sqrt(s) K(k_s), and Legendre's relation gives
+    E(k_r) = pi/(2 K(k_s)) + sqrt(s) (K(k_s) - E(k_s)): m_s is small, where
+    m = k_r^2 would sit within ~1e-192000 of 1 at r = 1/5e9.  The extra
+    log10(s) digits cover the factor sqrt(s) on K - E's absolute error.
+    """
+    s = max(r, 1 / r)
     mp = mpmath.MPContext()
-    # m = 1 - (theta4/theta3)^4 cancels when q is near 1 (r < 1); carry the
-    # cancelled digits as extra working precision
-    mp.dps = 30
-    q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator))
-    lost = -4 * mp.log10(mp.jtheta(4, 0, q) / mp.jtheta(3, 0, q))
-    mp.dps = digits + 10 + int(lost)
-    q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator))
+    mp.dps = digits + 10 + int(math.log10(s))
+    sqrt_s = mp.sqrt(mp.mpf(s.numerator) / s.denominator)
+    q = mp.exp(-mp.pi * sqrt_s)
     m = (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 4
-    return mp, mp.ellipk(m) if kind == "K" else mp.ellipe(m)
+    big_k, big_e = mp.ellipk(m), mp.ellipe(m)
+    if r >= 1:
+        return mp, big_k if kind == "K" else big_e
+    if kind == "K":
+        return mp, sqrt_s * big_k
+    return mp, mp.pi / (2 * big_k) + sqrt_s * (big_k - big_e)
 
 
 @settings(deadline=None, max_examples=40)
@@ -347,8 +376,14 @@ def _mpmath_reference(kind, r, digits):
 # k_r near 1: K must come from the pair's k', not from sqrt(1 - k^2)
 @example(log10_r=-4.0, kind="K", digits=50, delta=10)
 @example(log10_r=-math.log10(3000), kind="K", digits=1000, delta=200)
+# E from the pair's exact k': 1 - sum cancels ~5 digits at r = 1/5e9, and
+# at r = 1/1000 E - 1 ~ 1e-84 is under the rounding error, yet must not read 0.999...
+@example(log10_r=-3.0, kind="E", digits=10, delta=1)
+@example(log10_r=-math.log10(5e9), kind="E", digits=300, delta=10)
+@example(log10_r=-math.log10(200), kind="E", digits=1000, delta=37)
 def test_elliptic_digits_are_prefixes_and_match_mpmath(log10_r, kind, digits, delta):
-    r = Fraction(10 ** log10_r).limit_denominator(10 ** 6)
+    # denominators to 1e10 hold 1/5e9 exactly
+    r = Fraction(10 ** log10_r).limit_denominator(10 ** 10)
     mp, ref = _mpmath_reference(kind, r, digits + delta)
     for method in ["agm", "both"] if r >= 2 else ["agm"]:
         values = []

@@ -95,6 +95,19 @@ def test_agm_rows(digits, a, b):
     assert abs(value - ref) <= ctx.tol(ctx.working_digits - 2) * ref
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-300, -1e-3), st.integers(30, 2000))
+def test_side_sum_agm_limit_is_agm_bit_for_bit(log10_k_prime, digits):
+    # E's side-sum AGM steps as agm does; k' down to 1e-300 takes the mpf steps
+    ctx = make_context(digits)
+    kp = ctx.mpf(10) ** log10_k_prime
+    k = ctx.sqrt((1 - kp) * (1 + kp))
+    limit, csum = oracle._agm(ctx.one, kp, ctx, c0=k)
+    assert limit == agm(ctx.one, kp, ctx)
+    assert 0 < csum < 1
+    assert oracle._agm(ctx.one, kp, ctx)[1] is None
+
+
 @pytest.mark.parametrize("k", ["1e-30", "0.5", "0.99999999999999999999"])
 def test_E_ref_matches_mpmath_ellipe(ctx50, k):
     k = ctx50.mpf(k)
