@@ -2,22 +2,6 @@
 Gamma(1/4)^2/pi^(3/2), with every fast series cross-validated against
 independent AGM and theta-function oracles."""
 
-from .precision import (BigReal, DomainError, PrecisionContext, PrecisionError,
-                        make_context, to_decimal_string)
-from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
-from .moduli import (ModulusPair, MultiplierResult, PrintedFormComparison,
-                     RootSelectionError, chain_printed_comparison,
-                     chain_to_6400, eq2_residual,
-                     k100_closed_form, k100_radical_coefficient,
-                     k_scale_16, k_scale_64, landen_up,
-                     multiplier, solve_kr)
-from .series import (ConvergenceReport, SeriesConvergenceError,
-                     SingularSeriesError, closed_form,
-                     derivative_weighted_sum, eval_series, four_E_over_pi,
-                     gamma_quarter_series, legendre_P, phi_and_derivative,
-                     two_K_over_pi)
-from .verify import CheckResult, run_verify
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -36,3 +20,42 @@ __all__ = [
     "CheckResult", "run_verify",
     "__version__",
 ]
+
+# Public name -> home submodule.  A submodule is imported on the first read
+# of one of its names or of the submodule itself (PEP 562), so
+# `import ellseries` compiles none of them and `ellseries.make_context` only
+# `precision`: where no bytecode cache is written, compiling all of them
+# costs a fresh process about 20 ms.
+_HOMES = {name: home for home, names in {
+    "precision": ("BigReal", "DomainError", "PrecisionContext", "PrecisionError",
+                  "make_context", "to_decimal_string"),
+    "oracle": ("E_ref", "K_ref", "agm", "b_quarter", "nome", "theta3"),
+    "moduli": ("ModulusPair", "MultiplierResult", "PrintedFormComparison",
+               "RootSelectionError", "chain_printed_comparison", "chain_to_6400",
+               "eq2_residual", "k100_closed_form", "k100_radical_coefficient",
+               "k_scale_16", "k_scale_64", "landen_up", "multiplier", "solve_kr"),
+    "series": ("ConvergenceReport", "SeriesConvergenceError", "SingularSeriesError",
+               "closed_form", "derivative_weighted_sum", "eval_series",
+               "four_E_over_pi", "gamma_quarter_series", "legendre_P",
+               "phi_and_derivative", "two_K_over_pi"),
+    "verify": ("CheckResult", "run_verify"),
+}.items() for name in names}
+_SUBMODULES = frozenset(_HOMES.values())
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _SUBMODULES:
+        # importing a submodule binds it in the package globals
+        return import_module(f".{name}", __name__)
+    home = _HOMES.get(name)
+    if home is None:
+        # an AttributeError lets the import system fall back to loading a
+        # submodule, e.g. `from ellseries import cli`
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

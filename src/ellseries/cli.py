@@ -210,6 +210,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
+# the modulus of bench's K and E rows
+_BENCH_R = 100
+
+
 def _cmd_bench(args) -> int:
     targets = []
     for part in args.digits.split(","):
@@ -226,18 +230,22 @@ def _cmd_bench(args) -> int:
     for d in targets:
         if d < 100:
             raise PrecisionError(f"bench requires each digits >= 100, got {d}")
-    # every target passes the context's ceiling check before any row runs
     contexts = [make_context(d) for d in targets]
+    # the largest context any row builds passes the ceiling check before any
+    # row runs: k_100's closed form (the headline's chain) or the
+    # r = _BENCH_R theta sum, at the largest target
+    top = max(ctx.working_digits for ctx in contexts)
+    make_context(top + max(moduli.K100_EXTRA_DIGITS, moduli.theta_extra_digits(_BENCH_R)))
     reports: List[dict] = []
     for ctx in contexts:
         reports.append(_series_report("bench gamma-quarter", ctx,
                                       lambda: series.gamma_quarter_series(ctx)))
         reports.append(_series_report(
-            "bench two-K-over-pi(r=100)", ctx,
-            lambda: series.two_K_over_pi(moduli.solve_kr(100, ctx), ctx)))
+            f"bench two-K-over-pi(r={_BENCH_R})", ctx,
+            lambda: series.two_K_over_pi(moduli.solve_kr(_BENCH_R, ctx), ctx)))
         reports.append(_series_report(
-            "bench four-E-over-pi(r=100)", ctx,
-            lambda: series.four_E_over_pi(moduli.solve_kr(100, ctx), ctx)))
+            f"bench four-E-over-pi(r={_BENCH_R})", ctx,
+            lambda: series.four_E_over_pi(moduli.solve_kr(_BENCH_R, ctx), ctx)))
     _emit(reports, args.format)
     return EXIT_OK
 

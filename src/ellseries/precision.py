@@ -24,8 +24,8 @@ precision at once.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Any, Dict, Tuple, Union
+import numbers
+from typing import Any, Dict, Tuple
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import numeral, to_fixed as _mpf_to_fixed
@@ -35,7 +35,10 @@ from mpmath.libmp.libintmath import isqrt_fast_python
 # context, so this alias is documentation rather than a checkable type.
 BigReal = Any
 
-Rational = Union[int, Fraction]
+# int or fractions.Fraction; `fractions` is not imported here, because it
+# pulls in `decimal` (about 3 ms of a fresh process), and mpmath already
+# imports `numbers`
+Rational = numbers.Rational
 
 MIN_TARGET_DIGITS = 10
 # Largest target any context accepts, checked before an mpmath context is
@@ -127,7 +130,7 @@ class PrecisionContext:
 
     def mpf(self, x: Any) -> BigReal:
         """Convert int/str/float/Fraction (or any mpf) to a BigReal."""
-        if isinstance(x, Fraction):
+        if isinstance(x, numbers.Rational) and not isinstance(x, int):
             return self._mp.mpf(x.numerator) / x.denominator
         return self._mp.mpf(x)
 

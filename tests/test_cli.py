@@ -218,6 +218,26 @@ def test_elliptic_agm_past_the_ceiling_solves_nothing_at_the_target(capsys, monk
     assert 2930 not in solved
 
 
+# 2950: both elevated contexts are past the patched ceiling.  2931: working
+# 2990 digits, so k_100's closed form (+10) fits and only the r = 100 theta
+# sum (+11) does not
+@pytest.mark.parametrize("top", ["2950", "2931"])
+def test_bench_past_the_ceiling_starts_no_row(capsys, monkeypatch, top):
+    from ellseries import cli as cli_mod, precision
+    monkeypatch.setattr(precision, "MAX_TARGET_DIGITS", 3000)
+    started = []
+    series_report = cli_mod._series_report
+
+    def recorded(command, ctx, compute):
+        started.append((command, ctx.target_digits))
+        return series_report(command, ctx, compute)
+
+    monkeypatch.setattr(cli_mod, "_series_report", recorded)
+    code, out, err = _run(capsys, ["bench", "--digits", f"2000,{top}", "--format", "json"])
+    assert code == 2 and out == "" and "ceiling" in err
+    assert started == []
+
+
 @pytest.mark.parametrize("kind", ["K", "E"])
 def test_elliptic_series_and_both_report_alike(capsys, kind):
     reports = {}

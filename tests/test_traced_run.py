@@ -16,11 +16,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["constant", "gamma-quarter", "--digits", "50"],
-    ["elliptic", "E", "--r", "4", "--digits", "50"],
-])
-def test_traced_cli_records_spans(argv):
+def _traced(argv):
+    """(exit code, stdout, stderr, span names) of one traced CLI child."""
     read_fd, write_fd = os.pipe()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -30,14 +27,32 @@ def test_traced_cli_records_spans(argv):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(write_fd,), env=env,
         cwd=ROOT)
     os.close(write_fd)
-    # the JSON report at 50 digits fits the stdout pipe's buffer, so the
-    # child cannot block on it while the spans are read first
+    # the JSON reports here (at most ~8 kB) fit the stdout pipe's buffer, so
+    # the child cannot block on them while the spans are read first
     with os.fdopen(read_fd) as f:
         spans_text = f.read()
     out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
     spans = json.loads(spans_text)
-    assert json.loads(out)["oracle_agreement_digits"] >= 45
     assert spans["op"] == "op"
-    names = {span[0] for span in spans["spans"]}
+    return proc.returncode, out, err, {span[0] for span in spans["spans"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "gamma-quarter", "--digits", "50"],
+    ["elliptic", "E", "--r", "4", "--digits", "50"],
+])
+def test_traced_cli_records_spans(argv):
+    code, out, err, names = _traced(argv)
+    assert code == 0, err
+    assert json.loads(out)["oracle_agreement_digits"] >= 45
     assert {"series.eval_series", "moduli.eq2_residual"} <= names
+
+
+def test_traced_verify_records_run_verify_spans():
+    # the tracer wraps the ellseries modules loaded once it has imported
+    # ellseries.cli; a verify that cli imported lazily would record no
+    # verify.run_verify span
+    code, out, err, names = _traced(["verify", "--digits", "60", "--selection", "all"])
+    assert code == 0, err
+    assert json.loads(out)["passed"]
+    assert {"verify.run_verify", "oracle.agm"} <= names
