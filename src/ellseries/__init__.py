@@ -4,48 +4,32 @@ independent AGM and theta-function oracles."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BigReal", "PrecisionContext", "PrecisionError", "DomainError",
-    "make_context", "to_decimal_string",
-    "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
-    "ModulusPair", "MultiplierResult", "PrintedFormComparison",
-    "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
-    "chain_to_6400", "chain_printed_comparison", "eq2_residual",
-    "multiplier", "k_scale_16", "k_scale_64", "k100_radical_coefficient",
-    "ConvergenceReport", "SingularSeriesError",
-    "SeriesConvergenceError", "legendre_P",
-    "phi_and_derivative", "eval_series", "closed_form",
-    "derivative_weighted_sum", "two_K_over_pi", "four_E_over_pi",
-    "gamma_quarter_series",
-    "CheckResult", "run_verify",
-    "__version__",
-]
-
-# Public name -> home submodule.  A submodule is imported on the first read
-# of one of its names or of the submodule itself (PEP 562), so
-# `import ellseries` compiles none of them and `ellseries.make_context` only
-# `precision`: where no bytecode cache is written, compiling all of them
-# costs a fresh process about 20 ms.
-_HOMES = {name: home for home, names in {
-    "precision": ("BigReal", "DomainError", "PrecisionContext", "PrecisionError",
+# Home submodule -> its public names, in `__all__` order.  A submodule is
+# imported on the first read of one of its names or of the submodule itself
+# (PEP 562), so `import ellseries` compiles none of them and
+# `ellseries.make_context` only `precision`: where no bytecode cache is
+# written, compiling all of them costs a fresh process about 20 ms.
+_NAMES = {
+    "precision": ("BigReal", "PrecisionContext", "PrecisionError", "DomainError",
                   "make_context", "to_decimal_string"),
-    "oracle": ("E_ref", "K_ref", "agm", "b_quarter", "nome", "theta3"),
+    "oracle": ("agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome"),
     "moduli": ("ModulusPair", "MultiplierResult", "PrintedFormComparison",
-               "RootSelectionError", "chain_printed_comparison", "chain_to_6400",
-               "eq2_residual", "k100_closed_form", "k100_radical_coefficient",
-               "k_scale_16", "k_scale_64", "landen_up", "multiplier", "solve_kr"),
-    "series": ("ConvergenceReport", "SeriesConvergenceError", "SingularSeriesError",
-               "closed_form", "derivative_weighted_sum", "eval_series",
-               "four_E_over_pi", "gamma_quarter_series", "legendre_P",
-               "phi_and_derivative", "two_K_over_pi"),
+               "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
+               "chain_to_6400", "chain_printed_comparison", "eq2_residual",
+               "multiplier", "k_scale_16", "k_scale_64", "k100_radical_coefficient"),
+    "series": ("ConvergenceReport", "SingularSeriesError", "SeriesConvergenceError",
+               "legendre_P", "phi_and_derivative", "eval_series", "closed_form",
+               "derivative_weighted_sum", "two_K_over_pi", "four_E_over_pi",
+               "gamma_quarter_series"),
     "verify": ("CheckResult", "run_verify"),
-}.items() for name in names}
-_SUBMODULES = frozenset(_HOMES.values())
+}
+_HOMES = {name: home for home, names in _NAMES.items() for name in names}
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name):
     from importlib import import_module
-    if name in _SUBMODULES:
+    if name in _NAMES:
         # importing a submodule binds it in the package globals
         return import_module(f".{name}", __name__)
     home = _HOMES.get(name)
@@ -58,4 +42,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+    return sorted(set(globals()) | set(__all__) | set(_NAMES))

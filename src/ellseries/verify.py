@@ -22,8 +22,6 @@ from . import moduli, series
 from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
 from .precision import PrecisionContext, make_context
 
-GROUPS = ("oracle", "moduli", "series", "chain")
-
 # detail suffix of the checks that compare k_r with oracle.theta3
 _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
                  "mathematics as theta3; independent gate: solve-defining-ratio")
@@ -387,10 +385,16 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
     return out
 
 
+# check group -> its checks, in report order
+_CHECKS = {"oracle": _oracle_checks, "moduli": _moduli_checks,
+           "series": _series_checks, "chain": _chain_checks}
+GROUPS = tuple(_CHECKS)
+
+
 def run_verify(target_digits: int, selection: Iterable[str]) -> List[CheckResult]:
     """Run the selected check groups at the given precision, sequentially.
 
-    Results come back in a deterministic order (buffer then emit).
+    Results come back group by group, in `GROUPS` order.
     """
     sel = set(selection)
     if "all" in sel:
@@ -400,13 +404,5 @@ def run_verify(target_digits: int, selection: Iterable[str]) -> List[CheckResult
         raise ValueError(f"unknown verify selection(s): {sorted(unknown)}")
     ctx = make_context(target_digits)
     cache = _SolveCache(ctx)
-    results: List[CheckResult] = []
-    if "oracle" in sel:
-        results.extend(_oracle_checks(ctx, cache))
-    if "moduli" in sel:
-        results.extend(_moduli_checks(ctx, cache))
-    if "series" in sel:
-        results.extend(_series_checks(ctx, cache))
-    if "chain" in sel:
-        results.extend(_chain_checks(ctx, cache))
-    return results
+    return [row for group, checks in _CHECKS.items() if group in sel
+            for row in checks(ctx, cache)]

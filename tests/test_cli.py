@@ -325,13 +325,21 @@ def test_verify_small_selection(capsys):
 
 
 def test_verify_json(capsys):
+    from ellseries.verify import GROUPS
+
     code, out, _ = _run(capsys, ["verify", "--digits", "60",
-                                 "--selection", "oracle", "--format", "json"])
+                                 "--selection", "chain,oracle", "--format", "json"])
     assert code == 0
     rep = json.loads(out)
     assert rep["passed"] is True
     assert all({"name", "group", "passed", "residual_digits", "detail"}
                <= set(c.keys()) for c in rep["checks"])
+    # rows come in report order, whatever the order of the selection
+    assert GROUPS == ("oracle", "moduli", "series", "chain")
+    groups = [c["group"] for c in rep["checks"]]
+    n_oracle = groups.count("oracle")
+    assert 0 < n_oracle < len(groups)
+    assert groups == ["oracle"] * n_oracle + ["chain"] * (len(groups) - n_oracle)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

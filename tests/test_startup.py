@@ -57,6 +57,23 @@ def test_public_names_are_their_home_objects():
     assert out == "ok"
 
 
+def test_public_names_live_in_their_home_modules():
+    # the identity test above also passes for a name filed under a module that
+    # only re-exports it, and reading that name would import the module for
+    # nothing
+    out = _child(
+        "import ellseries\n"
+        "checked = 0\n"
+        "for name, home in ellseries._HOMES.items():\n"
+        "    if name == 'BigReal':  # an alias of typing.Any\n"
+        "        continue\n"
+        "    module = getattr(ellseries, name).__module__\n"
+        "    assert module == 'ellseries.' + home, (name, module)\n"
+        "    checked += 1\n"
+        "print(checked)")
+    assert out == str(len(ellseries.__all__) - 2)
+
+
 def test_submodule_reads_import_the_submodule():
     # `import ellseries` used to bind each submodule it imported eagerly
     out = _child("import sys, ellseries; ellseries.series.eval_series; "
