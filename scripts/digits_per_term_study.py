@@ -32,7 +32,7 @@ def main() -> None:
     print(f"{'series':>28} {'terms':>6} {'measured':>10} {'geometric':>10}")
     for r in (4, 16, 100, 89 ** 2):
         pair = solve_kr(r, ctx)
-        _, report = two_K_over_pi(pair, ctx)
+        _, report = two_K_over_pi(pair)
         geo = float(-2 * ctx.log10(pair.k))
         print(f"{f'2K/pi at r={r}':>28} {report.terms_used:>6} "
               f"{_slope(report.digits_per_term)} {geo:>10.3f}")

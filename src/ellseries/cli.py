@@ -119,12 +119,12 @@ def _cmd_constant(args) -> int:
     return EXIT_OK
 
 
-def _elliptic_series(kind: str, pair, ctx: PrecisionContext):
+def _elliptic_series(kind: str, pair):
     if kind == "K":
-        raw, report = series.two_K_over_pi(pair, ctx)
-        return raw * ctx.pi / 2, report
-    raw, report = series.four_E_over_pi(pair, ctx)
-    return raw * ctx.pi / 4, report
+        raw, report = series.two_K_over_pi(pair)
+        return raw * pair.ctx.pi / 2, report
+    raw, report = series.four_E_over_pi(pair)
+    return raw * pair.ctx.pi / 4, report
 
 
 def _cmd_elliptic(args) -> int:
@@ -140,15 +140,15 @@ def _cmd_elliptic(args) -> int:
         # the pair at 25 extra digits first: its contexts are the run's
         # largest, so a run past the ceiling exits before any other work
         ctx_hi = make_context(args.digits + 25)
-        value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)(ctx_hi)
-        value = getattr(moduli.solve_kr(r, ctx), args.kind)(ctx)
+        value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)
+        value = getattr(moduli.solve_kr(r, ctx), args.kind)
         agreement = ctx_hi.agreement_digits(value, value_hi)
         warnings.append("agm method: agreement measured against a recomputation "
                         "at 25 extra digits")
     else:
         # series and both: the series report already holds its agreement
         # with the AGM oracle, the pair's K or E
-        value, report = _elliptic_series(args.kind, moduli.solve_kr(r, ctx), ctx)
+        value, report = _elliptic_series(args.kind, moduli.solve_kr(r, ctx))
         terms_used = report.terms_used
         digits_per_term = report.digits_per_term
         agreement = report.final_error_vs_oracle
@@ -242,10 +242,10 @@ def _cmd_bench(args) -> int:
                                       lambda: series.gamma_quarter_series(ctx)))
         reports.append(_series_report(
             f"bench two-K-over-pi(r={_BENCH_R})", ctx,
-            lambda: series.two_K_over_pi(moduli.solve_kr(_BENCH_R, ctx), ctx)))
+            lambda: series.two_K_over_pi(moduli.solve_kr(_BENCH_R, ctx))))
         reports.append(_series_report(
             f"bench four-E-over-pi(r={_BENCH_R})", ctx,
-            lambda: series.four_E_over_pi(moduli.solve_kr(_BENCH_R, ctx), ctx)))
+            lambda: series.four_E_over_pi(moduli.solve_kr(_BENCH_R, ctx))))
     _emit(reports, args.format)
     return EXIT_OK
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .oracle import E_agm, agm
@@ -54,12 +55,10 @@ class ModulusPair:
     k^2 + k'^2 = 1 in gap form, k^2 = gap (2 - gap), on values rounded to
     ``ctx``: squaring an exact k of 319 kbit (r = 1/5e9) would cost 18 ms.
 
-    :meth:`agm_k_prime` keeps agm(1, k'_r) on the pair, so the AGM the
-    defining-ratio gate of :func:`eq2_residual` runs serves every later
-    reader of K(k_r).
+    The pair keeps ``ctx``: agm(1, k), agm(1, k'), K and E are computed at
+    it once, on first read, so the AGMs that the defining-ratio gate of
+    :func:`eq2_residual` runs serve every later reader.
     """
-
-    __slots__ = ("r", "k", "k_prime", "k_prime_gap", "_agm_k_prime")
 
     def __init__(self, r: Fraction, k: BigReal, gap: BigReal,
                  ctx: PrecisionContext) -> None:
@@ -71,25 +70,28 @@ class ModulusPair:
         k_w, gap_w = ctx.mpf(k), ctx.mpf(gap)
         if abs(k_w * k_w - gap_w * (2 - gap_w)) > ctx.tol(ctx.working_digits - 8):
             raise DomainError(f"modulus identity k^2 + k'^2 = 1 violated at r={r}")
-        self.r = r
-        self.k = k
+        self.r, self.k, self.k_prime_gap, self.ctx = r, k, gap, ctx
         self.k_prime = ctx.exact_sub(1, gap)
-        self.k_prime_gap = gap
-        self._agm_k_prime = None
 
-    def agm_k_prime(self, ctx: PrecisionContext) -> BigReal:
-        """agm(1, k'_r) from the stored k', computed once per pair."""
-        if self._agm_k_prime is None:
-            self._agm_k_prime = agm(ctx.one, self.k_prime, ctx)
-        return self._agm_k_prime
+    @cached_property
+    def agm_k(self) -> BigReal:
+        """agm(1, k_r) from the stored k."""
+        return agm(self.ctx.one, self.k, self.ctx)
 
-    def K(self, ctx: PrecisionContext) -> BigReal:
+    @cached_property
+    def agm_k_prime(self) -> BigReal:
+        """agm(1, k'_r) from the stored k'."""
+        return agm(self.ctx.one, self.k_prime, self.ctx)
+
+    @cached_property
+    def K(self) -> BigReal:
         """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
-        return ctx.pi / (2 * self.agm_k_prime(ctx))
+        return self.ctx.pi / (2 * self.agm_k_prime)
 
-    def E(self, ctx: PrecisionContext) -> BigReal:
+    @cached_property
+    def E(self) -> BigReal:
         """E(k_r) by the AGM side sum from the stored k and k' (:func:`oracle.E_agm`)."""
-        return E_agm(self.k, self.k_prime, ctx)
+        return E_agm(self.k, self.k_prime, self.ctx)
 
 
 class MultiplierResult(NamedTuple):
@@ -107,23 +109,21 @@ class MultiplierResult(NamedTuple):
     rejected: Tuple[BigReal, ...] = ()
 
 
-def eq2_residual(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
-    """|K(k')/K(k) - sqrt(r)| = |agm(1, k')/agm(1, k) - sqrt(r)| for the pair.
+def eq2_residual(pair: ModulusPair) -> BigReal:
+    """|K(k')/K(k) - sqrt(r)| = |agm(1, k')/agm(1, k) - sqrt(r)| at the pair's context.
 
-    agm(1, k') is the pair's own :meth:`ModulusPair.agm_k_prime`.  Both
-    AGMs take the stored moduli directly; re-deriving k' from
-    sqrt(1 - k^2) would cancel away ~ -2 log10(k) digits when k is tiny
-    (k_6400 ~ 1e-54 would cost ~108).
+    Both AGMs are the pair's own, run once on its stored moduli: re-deriving
+    k' from sqrt(1 - k^2) would cancel away ~ -2 log10(k) digits when k is
+    tiny (k_6400 ~ 1e-54 would cost ~108).
     """
-    return abs(pair.agm_k_prime(ctx) / agm(ctx.one, pair.k, ctx)
-               - ctx.sqrt(ctx.mpf(pair.r)))
+    ctx = pair.ctx
+    return abs(pair.agm_k_prime / pair.agm_k - ctx.sqrt(ctx.mpf(pair.r)))
 
 
-def _check_defining_ratio(pair: ModulusPair, source: str,
-                          ctx: PrecisionContext) -> ModulusPair:
+def _check_defining_ratio(pair: ModulusPair, source: str) -> ModulusPair:
     """The pair, once :func:`eq2_residual` is within 10^-(working - 5); else RuntimeError."""
-    res = eq2_residual(pair, ctx)
-    if res > ctx.tol(ctx.working_digits - 5):
+    res = eq2_residual(pair)
+    if res > pair.ctx.tol(pair.ctx.working_digits - 5):
         raise RuntimeError(f"{source} fails the defining ratio at r={pair.r}: "
                            f"residual {res}")
     return pair
@@ -182,10 +182,10 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     k, gap = _theta_modulus(max(r, 1 / r), ctx)
     if r < 1:
         k, gap = ctx.exact_sub(1, gap), ctx.exact_sub(1, k)
-    return _check_defining_ratio(ModulusPair(r, k, gap, ctx), "theta-quotient modulus", ctx)
+    return _check_defining_ratio(ModulusPair(r, k, gap, ctx), "theta-quotient modulus")
 
 
-def landen_up(pair: ModulusPair, ctx: PrecisionContext) -> ModulusPair:
+def landen_up(pair: ModulusPair) -> ModulusPair:
     """Landen ascent r -> 4r of a modulus pair, in the complementary gap delta = 1 - k'_r.
 
     k_{4r} = (1 - k'_r)/(1 + k'_r)        = delta / (2 - delta)
@@ -201,8 +201,8 @@ def landen_up(pair: ModulusPair, ctx: PrecisionContext) -> ModulusPair:
     delta = pair.k_prime_gap
     kp = 1 - delta
     k4 = delta / (2 - delta)
-    delta4 = delta * delta / ((1 + ctx.sqrt(kp)) ** 2 * (1 + kp))
-    return ModulusPair(4 * pair.r, k4, delta4, ctx)
+    delta4 = delta * delta / ((1 + pair.ctx.sqrt(kp)) ** 2 * (1 + kp))
+    return ModulusPair(4 * pair.r, k4, delta4, pair.ctx)
 
 
 def _p_radical(ctx: PrecisionContext) -> BigReal:
@@ -230,8 +230,7 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     p4 = hi.root(p, 4)
     k = (2 - sp) / (2 + sp)
     gap = (hi.sqrt(2) - p4) ** 2 / (2 + sp)
-    return _check_defining_ratio(ModulusPair(Fraction(100), k, gap, ctx),
-                                 "k_100 closed form", ctx)
+    return _check_defining_ratio(ModulusPair(Fraction(100), k, gap, ctx), "k_100 closed form")
 
 
 def chain_to_6400(ctx: PrecisionContext) -> List[ModulusPair]:
@@ -243,7 +242,7 @@ def chain_to_6400(ctx: PrecisionContext) -> List[ModulusPair]:
     """
     pairs = [k100_closed_form(ctx)]
     for _ in range(3):
-        pairs.append(landen_up(pairs[-1], ctx))
+        pairs.append(landen_up(pairs[-1]))
     return pairs
 
 
@@ -357,30 +356,31 @@ def _newton_polish(f: Callable, fp: Callable, x: BigReal,
     return x
 
 
-def multiplier(n: int, pair_m: ModulusPair, pair_big: Optional[ModulusPair],
-               ctx: PrecisionContext) -> MultiplierResult:
+def multiplier(n: int, pair_m: ModulusPair,
+               pair_big: Optional[ModulusPair]) -> MultiplierResult:
     """M_n(m) such that K[n^2 m] = M_n(m) * K[m], for n in {2, 3, 5}.
 
-    ``pair_m`` and ``pair_big`` are the solved pairs at m and n^2 m; n = 2
-    reads only ``pair_m``.  n = 2 is the closed form (1 + k'_m)/2.  For
-    n = 3 and 5 the value is a root in (0, 1) of the known algebraic
-    equation f, found by Newton from the AGM ratio K[n^2 m]/K[m], which
-    already holds it to working precision.  Two polishes start there: one
-    on f for a simple root, and one on f' for a tangent (double) root,
-    which is a simple root of f'.  Tangent roots do occur: at m = 1 the
-    degree-6 equation for n = 5 touches zero at M = (2 + sqrt(5))/5
-    without crossing, where f is only rounding noise and the polish on f
-    stalls ~37 digits short.  Of the candidates in (0, 1) with
-    |f| <= 10^-target, the one nearest the K-ratio is selected; it must
-    lie within 10^-(target - 10) of it.
+    ``pair_m`` and ``pair_big`` are the solved pairs at m and n^2 m, and the
+    result is at ``pair_m``'s context.  n = 2 reads only ``pair_m``: M_2 is
+    the closed form (1 + k'_m)/2.  For n = 3 and 5 the value is a root in
+    (0, 1) of the known algebraic equation f, found by Newton from the AGM
+    ratio K[n^2 m]/K[m], which already holds it to working precision.  Two
+    polishes start there: one on f for a simple root, and one on f' for a
+    tangent (double) root, a simple root of f'.  Tangent roots do occur:
+    at m = 1 the degree-6 equation for n = 5 touches zero at
+    M = (2 + sqrt(5))/5 without crossing, where f is only rounding noise
+    and the polish on f stalls ~37 digits short.  Of the candidates in
+    (0, 1) with |f| <= 10^-target, the one nearest the K-ratio is
+    selected; it must lie within 10^-(target - 10) of it.
     """
     if n not in (2, 3, 5):
         raise ValueError(f"multiplier defined for n in (2, 3, 5), got {n}")
+    ctx = pair_m.ctx
     if n == 2:
         value = (1 + pair_m.k_prime) / 2
         return MultiplierResult(n=2, m=pair_m.r, value=value, residual=ctx.zero)
     f, fp, fpp = _multiplier_polynomials(n, pair_m.k, ctx)
-    k_ratio = pair_big.K(ctx) / pair_m.K(ctx)
+    k_ratio = pair_big.K / pair_m.K
 
     candidates = [c for c in (_newton_polish(f, fp, k_ratio, ctx),
                               _newton_polish(fp, fpp, k_ratio, ctx)) if 0 < c < 1]
@@ -399,15 +399,15 @@ def multiplier(n: int, pair_m: ModulusPair, pair_big: Optional[ModulusPair],
                             rejected=rejected)
 
 
-def k_scale_16(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
+def k_scale_16(pair: ModulusPair) -> BigReal:
     """Factor ((1 + sqrt(k'_r))/2)^2 mapping K[r] to K[16r]."""
-    return ((1 + ctx.sqrt(pair.k_prime)) / 2) ** 2
+    return ((1 + pair.ctx.sqrt(pair.k_prime)) / 2) ** 2
 
 
-def k_scale_64(pair: ModulusPair, ctx: PrecisionContext) -> BigReal:
+def k_scale_64(pair: ModulusPair) -> BigReal:
     """Factor (sqrt(1 + k'_r) + sqrt(2 sqrt(k'_r)))^2 / 8 mapping K[r] to K[64r]."""
-    kp = pair.k_prime
-    s = ctx.sqrt(1 + kp) + ctx.sqrt(2 * ctx.sqrt(kp))
+    kp, sqrt = pair.k_prime, pair.ctx.sqrt
+    s = sqrt(1 + kp) + sqrt(2 * sqrt(kp))
     return s * s / 8
 
 

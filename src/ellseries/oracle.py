@@ -139,6 +139,11 @@ def theta3(q: Any, ctx: PrecisionContext) -> BigReal:
     return ctx.from_fixed(s, bits)
 
 
+def _lemniscatic_agm(ctx: PrecisionContext) -> BigReal:
+    """agm(1, 1/sqrt(2)); the headline constant Gamma(1/4)^2/pi^(3/2) is 2 over it."""
+    return agm(ctx.one, ctx.sqrt(2) / 2, ctx)
+
+
 def b_quarter(ctx: PrecisionContext) -> BigReal:
     """Gamma(1/4)^2/sqrt(pi), via the lemniscatic identity.
 
@@ -147,7 +152,7 @@ def b_quarter(ctx: PrecisionContext) -> BigReal:
     constant Gamma(1/4)^2/pi^(3/2).  Equivalent check: K(1/sqrt(2)) is one
     quarter of this value.
     """
-    return 2 * ctx.pi / agm(ctx.one, ctx.sqrt(2) / 2, ctx)
+    return 2 * ctx.pi / _lemniscatic_agm(ctx)
 
 
 def nome(r: Rational, ctx: PrecisionContext) -> BigReal:

@@ -30,7 +30,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from . import moduli
-from .oracle import b_quarter
+from .oracle import _lemniscatic_agm
 from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
@@ -381,8 +381,7 @@ def derivative_weighted_sum(mu: Any, z: Any,
 # specializations at singular moduli
 # ---------------------------------------------------------------------
 
-def two_K_over_pi(pair: moduli.ModulusPair,
-                  ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
+def two_K_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport]:
     """2 K(k_r)/pi as the weighted series in z = k_r^2 with mu = -3/2.
 
     Term weight: -4(1-z) n + (1 - 2z), with no denominator, so r = 1
@@ -393,12 +392,11 @@ def two_K_over_pi(pair: moduli.ModulusPair,
     k', whose AGM the defining-ratio gate already ran.
     """
     z = pair.k * pair.k
-    value, report = eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, ctx)
-    return _with_oracle(value, report, 2 * pair.K(ctx) / ctx.pi, ctx)
+    value, report = eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, pair.ctx)
+    return _with_oracle(value, report, 2 * pair.K / pair.ctx.pi, pair.ctx)
 
 
-def four_E_over_pi(pair: moduli.ModulusPair,
-                   ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
+def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport]:
     """4 E(k_r)/pi as one series in z = k_r^2: mu = -1/2, weight 4(1-z) n + 2(1-z).
 
     With c_n = ((1/2)_n/n!)^2, the coefficients of 2K/pi = sum c_n z^n,
@@ -410,8 +408,8 @@ def four_E_over_pi(pair: moduli.ModulusPair,
     4/pi times the pair's E, from the AGM side sum.
     """
     z = pair.k * pair.k
-    value, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), ctx)
-    return _with_oracle(value, report, 4 * pair.E(ctx) / ctx.pi, ctx)
+    value, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), pair.ctx)
+    return _with_oracle(value, report, 4 * pair.E / pair.ctx.pi, pair.ctx)
 
 
 def gamma_quarter_series(ctx: PrecisionContext,
@@ -425,7 +423,7 @@ def gamma_quarter_series(ctx: PrecisionContext,
     chain (overall scalar 640 against the bracketed radical); a published
     1/8 prefactor variant is inconsistent with the AGM oracle and is only
     reported by the verification suite, never used.  The result must match
-    b_quarter/pi to working tolerance or this function raises.
+    2/agm(1, 1/sqrt(2)) to working tolerance or this function raises.
     """
     chain = moduli.chain_to_6400(ctx)
     pair100, pair6400 = chain[0], chain[3]
@@ -433,10 +431,10 @@ def gamma_quarter_series(ctx: PrecisionContext,
     z = w * w
     sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx,
                                 n_terms=n_terms)
-    scale = moduli.k_scale_64(pair100, ctx)
+    scale = moduli.k_scale_64(pair100)
     coeff = moduli.k100_radical_coefficient(ctx)
     value, report = _with_oracle(sigma / (coeff * scale), report,
-                                 b_quarter(ctx) / ctx.pi, ctx)
+                                 2 / _lemniscatic_agm(ctx), ctx)
     report.notes.append(
         "normalization derived from the modulus chain (scalar 640 = 8*80 against "
         "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "

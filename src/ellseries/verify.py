@@ -60,7 +60,7 @@ class _SolveCache:
     def two_K_over_pi(self, r) -> tuple:
         r = Fraction(r)
         if r not in self._two_K:
-            self._two_K[r] = series.two_K_over_pi(self.pair(r), self.ctx)
+            self._two_K[r] = series.two_K_over_pi(self.pair(r))
         return self._two_K[r]
 
     @cached_property
@@ -137,7 +137,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (1, 2, 3, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
-        worst = max(worst, abs(2 * pair.K(ctx) / ctx.pi - th * th))
+        worst = max(worst, abs(2 * pair.K / ctx.pi - th * th))
     out.append(_residual_check("theta-K-identity", "oracle", ctx, worst, t5,
                                detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
                                       f"{_THETA_SHARED}"))
@@ -146,7 +146,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (1, 2, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
-        worst = max(worst, abs(th * th * ctx.pi / 2 - pair.K(ctx)))
+        worst = max(worst, abs(th * th * ctx.pi / 2 - pair.K))
     out.append(_residual_check("theta-nome-K", "oracle", ctx, worst, t5,
                                detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
                                       f"{_THETA_SHARED}"))
@@ -159,15 +159,13 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     t10 = ctx.target_digits - 10
     w5 = ctx.working_digits - 5
 
-    worst = ctx.zero
-    for r in (2, 3, 5, 10):
-        worst = max(worst, moduli.eq2_residual(cache.pair(r), ctx))
+    worst = max(moduli.eq2_residual(cache.pair(r)) for r in (2, 3, 5, 10))
     out.append(_residual_check("solve-defining-ratio", "moduli", ctx, worst, w5,
                                detail="|K(k')/K(k) - sqrt(r)| for solved pairs"))
 
     worst = ctx.zero
     for r in (1, 2, 3, 5):
-        up = moduli.landen_up(cache.pair(r), ctx)
+        up = moduli.landen_up(cache.pair(r))
         worst = max(worst, abs(up.k - cache.pair(4 * Fraction(r)).k))
     out.append(_residual_check("landen-vs-solve", "moduli", ctx, worst, t10,
                                detail="ascent of k_r matches solve at 4r, r in {1,2,3,5}"))
@@ -179,18 +177,18 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
 
     out.append(_residual_check(
         "K100-radical-vs-agm", "moduli", ctx,
-        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - closed.K(ctx), t10))
+        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - closed.K, t10))
 
     worst_poly = ctx.zero
     worst_ratio = ctx.zero
     in_range = True
     for n in (2, 3, 5):
         for m in (1, 2):
-            res = moduli.multiplier(n, cache.pair(m), cache.pair(n * n * m), ctx)
+            res = moduli.multiplier(n, cache.pair(m), cache.pair(n * n * m))
             in_range = in_range and (0 < res.value < 1)
             worst_poly = max(worst_poly, abs(res.residual))
-            km = cache.pair(m).K(ctx)
-            kn2m = cache.pair(n * n * m).K(ctx)
+            km = cache.pair(m).K
+            kn2m = cache.pair(n * n * m).K
             worst_ratio = max(worst_ratio, abs(kn2m - res.value * km) / km)
     poly_row = _residual_check("multiplier-polynomials", "moduli", ctx,
                                worst_poly, t10,
@@ -202,28 +200,27 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
                                detail="|K[n^2 m] - M K[m]|/K[m]"))
 
     p1 = cache.pair(1)
-    K1 = p1.K(ctx)
+    K1 = p1.K
     out.append(_residual_check(
         "scale16-at-r1", "moduli", ctx,
-        moduli.k_scale_16(p1, ctx) * K1 - cache.pair(16).K(ctx), t10,
+        moduli.k_scale_16(p1) * K1 - cache.pair(16).K, t10,
         detail="((1+sqrt(k'))/2)^2 maps K[1] to K[16]"))
     out.append(_residual_check(
         "scale64-at-r1", "moduli", ctx,
-        moduli.k_scale_64(p1, ctx) * K1 - cache.pair(64).K(ctx), t10,
+        moduli.k_scale_64(p1) * K1 - cache.pair(64).K, t10,
         detail="(sqrt(1+k')+sqrt(2 sqrt(k')))^2/8 maps K[1] to K[64]"))
 
-    f16_twice = (moduli.k_scale_16(p1, ctx)
-                 * moduli.k_scale_16(cache.pair(16), ctx))
+    f16_twice = moduli.k_scale_16(p1) * moduli.k_scale_16(cache.pair(16))
     out.append(_residual_check(
         "scale16-twice-to-256", "moduli", ctx,
-        f16_twice * K1 - cache.pair(256).K(ctx), t10,
+        f16_twice * K1 - cache.pair(256).K, t10,
         detail="two 16x scalings map K[1] to K[256]"))
 
     worst = ctx.zero
     for pair in (p1, closed):
-        m2_16r = (1 + moduli.landen_up(moduli.landen_up(pair, ctx), ctx).k_prime) / 2
-        lhs = moduli.k_scale_64(pair, ctx)
-        rhs = moduli.k_scale_16(pair, ctx) * m2_16r
+        m2_16r = (1 + moduli.landen_up(moduli.landen_up(pair)).k_prime) / 2
+        lhs = moduli.k_scale_64(pair)
+        rhs = moduli.k_scale_16(pair) * m2_16r
         worst = max(worst, abs(lhs - rhs))
     out.append(_residual_check(
         "scale64-composition", "moduli", ctx, worst, t5,
@@ -255,9 +252,11 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     h = ctx60.tol(20)
     worst_fd = 0.0
     for mu, z in ((Fraction(-3, 2), ctx60.mpf("0.2")), (Fraction(-7, 10), ctx60.mpf("0.35"))):
+        mu = ctx60.mpf(mu)
         _, dphi = series.phi_and_derivative(mu, z, ctx60)
-        fd = (series.phi_and_derivative(mu, z + h, ctx60)[0]
-              - series.phi_and_derivative(mu, z - h, ctx60)[0]) / (2 * h)
+        # phi(z +- h) = 2F1(-mu, mu+1; 1; z +- h), as phi_and_derivative forms phi
+        fd = (ctx60.hyp2f1(-mu, mu + 1, 1, z + h)
+              - ctx60.hyp2f1(-mu, mu + 1, 1, z - h)) / (2 * h)
         agree = ctx60.agreement_digits(dphi, fd)
         worst_fd = agree if worst_fd == 0.0 else min(worst_fd, agree)
     out.append(CheckResult(
@@ -270,7 +269,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     for r in (2, 3, 4, 100):
         pair = cache.pair(r)
         val, _ = cache.two_K_over_pi(r)
-        agm_side = 2 * pair.K(ctx) / ctx.pi
+        agm_side = 2 * pair.K / ctx.pi
         th = theta3(nome(r, ctx), ctx) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
     out.append(_residual_check("first-kind-triple", "series", ctx, worst, t5,
@@ -280,7 +279,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
     worst = ctx.zero
     for r in (2, 3, 4):
         pair = cache.pair(r)
-        val, report = series.four_E_over_pi(pair, ctx)
+        val, report = series.four_E_over_pi(pair)
         # the paper's form: 2K/pi plus the mu = -1/2 sum with weight 4(1-z) n + (1-2z)
         z = pair.k * pair.k
         sigma, _ = series.eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
@@ -326,9 +325,7 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
     w5 = ctx.working_digits - 5
 
     pairs = cache.chain
-    worst = ctx.zero
-    for pair in pairs:
-        worst = max(worst, moduli.eq2_residual(pair, ctx))
+    worst = max(moduli.eq2_residual(pair) for pair in pairs)
     out.append(_residual_check("stage-defining-ratios", "chain", ctx, worst, w5,
                                detail="r = 100, 400, 1600, 6400"))
 
@@ -346,7 +343,7 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
     fixed = comps["k'_400 (corrected coefficient 2^(7/4))"]
     pair400 = pairs[1]
     identity_ok = abs(pair400.k ** 2 + pair400.k_prime ** 2 - 1) <= ctx.tol(w5)
-    ratio_ok = moduli.eq2_residual(pair400, ctx) <= ctx.tol(w5)
+    ratio_ok = moduli.eq2_residual(pair400) <= ctx.tol(w5)
     out.append(CheckResult(
         "kprime400-coefficient-audit", "chain",
         typo.agreement_digits < 2 and fixed.agreement_digits >= t10
@@ -359,12 +356,12 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult
 
     out.append(_residual_check(
         "K6400-scaling-map", "chain", ctx,
-        moduli.k_scale_64(pairs[0], ctx) * pairs[0].K(ctx) - pairs[3].K(ctx), t10,
+        moduli.k_scale_64(pairs[0]) * pairs[0].K - pairs[3].K, t10,
         detail="64x factor maps K[100] to K[6400]"))
 
     out.append(_residual_check(
         "K100-radical", "chain", ctx,
-        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - pairs[0].K(ctx), t10))
+        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - pairs[0].K, t10))
 
     value, report = cache.headline
     oracle = cache.b_quarter / ctx.pi

@@ -61,7 +61,7 @@ def test_criterion_2_first_kind_triple_equality(ctx500, pairs500, capsys):
     worst = 0.0
     for r in (2, 3, 4, 100):
         pair = pairs500[r]
-        series_val, _ = two_K_over_pi(pair, ctx500)
+        series_val, _ = two_K_over_pi(pair)
         agm_val = 2 * K_ref(pair.k, ctx500) / ctx500.pi
         theta_val = theta3(nome(r, ctx500), ctx500) ** 2
         for a, b in ((series_val, agm_val), (series_val, theta_val),
@@ -80,7 +80,7 @@ def test_criterion_3_second_kind(ctx500, pairs500, capsys):
     worst = 0.0
     for r in (2, 3, 4):
         pair = pairs500[r]
-        series_val, _ = four_E_over_pi(pair, ctx500)
+        series_val, _ = four_E_over_pi(pair)
         agm_val = 4 * E_ref(pair.k, ctx500) / ctx500.pi
         assert abs(series_val - agm_val) < tol
         worst = max(worst, float(abs(series_val - agm_val)))
@@ -92,11 +92,11 @@ def test_criterion_3_second_kind(ctx500, pairs500, capsys):
 def test_criterion_4_scaling_maps(ctx250, capsys):
     tol = ctx250.tol(240)
     p1 = solve_kr(1, ctx250)
-    res16 = abs(k_scale_16(p1, ctx250) * K_ref(p1.k, ctx250)
+    res16 = abs(k_scale_16(p1) * K_ref(p1.k, ctx250)
                 - K_ref(solve_kr(16, ctx250).k, ctx250))
     assert res16 < tol
     chain = chain_to_6400(ctx250)
-    res64 = abs(k_scale_64(chain[0], ctx250) * K_ref(chain[0].k, ctx250)
+    res64 = abs(k_scale_64(chain[0]) * K_ref(chain[0].k, ctx250)
                 - K_ref(chain[3].k, ctx250))
     assert res64 < tol
     with capsys.disabled():
@@ -111,7 +111,7 @@ def test_criterion_5_multipliers(ctx250, capsys):
     for n in (2, 3, 5):
         for m in (1, 2):
             pair_m, pair_big = solve_kr(m, ctx250), solve_kr(n * n * m, ctx250)
-            res = multiplier(n, pair_m, pair_big, ctx250)
+            res = multiplier(n, pair_m, pair_big)
             assert abs(res.residual) < tol_poly
             km = K_ref(pair_m.k, ctx250)
             knm = K_ref(pair_big.k, ctx250)
@@ -131,7 +131,7 @@ def test_criterion_6_moduli_consistency(ctx250, capsys):
     assert d1 < tol
     worst_landen = 0.0
     for r in (1, 2, 3, 5):
-        up = landen_up(solve_kr(r, ctx250), ctx250)
+        up = landen_up(solve_kr(r, ctx250))
         diff = abs(up.k - solve_kr(4 * Fraction(r), ctx250).k)
         assert diff < tol
         worst_landen = max(worst_landen, float(diff))
@@ -178,7 +178,7 @@ def test_criterion_8_typo_resolution_gates(ctx250, capsys):
     pair400 = chain[1]
     assert abs(pair400.k ** 2 + pair400.k_prime ** 2 - 1) \
         < ctx250.tol(ctx250.working_digits - 8)
-    assert eq2_residual(pair400, ctx250) < ctx250.tol(ctx250.working_digits - 5)
+    assert eq2_residual(pair400) < ctx250.tol(ctx250.working_digits - 5)
 
     checks = {c.name: c for c in run_verify(250, ["chain"])}
     audit = checks["kprime400-coefficient-audit"]

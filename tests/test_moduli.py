@@ -33,7 +33,7 @@ def test_solve_r4(ctx50):
 def test_solve_residuals(ctx50):
     for r in (2, 3, 5, Fraction(1, 2)):
         pair = solve_kr(r, ctx50)
-        assert eq2_residual(pair, ctx50) <= ctx50.tol(ctx50.working_digits - 5)
+        assert eq2_residual(pair) <= ctx50.tol(ctx50.working_digits - 5)
 
 
 def test_solve_inverse_parameter(ctx50):
@@ -108,15 +108,36 @@ def test_pair_rejects_a_k_and_gap_that_break_the_identity(ctx50):
         ModulusPair(Fraction(4), solve_kr(4, ctx50).k, solve_kr(2, ctx50).k_prime_gap, ctx50)
 
 
+def test_gated_pair_reruns_no_agm(ctx50, monkeypatch):
+    # the defining-ratio gate runs agm(1, k') and agm(1, k) on the pair; the
+    # residual and K read them at the pair's own context
+    from ellseries import oracle
+    runs = []
+    agm_loop = oracle._agm
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return agm_loop(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_agm", counted)
+    for pair in (solve_kr(Fraction(1, 3), ctx50), solve_kr(4, ctx50), k100_closed_form(ctx50)):
+        assert pair.ctx is ctx50
+        gate_runs = len(runs)
+        assert eq2_residual(pair) <= ctx50.tol(ctx50.working_digits - 5)
+        assert pair.K is pair.K
+        assert len(runs) == gate_runs
+    assert landen_up(pair).ctx is ctx50
+
+
 def test_landen_from_r1(ctx50):
-    up = landen_up(solve_kr(1, ctx50), ctx50)
+    up = landen_up(solve_kr(1, ctx50))
     assert up.r == Fraction(4)
     assert abs(up.k - ctx50.mpf(K4_EXACT)) <= ctx50.tol(45)
 
 
 def test_landen_matches_solver(ctx50):
     for r in (1, 2, 3):
-        up = landen_up(solve_kr(r, ctx50), ctx50)
+        up = landen_up(solve_kr(r, ctx50))
         direct = solve_kr(4 * Fraction(r), ctx50)
         assert abs(up.k - direct.k) <= ctx50.tol(45)
 
@@ -124,7 +145,7 @@ def test_landen_matches_solver(ctx50):
 def test_landen_keeps_k_prime_near_one(ctx50):
     # ascending from a tiny-k pair: k' stays pinned at 1
     pair = chain_to_6400(ctx50)[3]
-    up = landen_up(pair, ctx50)
+    up = landen_up(pair)
     assert up.k_prime_gap < ctx50.tol(100)
     assert 0 < up.k_prime < 1
 
@@ -142,7 +163,7 @@ def test_chain_stages(ctx50):
     assert [p.r for p in pairs] == [Fraction(100), Fraction(400),
                                     Fraction(1600), Fraction(6400)]
     for p in pairs:
-        assert eq2_residual(p, ctx50) <= ctx50.tol(ctx50.working_digits - 5)
+        assert eq2_residual(p) <= ctx50.tol(ctx50.working_digits - 5)
     assert -54.1 < float(ctx50.log10(pairs[3].k)) < -53.9
 
 
@@ -160,7 +181,7 @@ def test_chain_printed_forms(ctx50):
 
 
 def test_multiplier_degree2(ctx50):
-    res = multiplier(2, solve_kr(1, ctx50), None, ctx50)
+    res = multiplier(2, solve_kr(1, ctx50), None)
     assert abs(res.value - ctx50.mpf(M2_1)) <= ctx50.tol(50)
     assert res.residual == 0
     # closed form against the AGM ratio
@@ -171,7 +192,7 @@ def test_multiplier_degree2(ctx50):
 def test_multiplier_degree5_m1_is_tangent_root(ctx50):
     # M_5(1) = (2 + sqrt(5))/5, a double root of the degree-6 equation:
     # the polynomial touches zero there without changing sign
-    res = multiplier(5, solve_kr(1, ctx50), solve_kr(25, ctx50), ctx50)
+    res = multiplier(5, solve_kr(1, ctx50), solve_kr(25, ctx50))
     assert abs(res.value - (2 + ctx50.sqrt(5)) / 5) <= ctx50.tol(45)
     assert abs(res.residual) <= ctx50.tol(ctx50.target_digits)
 
@@ -180,7 +201,7 @@ def test_multiplier_ratios(ctx50):
     for n in (2, 3, 5):
         for m in (1, 2):
             pair_m, pair_big = solve_kr(m, ctx50), solve_kr(n * n * m, ctx50)
-            res = multiplier(n, pair_m, pair_big, ctx50)
+            res = multiplier(n, pair_m, pair_big)
             assert 0 < res.value < 1
             km = K_ref(pair_m.k, ctx50)
             kn = K_ref(pair_big.k, ctx50)
@@ -192,7 +213,7 @@ def test_multiplier_rejected_is_a_critical_point(ctx50):
     # the polish on f' from the K-ratio lands, at m = 2, on a critical point
     # of the degree-6 equation that is no root: it is recorded, not selected
     pair2 = solve_kr(2, ctx50)
-    res = multiplier(5, pair2, solve_kr(50, ctx50), ctx50)
+    res = multiplier(5, pair2, solve_kr(50, ctx50))
     k2 = pair2.k ** 2
     c = 256 * k2 * (1 - k2)
     (crit,) = res.rejected
@@ -204,7 +225,7 @@ def test_multiplier_rejected_is_a_critical_point(ctx50):
 def test_multiplier_tangent_root_to_working_precision(ctx250):
     # at the double root M_5(1) a Newton polish on f alone stalls ~37 digits
     # from the root; the polish on f' reaches working precision
-    res = multiplier(5, solve_kr(1, ctx250), solve_kr(25, ctx250), ctx250)
+    res = multiplier(5, solve_kr(1, ctx250), solve_kr(25, ctx250))
     expect = (2 + ctx250.sqrt(5)) / 5
     assert ctx250.agreement_digits(res.value, expect) >= ctx250.working_digits - 5
     assert res.rejected == ()
@@ -230,41 +251,41 @@ def test_tangent_root_polish_stops_when_f_stops_falling(ctx250):
 def test_multiplier_bad_inputs(ctx50):
     # m <= 0 has no pair to pass: solve_kr raises DomainError (test_solve_domain)
     with pytest.raises(ValueError):
-        multiplier(4, solve_kr(1, ctx50), solve_kr(16, ctx50), ctx50)
+        multiplier(4, solve_kr(1, ctx50), solve_kr(16, ctx50))
 
 
 def test_scale16(ctx50):
     p1 = solve_kr(1, ctx50)
-    factor = k_scale_16(p1, ctx50)
+    factor = k_scale_16(p1)
     assert abs(factor * K_ref(p1.k, ctx50)
                - K_ref(solve_kr(16, ctx50).k, ctx50)) <= ctx50.tol(45)
     # degenerate limit k -> 0: factor -> 1
     tiny = chain_to_6400(ctx50)[3]
-    assert abs(k_scale_16(tiny, ctx50) - 1) <= ctx50.tol(50)
+    assert abs(k_scale_16(tiny) - 1) <= ctx50.tol(50)
 
 
 def test_scale16_twice_gives_256(ctx50):
     p1 = solve_kr(1, ctx50)
     p16 = solve_kr(16, ctx50)
-    factor = k_scale_16(p1, ctx50) * k_scale_16(p16, ctx50)
+    factor = k_scale_16(p1) * k_scale_16(p16)
     assert abs(factor * K_ref(p1.k, ctx50)
                - K_ref(solve_kr(256, ctx50).k, ctx50)) <= ctx50.tol(44)
 
 
 def test_scale64(ctx50):
     p1 = solve_kr(1, ctx50)
-    assert abs(k_scale_64(p1, ctx50) * K_ref(p1.k, ctx50)
+    assert abs(k_scale_64(p1) * K_ref(p1.k, ctx50)
                - K_ref(solve_kr(64, ctx50).k, ctx50)) <= ctx50.tol(45)
     pairs = chain_to_6400(ctx50)
-    assert abs(k_scale_64(pairs[0], ctx50) * K_ref(pairs[0].k, ctx50)
+    assert abs(k_scale_64(pairs[0]) * K_ref(pairs[0].k, ctx50)
                - K_ref(pairs[3].k, ctx50)) <= ctx50.tol(44)
 
 
 def test_scale64_composes_with_scale16(ctx50):
     for pair in (solve_kr(1, ctx50), k100_closed_form(ctx50)):
-        m2_16r = (1 + landen_up(landen_up(pair, ctx50), ctx50).k_prime) / 2
-        assert abs(k_scale_64(pair, ctx50)
-                   - k_scale_16(pair, ctx50) * m2_16r) <= ctx50.tol(45)
+        m2_16r = (1 + landen_up(landen_up(pair)).k_prime) / 2
+        assert abs(k_scale_64(pair)
+                   - k_scale_16(pair) * m2_16r) <= ctx50.tol(45)
 
 
 def test_K100_radical_value(ctx50):

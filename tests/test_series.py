@@ -154,7 +154,7 @@ def test_eval_series_fixed_terms_gives_constant_term(ctx50):
 
 def test_eval_series_error_trace_improves(ctx50):
     pair = solve_kr(4, ctx50)
-    _, report = two_K_over_pi(pair, ctx50)
+    _, report = two_K_over_pi(pair)
     digits = [d for _, d in report.error_trace]
     assert all(b > a for a, b in zip(digits[2:], digits[3:]))
 
@@ -173,7 +173,7 @@ def test_held_report_keeps_no_full_width_terms():
     tracemalloc.start()
     try:
         pair = solve_kr(2, ctx)
-        _, report = two_K_over_pi(pair, ctx)
+        _, report = two_K_over_pi(pair)
         gc.collect()
         kept, _ = tracemalloc.get_traced_memory()
     finally:
@@ -196,7 +196,7 @@ def test_eval_series_slow_z_converges(ctx50):
 def test_first_kind_series(ctx50):
     for r in (2, 3, 4):
         pair = solve_kr(r, ctx50)
-        value, report = two_K_over_pi(pair, ctx50)
+        value, report = two_K_over_pi(pair)
         assert abs(value - 2 * K_ref(pair.k, ctx50) / ctx50.pi) <= ctx50.tol(45)
         assert report.final_error_vs_oracle >= 45
         assert ctx50.agreement_digits(value, theta3(nome(pair.r, ctx50), ctx50) ** 2) >= 45
@@ -207,14 +207,14 @@ def test_first_kind_at_r1(digits):
     # z = k_1^2 = 1/2, where the weight -4(1-z) n + (1-2z) has no denominator
     ctx = make_context(digits)
     pair = solve_kr(1, ctx)
-    value, report = two_K_over_pi(pair, ctx)
-    assert ctx.agreement_digits(value, 2 * pair.K(ctx) / ctx.pi) >= digits - 5
+    value, report = two_K_over_pi(pair)
+    assert ctx.agreement_digits(value, 2 * pair.K / ctx.pi) >= digits - 5
     assert report.final_error_vs_oracle >= digits - 5
 
 
 def test_first_kind_slope(ctx50):
     pair = solve_kr(100, ctx50)
-    _, report = two_K_over_pi(pair, ctx50)
+    _, report = two_K_over_pi(pair)
     expect = float(-2 * ctx50.log10(pair.k))
     assert report.digits_per_term == pytest.approx(expect, rel=0.10)
     assert expect == pytest.approx(12.44, abs=0.02)
@@ -223,7 +223,7 @@ def test_first_kind_slope(ctx50):
 def test_second_kind_series(ctx50):
     for r in (2, 3, 4):
         pair = solve_kr(r, ctx50)
-        value, report = four_E_over_pi(pair, ctx50)
+        value, report = four_E_over_pi(pair)
         assert abs(value - 4 * E_ref(pair.k, ctx50) / ctx50.pi) <= ctx50.tol(45)
         assert report.final_error_vs_oracle >= 45
 
@@ -232,7 +232,7 @@ def test_second_kind_series(ctx50):
 def test_second_kind_at_r1(digits):
     ctx = make_context(digits)
     pair = solve_kr(1, ctx)
-    value, report = four_E_over_pi(pair, ctx)
+    value, report = four_E_over_pi(pair)
     assert ctx.agreement_digits(value, 4 * E_ref(pair.k, ctx) / ctx.pi) >= digits - 5
     assert report.final_error_vs_oracle >= digits - 5
 
@@ -250,7 +250,7 @@ def test_second_kind_is_one_sum(ctx50, monkeypatch):
     monkeypatch.setattr(series, "eval_series", counting)
     monkeypatch.setattr(series, "two_K_over_pi", refuse)
     pair = solve_kr(4, ctx50)
-    _, report = four_E_over_pi(pair, ctx50)
+    _, report = four_E_over_pi(pair)
     assert sums == [Fraction(-1, 2)]
     assert report.final_error_vs_oracle >= 45
 
@@ -263,16 +263,16 @@ def test_second_kind_matches_paper_two_sum_form(digits, r):
     ctx = make_context(digits)
     pair = solve_kr(r, ctx)
     z = pair.k * pair.k
-    two_k, _ = two_K_over_pi(pair, ctx)
+    two_k, _ = two_K_over_pi(pair)
     sigma, _ = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
-    value, _ = four_E_over_pi(pair, ctx)
+    value, _ = four_E_over_pi(pair)
     assert ctx.agreement_digits(value, two_k + sigma) >= ctx.working_digits - 2
 
 
 def test_second_kind_tiny_k_limit(ctx50):
     # k -> 0: 2K/pi -> 1 and 4E/pi -> 2
     pair = chain_to_6400(ctx50)[3]
-    value, _ = four_E_over_pi(pair, ctx50)
+    value, _ = four_E_over_pi(pair)
     assert abs(value - 2) <= ctx50.tol(50)
 
 
