@@ -1,9 +1,10 @@
 """Wall-time scaling of the headline constant, its AGM oracle and its formatting.
 
 The series cost is dominated by the modulus chain radicals plus ~1 term
-per 108 digits; the oracle is a single AGM; formatting converts the value
-to a truncated decimal string.  All should scale close to the big-float
-multiplication cost.
+per 108 digits; the oracle is 2/agm(1, 1/sqrt(2)), a single AGM, which
+gamma_quarter_series also runs for its own check, so series_s includes
+oracle_s; formatting converts the value to a truncated decimal string.
+All should scale close to the big-float multiplication cost.
 
 Usage: python scripts/precision_scaling.py [digits digits ...]
 """
@@ -14,7 +15,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ellseries import b_quarter, gamma_quarter_series, make_context, to_decimal_string
+from ellseries import agm, gamma_quarter_series, make_context, to_decimal_string
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
         value, report = gamma_quarter_series(ctx)
         t_series = time.perf_counter() - t0
         t0 = time.perf_counter()
-        b_quarter(ctx)
+        2 / agm(ctx.one, ctx.sqrt(2) / 2, ctx)
         t_oracle = time.perf_counter() - t0
         t0 = time.perf_counter()
         to_decimal_string(ctx, value, d)

@@ -300,7 +300,7 @@ def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormCompariso
 # multipliers M_n(m) = K[n^2 m]/K[m]
 # ---------------------------------------------------------------------
 
-def _multiplier_polynomials(n: int, k: BigReal, ctx: PrecisionContext):
+def _multiplier_polynomials(n: int, k: BigReal):
     """(f, f', f'') for the algebraic equation satisfied by M_n at modulus k."""
     if n == 3:
         c = 8 * (1 - 2 * k * k)
@@ -379,7 +379,7 @@ def multiplier(n: int, pair_m: ModulusPair,
     if n == 2:
         value = (1 + pair_m.k_prime) / 2
         return MultiplierResult(n=2, m=pair_m.r, value=value, residual=ctx.zero)
-    f, fp, fpp = _multiplier_polynomials(n, pair_m.k, ctx)
+    f, fp, fpp = _multiplier_polynomials(n, pair_m.k)
     k_ratio = pair_big.K / pair_m.K
 
     candidates = [c for c in (_newton_polish(f, fp, k_ratio, ctx),

@@ -13,7 +13,7 @@ Contexts are not changed after construction and operations are pure.
 round: its result may be wider than the context.  Contexts of equal
 working precision share one mpmath context and its memoized tolerances:
 building an mpmath context measured 0.6 ms, and a 500-digit ``verify``
-builds 26 contexts at 7 working precisions.  pi is read from mpmath's
+builds 26 contexts at 9 working precisions.  pi is read from mpmath's
 own per-precision cache, so it is computed on first read, not when a
 context is built.  mpmath's ``hyp2f1`` raises the shared context's
 ``prec`` while it runs and restores it on return, so the package is

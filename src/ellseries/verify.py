@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import moduli, series
 from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
@@ -27,18 +27,19 @@ _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
                  "mathematics as theta3; independent gate: solve-defining-ratio")
 
 
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome; ``residual_digits`` is None for a check with no residual."""
 
-    __slots__ = ("name", "group", "passed", "detail", "residual_digits")
+    name: str
+    group: str
+    passed: bool
+    detail: str
+    residual_digits: Optional[float] = None
 
-    def __init__(self, name: str, group: str, passed: bool, detail: str,
-                 residual_digits: Optional[float] = None) -> None:
-        self.name = name
-        self.group = group
-        self.passed = passed
-        self.detail = detail
-        self.residual_digits = residual_digits
+
+# a check function's row, which run_verify labels with the check's group:
+# (name, passed, detail, residual_digits)
+_Row = Tuple[str, bool, str, Optional[float]]
 
 
 class _SolveCache:
@@ -76,48 +77,43 @@ class _SolveCache:
         return b_quarter(self.ctx)
 
 
-def _residual_check(name: str, group: str, ctx: PrecisionContext,
-                    worst_abs, threshold_digits: int, detail: str = "") -> CheckResult:
+def _residual_check(name: str, ctx: PrecisionContext, worst_abs, threshold_digits: int,
+                    detail: str = "", ok: bool = True) -> _Row:
+    """Passes when |worst_abs| <= 10^-threshold_digits and ``ok`` holds."""
     digits = ctx.abs_residual_digits(worst_abs)
-    passed = abs(ctx.mpf(worst_abs)) <= ctx.tol(threshold_digits)
+    passed = ok and abs(ctx.mpf(worst_abs)) <= ctx.tol(threshold_digits)
     msg = f"residual 1e-{digits:.1f} (needs 1e-{threshold_digits})"
     if detail:
         msg = f"{detail}; {msg}"
-    return CheckResult(name=name, group=group, passed=passed,
-                       detail=msg, residual_digits=digits)
+    return name, passed, msg, digits
 
 
-def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult]:
-    out = []
+def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     t5 = ctx.target_digits - 5
 
-    out.append(_residual_check(
-        "agm-fixed-point", "oracle", ctx,
-        agm(ctx.one, ctx.one, ctx) - 1, t5))
+    yield _residual_check("agm-fixed-point", ctx, agm(ctx.one, ctx.one, ctx) - 1, t5)
 
     worst = ctx.zero
     for a, b in ((ctx.mpf(1), ctx.sqrt(2)), (ctx.mpf("0.25"), ctx.mpf(3)),
                  (ctx.mpf("1e-6"), ctx.mpf(7))):
         worst = max(worst, abs(agm(a, b, ctx) - agm(b, a, ctx)))
-    out.append(_residual_check("agm-symmetry", "oracle", ctx, worst, t5))
+    yield _residual_check("agm-symmetry", ctx, worst, t5)
 
     worst = ctx.zero
     for lam in (ctx.mpf(3), ctx.mpf("0.125"), ctx.pi):
         worst = max(worst, abs(agm(lam, lam * ctx.sqrt(2), ctx)
                                - lam * agm(ctx.one, ctx.sqrt(2), ctx)))
-    out.append(_residual_check("agm-homogeneity", "oracle", ctx, worst, t5))
+    yield _residual_check("agm-homogeneity", ctx, worst, t5)
 
-    out.append(_residual_check(
-        "K-at-zero", "oracle", ctx, K_ref(0, ctx) - ctx.pi / 2, t5))
+    yield _residual_check("K-at-zero", ctx, K_ref(0, ctx) - ctx.pi / 2, t5)
 
     grid = [ctx.mpf(i) / 10 for i in range(1, 10)]
     ks = [K_ref(k, ctx) for k in grid]
     monotone = all(ks[i] < ks[i + 1] for i in range(len(ks) - 1))
-    out.append(CheckResult("K-strictly-increasing", "oracle", monotone,
-                           "grid k=0.1..0.9"))
+    yield "K-strictly-increasing", monotone, "grid k=0.1..0.9", None
 
     worst = max(abs(E_ref(0, ctx) - ctx.pi / 2), abs(E_ref(1, ctx) - 1))
-    out.append(_residual_check("E-endpoints", "oracle", ctx, worst, t5))
+    yield _residual_check("E-endpoints", ctx, worst, t5)
 
     worst = ctx.zero
     for k, K_k in zip(grid, ks):
@@ -125,59 +121,55 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         K_kp = K_ref(kp, ctx)
         lhs = E_ref(k, ctx) * K_kp + E_ref(kp, ctx) * K_k - K_k * K_kp
         worst = max(worst, abs(lhs - ctx.pi / 2))
-    out.append(_residual_check("legendre-relation", "oracle", ctx, worst, t5,
-                               detail="E(k)K(k')+E(k')K(k)-K(k)K(k') = pi/2 on grid"))
+    yield _residual_check("legendre-relation", ctx, worst, t5,
+                          detail="E(k)K(k')+E(k')K(k)-K(k)K(k') = pi/2 on grid")
 
-    out.append(_residual_check(
-        "K-lemniscatic", "oracle", ctx,
+    yield _residual_check(
+        "K-lemniscatic", ctx,
         K_ref(ctx.sqrt(2) / 2, ctx) - cache.b_quarter / 4, t5,
-        detail="K(1/sqrt2) = Gamma(1/4)^2/(4 sqrt(pi))"))
+        detail="K(1/sqrt2) = Gamma(1/4)^2/(4 sqrt(pi))")
 
     worst = ctx.zero
     for r in (1, 2, 3, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
         worst = max(worst, abs(2 * pair.K / ctx.pi - th * th))
-    out.append(_residual_check("theta-K-identity", "oracle", ctx, worst, t5,
-                               detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
-                                      f"{_THETA_SHARED}"))
+    yield _residual_check("theta-K-identity", ctx, worst, t5,
+                          detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
+                                 f"{_THETA_SHARED}")
 
     worst = ctx.zero
     for r in (1, 2, 4):
         pair = cache.pair(r)
         th = theta3(nome(r, ctx), ctx)
         worst = max(worst, abs(th * th * ctx.pi / 2 - pair.K))
-    out.append(_residual_check("theta-nome-K", "oracle", ctx, worst, t5,
-                               detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
-                                      f"{_THETA_SHARED}"))
-    return out
+    yield _residual_check("theta-nome-K", ctx, worst, t5,
+                          detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
+                                 f"{_THETA_SHARED}")
 
 
-def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult]:
-    out = []
+def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     t5 = ctx.target_digits - 5
     t10 = ctx.target_digits - 10
     w5 = ctx.working_digits - 5
 
     worst = max(moduli.eq2_residual(cache.pair(r)) for r in (2, 3, 5, 10))
-    out.append(_residual_check("solve-defining-ratio", "moduli", ctx, worst, w5,
-                               detail="|K(k')/K(k) - sqrt(r)| for solved pairs"))
+    yield _residual_check("solve-defining-ratio", ctx, worst, w5,
+                          detail="|K(k')/K(k) - sqrt(r)| for solved pairs")
 
     worst = ctx.zero
     for r in (1, 2, 3, 5):
         up = moduli.landen_up(cache.pair(r))
         worst = max(worst, abs(up.k - cache.pair(4 * Fraction(r)).k))
-    out.append(_residual_check("landen-vs-solve", "moduli", ctx, worst, t10,
-                               detail="ascent of k_r matches solve at 4r, r in {1,2,3,5}"))
+    yield _residual_check("landen-vs-solve", ctx, worst, t10,
+                          detail="ascent of k_r matches solve at 4r, r in {1,2,3,5}")
 
     closed = cache.chain[0]
-    out.append(_residual_check(
-        "k100-closed-vs-solve", "moduli", ctx,
-        closed.k - cache.pair(100).k, t10))
+    yield _residual_check("k100-closed-vs-solve", ctx, closed.k - cache.pair(100).k, t10)
 
-    out.append(_residual_check(
-        "K100-radical-vs-agm", "moduli", ctx,
-        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - closed.K, t10))
+    yield _residual_check(
+        "K100-radical-vs-agm", ctx,
+        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - closed.K, t10)
 
     worst_poly = ctx.zero
     worst_ratio = ctx.zero
@@ -190,31 +182,28 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
             km = cache.pair(m).K
             kn2m = cache.pair(n * n * m).K
             worst_ratio = max(worst_ratio, abs(kn2m - res.value * km) / km)
-    poly_row = _residual_check("multiplier-polynomials", "moduli", ctx,
-                               worst_poly, t10,
-                               detail="defining-equation residual, n in {2,3,5}, m in {1,2}")
-    poly_row.passed = poly_row.passed and in_range
-    out.append(poly_row)
-    out.append(_residual_check("multiplier-K-ratios", "moduli", ctx,
-                               worst_ratio, ctx.target_digits - 15,
-                               detail="|K[n^2 m] - M K[m]|/K[m]"))
+    yield _residual_check("multiplier-polynomials", ctx, worst_poly, t10,
+                          detail="defining-equation residual, n in {2,3,5}, m in {1,2}",
+                          ok=in_range)
+    yield _residual_check("multiplier-K-ratios", ctx, worst_ratio, ctx.target_digits - 15,
+                          detail="|K[n^2 m] - M K[m]|/K[m]")
 
     p1 = cache.pair(1)
     K1 = p1.K
-    out.append(_residual_check(
-        "scale16-at-r1", "moduli", ctx,
+    yield _residual_check(
+        "scale16-at-r1", ctx,
         moduli.k_scale_16(p1) * K1 - cache.pair(16).K, t10,
-        detail="((1+sqrt(k'))/2)^2 maps K[1] to K[16]"))
-    out.append(_residual_check(
-        "scale64-at-r1", "moduli", ctx,
+        detail="((1+sqrt(k'))/2)^2 maps K[1] to K[16]")
+    yield _residual_check(
+        "scale64-at-r1", ctx,
         moduli.k_scale_64(p1) * K1 - cache.pair(64).K, t10,
-        detail="(sqrt(1+k')+sqrt(2 sqrt(k')))^2/8 maps K[1] to K[64]"))
+        detail="(sqrt(1+k')+sqrt(2 sqrt(k')))^2/8 maps K[1] to K[64]")
 
     f16_twice = moduli.k_scale_16(p1) * moduli.k_scale_16(cache.pair(16))
-    out.append(_residual_check(
-        "scale16-twice-to-256", "moduli", ctx,
+    yield _residual_check(
+        "scale16-twice-to-256", ctx,
         f16_twice * K1 - cache.pair(256).K, t10,
-        detail="two 16x scalings map K[1] to K[256]"))
+        detail="two 16x scalings map K[1] to K[256]")
 
     worst = ctx.zero
     for pair in (p1, closed):
@@ -222,14 +211,12 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         lhs = moduli.k_scale_64(pair)
         rhs = moduli.k_scale_16(pair) * m2_16r
         worst = max(worst, abs(lhs - rhs))
-    out.append(_residual_check(
-        "scale64-composition", "moduli", ctx, worst, t5,
-        detail="64x factor = 16x factor times (1+k'_{16r})/2, r in {1,100}"))
-    return out
+    yield _residual_check(
+        "scale64-composition", ctx, worst, t5,
+        detail="64x factor = 16x factor times (1+k'_{16r})/2, r in {1,100}")
 
 
-def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult]:
-    out = []
+def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     t5 = ctx.target_digits - 5
 
     ctx50 = make_context(50)
@@ -244,9 +231,8 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         value, report = series.derivative_weighted_sum(mu, z, ctx50)
         worst50 = max(worst50, abs(value - report.oracle))
         count += 1
-    out.append(_residual_check("collapse-identity-random", "series", ctx50,
-                               worst50, 40,
-                               detail="50 samples mu in (-2,-0.1), z in (0.01,0.4)"))
+    yield _residual_check("collapse-identity-random", ctx50, worst50, 40,
+                          detail="50 samples mu in (-2,-0.1), z in (0.01,0.4)")
 
     ctx60 = make_context(60)
     h = ctx60.tol(20)
@@ -259,11 +245,9 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
               - ctx60.hyp2f1(-mu, mu + 1, 1, z - h)) / (2 * h)
         agree = ctx60.agreement_digits(dphi, fd)
         worst_fd = agree if worst_fd == 0.0 else min(worst_fd, agree)
-    out.append(CheckResult(
-        "derivative-vs-finite-difference", "series",
-        worst_fd >= 25,
-        f"closed form vs central difference: {worst_fd:.1f} digits (needs >= 25)",
-        residual_digits=worst_fd))
+    yield ("derivative-vs-finite-difference", worst_fd >= 25,
+           f"closed form vs central difference: {worst_fd:.1f} digits (needs >= 25)",
+           worst_fd)
 
     worst = ctx.zero
     for r in (2, 3, 4, 100):
@@ -272,9 +256,9 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         agm_side = 2 * pair.K / ctx.pi
         th = theta3(nome(r, ctx), ctx) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
-    out.append(_residual_check("first-kind-triple", "series", ctx, worst, t5,
-                               detail=f"series = 2K/pi = theta3^2 pairwise, r in "
-                                      f"{{2,3,4,100}}; {_THETA_SHARED}"))
+    yield _residual_check("first-kind-triple", ctx, worst, t5,
+                          detail=f"series = 2K/pi = theta3^2 pairwise, r in "
+                                 f"{{2,3,4,100}}; {_THETA_SHARED}")
 
     worst = ctx.zero
     for r in (2, 3, 4):
@@ -285,10 +269,10 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         sigma, _ = series.eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
         paper = cache.two_K_over_pi(r)[0] + sigma
         worst = max(worst, abs(val - report.oracle), abs(paper - val))
-    out.append(_residual_check("second-kind-vs-agm", "series", ctx, worst, t5,
-                               detail="series = 4E/pi from the AGM side sum, and "
-                                      "series = 2K/pi + mu = -1/2 sum (the paper's "
-                                      "two-sum form), r in {2,3,4}"))
+    yield _residual_check("second-kind-vs-agm", ctx, worst, t5,
+                          detail="series = 4E/pi from the AGM side sum, and "
+                                 "series = 2K/pi + mu = -1/2 sum (the paper's "
+                                 "two-sum form), r in {2,3,4}")
 
     ok = True
     details = []
@@ -299,90 +283,81 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResul
         slope = report.digits_per_term
         details.append(f"r={r}: slope {slope:.2f} vs -2log10(k) = {expect:.2f}")
         ok = ok and slope is not None and abs(slope - expect) <= 0.1 * expect
-    out.append(CheckResult("digits-per-term-slope", "series", ok,
-                           "; ".join(details) + " (within 10%)"))
+    yield "digits-per-term-slope", ok, "; ".join(details) + " (within 10%)", None
 
+    # terms past the stop rule round to 0 at ctx, so a run forced longer at
+    # ctx sums the same terms; a run 110 digits (about one term) wider sums
+    # one more
     value, report = cache.headline
-    n = report.terms_used
-    v_hi, _ = series.gamma_quarter_series(ctx, n_terms=n + 2)
-    out.append(_residual_check("headline-termination-insensitive", "series", ctx,
-                               value - v_hi, t5,
-                               detail=f"{n} terms (stop rule) vs {n + 2} (forced)"))
+    wide = make_context(ctx.target_digits + 110)
+    v_wide, wide_report = series.gamma_quarter_series(wide)
+    yield _residual_check("headline-termination-insensitive", ctx, value - v_wide, t5,
+                          detail=f"{report.terms_used} terms (stop rule) vs "
+                                 f"{wide_report.terms_used} at {wide.target_digits} digits")
 
-    out.append(CheckResult(
-        "headline-vs-oracle", "series",
-        report.final_error_vs_oracle >= ctx.target_digits - 5,
-        f"agreement {report.final_error_vs_oracle:.1f} digits at target "
-        f"{ctx.target_digits} ({report.terms_used} terms)",
-        residual_digits=report.final_error_vs_oracle))
-    return out
+    yield ("headline-vs-oracle", report.final_error_vs_oracle >= ctx.target_digits - 5,
+           f"agreement {report.final_error_vs_oracle:.1f} digits at target "
+           f"{ctx.target_digits} ({report.terms_used} terms)",
+           report.final_error_vs_oracle)
 
 
-def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> List[CheckResult]:
-    out = []
+def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     t5 = ctx.target_digits - 5
     t10 = ctx.target_digits - 10
     w5 = ctx.working_digits - 5
 
     pairs = cache.chain
     worst = max(moduli.eq2_residual(pair) for pair in pairs)
-    out.append(_residual_check("stage-defining-ratios", "chain", ctx, worst, w5,
-                               detail="r = 100, 400, 1600, 6400"))
+    yield _residual_check("stage-defining-ratios", ctx, worst, w5,
+                          detail="r = 100, 400, 1600, 6400")
 
     comps = {c.label: c for c in moduli.chain_printed_comparison(ctx)}
     for label, key in (("published-k400", "k_400"),
                        ("published-k1600", "k_1600"),
                        ("published-k6400", "k_6400")):
         c = comps[key]
-        out.append(CheckResult(
-            label, "chain", c.agreement_digits >= t10,
-            f"published radical vs chain: {c.agreement_digits:.1f} digits",
-            residual_digits=c.agreement_digits))
+        yield (label, c.agreement_digits >= t10,
+               f"published radical vs chain: {c.agreement_digits:.1f} digits",
+               c.agreement_digits)
 
     typo = comps["k'_400 (published coefficient 2^(7/3))"]
     fixed = comps["k'_400 (corrected coefficient 2^(7/4))"]
     pair400 = pairs[1]
     identity_ok = abs(pair400.k ** 2 + pair400.k_prime ** 2 - 1) <= ctx.tol(w5)
     ratio_ok = moduli.eq2_residual(pair400) <= ctx.tol(w5)
-    out.append(CheckResult(
-        "kprime400-coefficient-audit", "chain",
-        typo.agreement_digits < 2 and fixed.agreement_digits >= t10
-        and identity_ok and ratio_ok,
-        f"published 2^(7/3) form matches to only {typo.agreement_digits:.1f} digits "
-        f"(published/derived = 2^(7/12) ~ 1.4983); corrected 2^(7/4) form matches to "
-        f"{fixed.agreement_digits:.1f} digits; chain k'_400 satisfies the modulus "
-        f"identity and the defining ratio at r = 400",
-        residual_digits=fixed.agreement_digits))
+    yield ("kprime400-coefficient-audit",
+           typo.agreement_digits < 2 and fixed.agreement_digits >= t10
+           and identity_ok and ratio_ok,
+           f"published 2^(7/3) form matches to only {typo.agreement_digits:.1f} digits "
+           f"(published/derived = 2^(7/12) ~ 1.4983); corrected 2^(7/4) form matches to "
+           f"{fixed.agreement_digits:.1f} digits; chain k'_400 satisfies the modulus "
+           f"identity and the defining ratio at r = 400",
+           fixed.agreement_digits)
 
-    out.append(_residual_check(
-        "K6400-scaling-map", "chain", ctx,
+    yield _residual_check(
+        "K6400-scaling-map", ctx,
         moduli.k_scale_64(pairs[0]) * pairs[0].K - pairs[3].K, t10,
-        detail="64x factor maps K[100] to K[6400]"))
+        detail="64x factor maps K[100] to K[6400]")
 
-    out.append(_residual_check(
-        "K100-radical", "chain", ctx,
-        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - pairs[0].K, t10))
+    yield _residual_check(
+        "K100-radical", ctx,
+        moduli.k100_radical_coefficient(ctx) * cache.b_quarter - pairs[0].K, t10)
 
     value, report = cache.headline
     oracle = cache.b_quarter / ctx.pi
-    out.append(CheckResult(
-        "normalization-derived", "chain",
-        report.final_error_vs_oracle >= t5,
-        f"chain-derived prefactor reproduces Gamma(1/4)^2/pi^(3/2) to "
-        f"{report.final_error_vs_oracle:.1f} digits",
-        residual_digits=report.final_error_vs_oracle))
+    yield ("normalization-derived", report.final_error_vs_oracle >= t5,
+           f"chain-derived prefactor reproduces Gamma(1/4)^2/pi^(3/2) to "
+           f"{report.final_error_vs_oracle:.1f} digits",
+           report.final_error_vs_oracle)
 
     published = value / 5120
     agree_pub = ctx.agreement_digits(published, oracle)
-    out.append(CheckResult(
-        "normalization-published-mismatch", "chain",
-        agree_pub < 1,
-        f"published 1/8 prefactor is off by the exact factor 5120 "
-        f"(= 640*8): agreement {agree_pub:.1f} digits; not used anywhere"))
-    return out
+    yield ("normalization-published-mismatch", agree_pub < 1,
+           f"published 1/8 prefactor is off by the exact factor 5120 "
+           f"(= 640*8): agreement {agree_pub:.1f} digits; not used anywhere", None)
 
 
-# check group -> its checks, in report order
+# check group -> the function that yields its rows, in report order
 _CHECKS = {"oracle": _oracle_checks, "moduli": _moduli_checks,
            "series": _series_checks, "chain": _chain_checks}
 GROUPS = tuple(_CHECKS)
@@ -391,7 +366,8 @@ GROUPS = tuple(_CHECKS)
 def run_verify(target_digits: int, selection: Iterable[str]) -> List[CheckResult]:
     """Run the selected check groups at the given precision, sequentially.
 
-    Results come back group by group, in `GROUPS` order.
+    Results come back group by group, in `GROUPS` order; each row's group
+    is the `_CHECKS` key of the function that built it.
     """
     sel = set(selection)
     if "all" in sel:
@@ -401,5 +377,6 @@ def run_verify(target_digits: int, selection: Iterable[str]) -> List[CheckResult
         raise ValueError(f"unknown verify selection(s): {sorted(unknown)}")
     ctx = make_context(target_digits)
     cache = _SolveCache(ctx)
-    return [row for group, checks in _CHECKS.items() if group in sel
-            for row in checks(ctx, cache)]
+    return [CheckResult(name, group, passed, detail, digits)
+            for group, checks in _CHECKS.items() if group in sel
+            for name, passed, detail, digits in checks(ctx, cache)]

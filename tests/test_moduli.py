@@ -235,7 +235,7 @@ def test_tangent_root_polish_stops_when_f_stops_falling(ctx250):
     # from the K-ratio, f at M_5(1) is rounding noise at once; the polish on
     # f used to take all 120 Newton steps there
     k = solve_kr(1, ctx250).k
-    f, fp, _ = _multiplier_polynomials(5, k, ctx250)
+    f, fp, _ = _multiplier_polynomials(5, k)
     evals = []
 
     def counted(m):

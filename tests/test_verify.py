@@ -1,6 +1,8 @@
-"""The cross-validation suite's per-run memo: each shared quantity is computed once."""
+"""The cross-validation suite: its per-run memo and the rows it returns."""
 
 from collections import Counter
+
+import pytest
 
 from ellseries import moduli, series, verify
 
@@ -26,3 +28,19 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     # paper's two-sum form of it reads the cached 2K/pi
     assert calls[("two_K_over_pi", "")] == 4
     assert calls[("b_quarter", "")] == 1
+
+
+def test_each_group_runs_only_its_own_rows_in_report_order():
+    every = verify.run_verify(60, ["all"])
+    assert {row.group for row in every} == set(verify.GROUPS)
+    for group in verify.GROUPS:
+        rows = verify.run_verify(60, [group])
+        assert rows and all(row.group == group for row in rows)
+        assert [r.name for r in rows] == [r.name for r in every if r.group == group]
+
+
+def test_check_result_cannot_be_edited():
+    row = verify.CheckResult(name="n", group="oracle", passed=True, detail="d")
+    assert row.residual_digits is None
+    with pytest.raises(AttributeError):
+        row.passed = False
