@@ -2,8 +2,9 @@
 
 The series cost is dominated by the modulus chain radicals plus ~1 term
 per 108 digits; the oracle is 2/agm(1, 1/sqrt(2)), a single AGM, which
-gamma_quarter_series also runs for its own check, so series_s includes
-oracle_s; formatting converts the value to a truncated decimal string.
+gamma_quarter_series also runs to report its agreement, so series_s
+includes oracle_s; formatting converts the value to a truncated decimal
+string.
 All should scale close to the big-float multiplication cost.
 
 Usage: python scripts/precision_scaling.py [digits digits ...]

@@ -36,17 +36,23 @@ EXIT_VERIFY = 3
 
 
 def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
-                digits_per_term: Optional[float], agreement: Optional[float],
+                digits_per_term: Optional[float], agreement: float,
                 elapsed: float, warnings: List[str]) -> dict:
-    """One command's result in the stable reporting schema: its JSON object."""
+    """One command's result in the stable reporting schema: its JSON object.
+
+    This is the one oracle gate: a value that agrees with its oracle to
+    fewer than target - 5 digits raises RuntimeError (exit 3) unreported.
+    """
+    if agreement < ctx.target_digits - 5:
+        raise RuntimeError(f"{command} does not match its oracle: {agreement:.1f} "
+                           f"digits at target {ctx.target_digits}")
     return {
         "command": command,
         "target_digits": ctx.target_digits,
         "value_digits": to_decimal_string(ctx, value, ctx.target_digits),
         "terms_used": terms_used,
         "digits_per_term": digits_per_term,
-        "oracle_agreement_digits": (0 if agreement is None
-                                    else min(int(agreement), ctx.working_digits)),
+        "oracle_agreement_digits": min(int(agreement), ctx.working_digits),
         "elapsed_seconds": elapsed,
         "warnings": warnings,
     }
@@ -132,29 +138,23 @@ def _cmd_elliptic(args) -> int:
     if r <= 0:
         raise DomainError(f"--r must be a positive rational, got {r}")
     ctx = make_context(args.digits)
-    t0 = time.perf_counter()
-    warnings: List[str] = []
-    terms_used = 0
-    digits_per_term = None
+    command = f"elliptic {args.kind} r={r} method={args.method}"
     if args.method == "agm":
+        t0 = time.perf_counter()
         # the pair at 25 extra digits first: its contexts are the run's
         # largest, so a run past the ceiling exits before any other work
         ctx_hi = make_context(args.digits + 25)
         value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)
         value = getattr(moduli.solve_kr(r, ctx), args.kind)
         agreement = ctx_hi.agreement_digits(value, value_hi)
-        warnings.append("agm method: agreement measured against a recomputation "
-                        "at 25 extra digits")
+        rep = _run_report(command, ctx, value, 0, None, agreement, time.perf_counter() - t0,
+                          ["agm method: agreement measured against a recomputation "
+                           "at 25 extra digits"])
     else:
-        # series and both: the series report already holds its agreement
-        # with the AGM oracle, the pair's K or E
-        value, report = _elliptic_series(args.kind, moduli.solve_kr(r, ctx))
-        terms_used = report.terms_used
-        digits_per_term = report.digits_per_term
-        agreement = report.final_error_vs_oracle
-    elapsed = time.perf_counter() - t0
-    rep = _run_report(f"elliptic {args.kind} r={r} method={args.method}", ctx, value,
-                      terms_used, digits_per_term, agreement, elapsed, warnings)
+        # series and both: the series report holds its agreement with the
+        # AGM oracle, the pair's K or E
+        rep = _series_report(command, ctx,
+                             lambda: _elliptic_series(args.kind, moduli.solve_kr(r, ctx)))
     _emit([rep], args.format)
     return EXIT_OK
 

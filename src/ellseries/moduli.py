@@ -9,9 +9,9 @@ multipliers M_n = K[n^2 m]/K[m] for n = 2, 3, 5 from their algebraic
 equations, and provides the K-scaling factors for r -> 16r and r -> 64r.
 
 The theta sums here are written apart from oracle.theta3, sharing only the
-arithmetic substrate; every pair is validated numerically at working
-precision against the AGM defining ratio, and no symbolic radical
-manipulation is attempted.
+arithmetic substrate; every pair satisfies the modulus identity, every
+solved pair is validated numerically at working precision against the AGM
+defining ratio, and no symbolic radical manipulation is attempted.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class ModulusPair:
     ``ctx``: squaring an exact k of 319 kbit (r = 1/5e9) would cost 18 ms.
 
     The pair keeps ``ctx``: agm(1, k), agm(1, k'), K and E are computed at
-    it once, on first read, so the AGMs that the defining-ratio gate of
-    :func:`eq2_residual` runs serve every later reader.
+    it once, on first read, so the AGMs that :func:`solve_kr`'s
+    defining-ratio gate runs serve every later reader.
     """
 
     def __init__(self, r: Fraction, k: BigReal, gap: BigReal,
@@ -120,15 +120,6 @@ def eq2_residual(pair: ModulusPair) -> BigReal:
     return abs(pair.agm_k_prime / pair.agm_k - ctx.sqrt(ctx.mpf(pair.r)))
 
 
-def _check_defining_ratio(pair: ModulusPair, source: str) -> ModulusPair:
-    """The pair, once :func:`eq2_residual` is within 10^-(working - 5); else RuntimeError."""
-    res = eq2_residual(pair)
-    if res > pair.ctx.tol(pair.ctx.working_digits - 5):
-        raise RuntimeError(f"{source} fails the defining ratio at r={pair.r}: "
-                           f"residual {res}")
-    return pair
-
-
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
     """(k_r, 1 - k'_r) for r >= 1 from theta constants at q = e^(-pi sqrt(r)).
 
@@ -171,7 +162,7 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     gap = 1 - k, both exact, so the k' that :class:`ModulusPair` forms as
     1 - gap is exactly k_{1/r}, tiny or not.  Every pair must pass the
     modulus identity and the AGM defining ratio K(k')/K(k) = sqrt(r) of
-    :func:`eq2_residual`.
+    :func:`eq2_residual` to 10^-(working - 5), else RuntimeError.
     """
     r = Fraction(r)
     if r <= 0:
@@ -182,7 +173,12 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     k, gap = _theta_modulus(max(r, 1 / r), ctx)
     if r < 1:
         k, gap = ctx.exact_sub(1, gap), ctx.exact_sub(1, k)
-    return _check_defining_ratio(ModulusPair(r, k, gap, ctx), "theta-quotient modulus")
+    pair = ModulusPair(r, k, gap, ctx)
+    res = eq2_residual(pair)
+    if res > ctx.tol(ctx.working_digits - 5):
+        raise RuntimeError(f"theta-quotient modulus fails the defining ratio at r={r}: "
+                           f"residual {res}")
+    return pair
 
 
 def landen_up(pair: ModulusPair) -> ModulusPair:
@@ -221,8 +217,9 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     quantities.  The radicals cancel ~9 digits (2 - sqrt(p) is ~2.4e-6 and
     the p surd itself loses two more), so k and the gap are formed with 10
     extra digits and are fully accurate at the caller's working precision.
-    The modulus identity holds algebraically for any p; the defining-ratio
-    residual at r = 100 is asserted numerically.
+    The modulus identity holds algebraically for any p.  The pair is not
+    gated on its defining ratio: the headline constant built from it is
+    checked against its own AGM oracle, and ``verify`` checks the ratio.
     """
     hi = make_context(ctx.working_digits + K100_EXTRA_DIGITS)
     p = _p_radical(hi)
@@ -230,15 +227,16 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     p4 = hi.root(p, 4)
     k = (2 - sp) / (2 + sp)
     gap = (hi.sqrt(2) - p4) ** 2 / (2 + sp)
-    return _check_defining_ratio(ModulusPair(Fraction(100), k, gap, ctx), "k_100 closed form")
+    return ModulusPair(Fraction(100), k, gap, ctx)
 
 
 def chain_to_6400(ctx: PrecisionContext) -> List[ModulusPair]:
     """Pairs for r = 100, 400, 1600, 6400 by Landen ascent from k_100.
 
     The gap recurrence keeps every stage fully accurate in the relative
-    sense (k_6400 ~ 1e-54, its gap ~ 1e-109); each stage is validated and
-    satisfies the defining ratio at its own r.
+    sense (k_6400 ~ 1e-54, its gap ~ 1e-109); each stage passes the modulus
+    identity, and ``verify`` checks each against the defining ratio at its
+    own r.
     """
     pairs = [k100_closed_form(ctx)]
     for _ in range(3):

@@ -18,8 +18,8 @@ package did not write.
 At a singular modulus the sum converges geometrically in z = k_r^2, i.e.
 -2*log10(k_r) decimal digits per term: ~12.4 at r = 100 and ~108 at
 r = 6400, where a handful of terms give a thousand digits.  Every series
-value is checked against the AGM oracles, which share no code with this
-module beyond the arithmetic substrate.
+report records its value's agreement with an AGM oracle, which shares no
+code with this module beyond the arithmetic substrate.
 """
 
 from __future__ import annotations
@@ -389,7 +389,7 @@ def two_K_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport]
     converge within the runaway ceiling, :func:`eval_series` raises
     SeriesConvergenceError, checked before z can round to 1.  The report's
     oracle is 2/pi times the pair's K, pi/(2 agm(1, k'_r)) from the stored
-    k', whose AGM the defining-ratio gate already ran.
+    k', whose AGM the defining-ratio gate of `solve_kr` already ran.
     """
     z = pair.k * pair.k
     value, report = eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, pair.ctx)
@@ -422,8 +422,9 @@ def gamma_quarter_series(ctx: PrecisionContext,
     gives the constant.  The normalization is carried exactly from that
     chain (overall scalar 640 against the bracketed radical); a published
     1/8 prefactor variant is inconsistent with the AGM oracle and is only
-    reported by the verification suite, never used.  The result must match
-    2/agm(1, 1/sqrt(2)) to working tolerance or this function raises.
+    reported by the verification suite, never used.  The report's oracle is
+    2/agm(1, 1/sqrt(2)); the caller reads the agreement with it from
+    ``final_error_vs_oracle``, which the CLI gates at target - 5.
     """
     chain = moduli.chain_to_6400(ctx)
     pair100, pair6400 = chain[0], chain[3]
@@ -440,9 +441,4 @@ def gamma_quarter_series(ctx: PrecisionContext,
         "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "
         "and is reported by `verify --selection chain`"
     )
-    if n_terms is None and report.final_error_vs_oracle < ctx.target_digits - 5:
-        raise RuntimeError(
-            f"headline constant does not match the AGM oracle: "
-            f"{report.final_error_vs_oracle:.1f} digits at target {ctx.target_digits}"
-        )
     return value, report

@@ -46,6 +46,9 @@ EXIT_CODES = [
     # forced term counts are capped at series.RUNAWAY_TERM_CEILING
     pytest.param(["constant", "gamma-quarter", "--digits", "30", "--terms", "100000000"], 1,
                  id="terms-above-ceiling"),
+    # two terms hold ~216 digits, far below the 995 the oracle gate needs
+    pytest.param(["constant", "gamma-quarter", "--digits", "1000", "--terms", "2"], 3,
+                 id="terms-too-few"),
     pytest.param(["elliptic", "K", "--r", "1/100", "--digits", "50", "--method", "agm"], 0,
                  id="agm-small-r"),
     pytest.param(["elliptic", "K", "--r", "1000000", "--digits", "50"], 0, id="large-r"),
@@ -197,6 +200,60 @@ def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, agm_call
                                "--method", method, "--format", "json"])
     assert code == 0
     assert counts == {"agm": agm_calls, "E_agm": e_agm_calls}
+
+
+def test_constant_runs_one_agm(capsys, monkeypatch):
+    # the oracle's agm(1, 1/sqrt(2)); the closed-form k_100 pair runs no
+    # defining-ratio gate
+    counts = _count_oracle_calls(monkeypatch)
+    code, _, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "1000",
+                               "--format", "json"])
+    assert code == 0
+    assert counts == {"agm": 1, "E_agm": 0}
+
+
+def _perturb_p_radical(monkeypatch, digits):
+    """Scale the k_100 surd p of moduli._p_radical by 1 + 10^-digits."""
+    from ellseries import moduli
+    p_radical = moduli._p_radical
+    monkeypatch.setattr(moduli, "_p_radical",
+                        lambda ctx: p_radical(ctx) * (1 + ctx.tol(digits)))
+
+
+def test_constant_off_its_oracle_exits_3(capsys, monkeypatch):
+    _perturb_p_radical(monkeypatch, 150)
+    code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "300"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: constant gamma-quarter "
+                          "does not match its oracle")
+
+
+def test_verify_reports_a_wrong_chain_as_failed_rows(capsys, monkeypatch):
+    # nothing in the chain or the headline raises, so each row is built and
+    # the ones that test k_100 or the constant fail
+    _perturb_p_radical(monkeypatch, 30)
+    code, out, err = _run(capsys, ["verify", "--digits", "60", "--selection", "chain,series",
+                                   "--format", "json"])
+    assert code == 3 and err == ""
+    failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+    assert {"stage-defining-ratios", "headline-vs-oracle", "normalization-derived"} <= failed
+
+
+def test_elliptic_series_off_its_oracle_exits_3(capsys, monkeypatch):
+    from ellseries import series
+    eval_series = series.eval_series
+
+    def scaled(mu, z, alpha, beta, ctx, n_terms=None):
+        value, report = eval_series(mu, z, alpha, beta, ctx, n_terms)
+        return value * (1 + ctx.tol(30)), report
+
+    monkeypatch.setattr(series, "eval_series", scaled)
+    code, out, err = _run(capsys, ["elliptic", "K", "--r", "4", "--digits", "60"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: elliptic K r=4 method=both "
+                          "does not match its oracle")
 
 
 def test_elliptic_agm_past_the_ceiling_solves_nothing_at_the_target(capsys, monkeypatch):

@@ -109,8 +109,8 @@ def test_pair_rejects_a_k_and_gap_that_break_the_identity(ctx50):
 
 
 def test_gated_pair_reruns_no_agm(ctx50, monkeypatch):
-    # the defining-ratio gate runs agm(1, k') and agm(1, k) on the pair; the
-    # residual and K read them at the pair's own context
+    # solve_kr's defining-ratio gate runs agm(1, k') and agm(1, k) on the
+    # pair; the residual and K read them at the pair's own context
     from ellseries import oracle
     runs = []
     agm_loop = oracle._agm
@@ -120,7 +120,7 @@ def test_gated_pair_reruns_no_agm(ctx50, monkeypatch):
         return agm_loop(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "_agm", counted)
-    for pair in (solve_kr(Fraction(1, 3), ctx50), solve_kr(4, ctx50), k100_closed_form(ctx50)):
+    for pair in (solve_kr(Fraction(1, 3), ctx50), solve_kr(4, ctx50)):
         assert pair.ctx is ctx50
         gate_runs = len(runs)
         assert eq2_residual(pair) <= ctx50.tol(ctx50.working_digits - 5)

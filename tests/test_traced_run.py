@@ -45,7 +45,9 @@ def test_traced_cli_records_spans(argv):
     code, out, err, names = _traced(argv)
     assert code == 0, err
     assert json.loads(out)["oracle_agreement_digits"] >= 45
-    assert {"series.eval_series", "moduli.eq2_residual"} <= names
+    # the headline's chain runs no defining-ratio gate; solve_kr runs one
+    modulus_span = "moduli.chain_to_6400" if argv[0] == "constant" else "moduli.eq2_residual"
+    assert {"series.eval_series", modulus_span} <= names
 
 
 def test_traced_verify_records_run_verify_spans():
