@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
         measured = [c for c in results if c.residual_digits is not None]
         if measured:
             worst = min(measured, key=lambda c: c.residual_digits)
-            lines.append(f"worst residual: 1e-{worst.residual_digits:.1f} "
+            lines.append(f"worst residual: 1e{-worst.residual_digits:+.1f} "
                          f"({worst.group}/{worst.name})")
         print("\n".join(lines))
     return EXIT_OK if all_passed else EXIT_VERIFY
@@ -295,9 +295,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The process's own command line (`python -m ellseries`, the console
         # script).  Nearly all of the ~17k objects the GC tracks after start-up
         # live until exit, so move them to the permanent generation: every
-        # later GC pass, the exit's included, skips them.  In-process callers
-        # pass argv and keep their GC as it is.
+        # later GC pass, the exit's included, skips them.  `python -m
+        # ellseries` imports with the GC off (`__main__`), so no pass scans
+        # them before this either; parsing, compute and exit run with it on.
+        # In-process callers pass argv and keep their GC as it is.
         gc.freeze()
+        gc.enable()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,6 +28,14 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out == "[]"
 
 
+def test_only_run_verify_loads_the_check_bodies():
+    # a `constant` or `elliptic` child compiles none of the check bodies
+    out = _child("import sys, ellseries.cli; loaded = 'ellseries._checks' in sys.modules; "
+                 "ellseries.verify.run_verify(60, ['oracle']); "
+                 "print(loaded, 'ellseries._checks' in sys.modules)")
+    assert out == "False True"
+
+
 # The package namespace is lazy: a submodule is imported on the first read
 # of one of its public names.
 def test_package_import_loads_no_submodule():
@@ -114,6 +122,26 @@ def test_gc_freeze_only_for_the_process_command_line(monkeypatch, capsys):
     assert cli.main() == 0
     assert calls == [1]
     capsys.readouterr()
+
+
+def test_module_run_imports_with_the_gc_off():
+    # `python -m ellseries` imports the package with the GC off, and `main`
+    # turns it back on once it has frozen the import-time objects
+    out = _child(
+        "import gc, runpy, sys\n"
+        "from ellseries import cli\n"
+        "seen, main = [], cli.main\n"
+        "def recording(*args):\n"
+        "    seen.append(gc.isenabled())\n"
+        "    return main(*args)\n"
+        "cli.main = recording\n"
+        "sys.argv = ['ellseries', 'constant', 'gamma-quarter', '--digits', '20']\n"
+        "try:\n"
+        "    runpy.run_module('ellseries', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        "print(seen, gc.isenabled())")
+    assert out.splitlines()[-1] == "[False] True"
 
 
 def test_public_names_unchanged():

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from ellseries import moduli, series, verify
+from ellseries import _checks, moduli, series, verify
+from ellseries.precision import make_context
 
 
 def test_verify_computes_each_shared_quantity_once(monkeypatch):
@@ -19,7 +20,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     monkeypatch.setattr(moduli, "solve_kr", counting("solve_kr", moduli.solve_kr))
     monkeypatch.setattr(series, "two_K_over_pi",
                         counting("two_K_over_pi", series.two_K_over_pi))
-    monkeypatch.setattr(verify, "b_quarter", counting("b_quarter", verify.b_quarter))
+    monkeypatch.setattr(_checks, "b_quarter", counting("b_quarter", _checks.b_quarter))
     results = verify.run_verify(60, ["all"])
     assert all(c.passed for c in results)
     # one solve per r: the multiplier rows polish from the cached pairs
@@ -44,3 +45,12 @@ def test_check_result_cannot_be_edited():
     assert row.residual_digits is None
     with pytest.raises(AttributeError):
         row.passed = False
+
+
+def test_residual_of_one_or_more_prints_a_signed_exponent():
+    # a residual of 4 is -0.6 digits, so the exponent needs its sign
+    ctx = make_context(60)
+    _, passed, detail, digits = _checks._residual_check("four", ctx, ctx.mpf(4), 40)
+    assert not passed and digits < 0
+    assert "--" not in detail
+    assert detail == "residual 1e+0.6 (needs 1e-40)"
