@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import moduli, series
-from .oracle import E_ref, K_ref, agm, b_quarter, nome, theta3
-from .precision import PrecisionContext, make_context
+from .oracle import E_ref, K_E_ref, K_ref, _lemniscatic_agm, agm, nome, theta3
+from .precision import BigReal, PrecisionContext, make_context
 
 # detail suffix of the checks that compare k_r with oracle.theta3
 _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
@@ -34,14 +34,17 @@ _Row = Tuple[str, bool, str, Optional[float]]
 
 
 class _SolveCache:
-    """Per-run memo of theta-quotient pairs, their 2K/pi series, the
-    r = 100..6400 chain, the headline constant and the lemniscatic AGM
-    constant (all pure in ctx); K(k_r) is each pair's own K."""
+    """Per-run memo of every value two checks read (all pure in ctx):
+    theta-quotient pairs, their 2K/pi series, theta3 at their nomes, the
+    r = 100..6400 chain, the lemniscatic AGM, b(1/4) and the headline
+    constant, which reuses the chain and the AGM.  K(k_r) and E(k_r) are
+    each pair's own."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._pairs: Dict[Fraction, moduli.ModulusPair] = {}
         self._two_K: Dict[Fraction, tuple] = {}
+        self._theta3: Dict[Fraction, BigReal] = {}
 
     def pair(self, r) -> moduli.ModulusPair:
         r = Fraction(r)
@@ -55,17 +58,30 @@ class _SolveCache:
             self._two_K[r] = series.two_K_over_pi(self.pair(r))
         return self._two_K[r]
 
+    def theta3(self, r):
+        """theta3(q_r) at the nome q_r = exp(-pi sqrt(r))."""
+        r = Fraction(r)
+        if r not in self._theta3:
+            self._theta3[r] = theta3(nome(r, self.ctx), self.ctx)
+        return self._theta3[r]
+
     @cached_property
     def chain(self) -> List[moduli.ModulusPair]:
         return moduli.chain_to_6400(self.ctx)
 
     @cached_property
-    def headline(self):
-        return series.gamma_quarter_series(self.ctx)
+    def lemniscatic_agm(self):
+        return _lemniscatic_agm(self.ctx)
 
     @cached_property
     def b_quarter(self):
-        return b_quarter(self.ctx)
+        """Gamma(1/4)^2/sqrt(pi), :func:`oracle.b_quarter` from the cached AGM."""
+        return 2 * self.ctx.pi / self.lemniscatic_agm
+
+    @cached_property
+    def headline(self):
+        return series.gamma_quarter_series(self.ctx, chain=self.chain,
+                                           lemniscatic_agm=self.lemniscatic_agm)
 
 
 def _residual_check(name: str, ctx: PrecisionContext, worst_abs, threshold_digits: int,
@@ -85,22 +101,24 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
 
     yield _residual_check("agm-fixed-point", ctx, agm(ctx.one, ctx.one, ctx) - 1, t5)
 
-    worst = ctx.zero
-    for a, b in ((ctx.mpf(1), ctx.sqrt(2)), (ctx.mpf("0.25"), ctx.mpf(3)),
-                 (ctx.mpf("1e-6"), ctx.mpf(7))):
+    # agm(1, sqrt(2)), which the homogeneity row reads too
+    agm_sqrt2 = agm(ctx.one, ctx.sqrt(2), ctx)
+    worst = abs(agm_sqrt2 - agm(ctx.sqrt(2), ctx.one, ctx))
+    for a, b in ((ctx.mpf("0.25"), ctx.mpf(3)), (ctx.mpf("1e-6"), ctx.mpf(7))):
         worst = max(worst, abs(agm(a, b, ctx) - agm(b, a, ctx)))
     yield _residual_check("agm-symmetry", ctx, worst, t5)
 
     worst = ctx.zero
     for lam in (ctx.mpf(3), ctx.mpf("0.125"), ctx.pi):
-        worst = max(worst, abs(agm(lam, lam * ctx.sqrt(2), ctx)
-                               - lam * agm(ctx.one, ctx.sqrt(2), ctx)))
+        worst = max(worst, abs(agm(lam, lam * ctx.sqrt(2), ctx) - lam * agm_sqrt2))
     yield _residual_check("agm-homogeneity", ctx, worst, t5)
 
     yield _residual_check("K-at-zero", ctx, K_ref(0, ctx) - ctx.pi / 2, t5)
 
+    # (K, E) at each grid k and at its complement k', one AGM run each
     grid = [ctx.mpf(i) / 10 for i in range(1, 10)]
-    ks = [K_ref(k, ctx) for k in grid]
+    ke = [(K_E_ref(k, ctx), K_E_ref(ctx.sqrt(1 - k * k), ctx)) for k in grid]
+    ks = [K_k for (K_k, _), _ in ke]
     monotone = all(ks[i] < ks[i + 1] for i in range(len(ks) - 1))
     yield "K-strictly-increasing", monotone, "grid k=0.1..0.9", None
 
@@ -108,10 +126,8 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     yield _residual_check("E-endpoints", ctx, worst, t5)
 
     worst = ctx.zero
-    for k, K_k in zip(grid, ks):
-        kp = ctx.sqrt(1 - k * k)
-        K_kp = K_ref(kp, ctx)
-        lhs = E_ref(k, ctx) * K_kp + E_ref(kp, ctx) * K_k - K_k * K_kp
+    for (K_k, E_k), (K_kp, E_kp) in ke:
+        lhs = E_k * K_kp + E_kp * K_k - K_k * K_kp
         worst = max(worst, abs(lhs - ctx.pi / 2))
     yield _residual_check("legendre-relation", ctx, worst, t5,
                           detail="E(k)K(k')+E(k')K(k)-K(k)K(k') = pi/2 on grid")
@@ -124,7 +140,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     worst = ctx.zero
     for r in (1, 2, 3, 4):
         pair = cache.pair(r)
-        th = theta3(nome(r, ctx), ctx)
+        th = cache.theta3(r)
         worst = max(worst, abs(2 * pair.K / ctx.pi - th * th))
     yield _residual_check("theta-K-identity", ctx, worst, t5,
                           detail=f"2K(k_r)/pi = theta3(q)^2, r in {{1,2,3,4}}; "
@@ -133,7 +149,7 @@ def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     worst = ctx.zero
     for r in (1, 2, 4):
         pair = cache.pair(r)
-        th = theta3(nome(r, ctx), ctx)
+        th = cache.theta3(r)
         worst = max(worst, abs(th * th * ctx.pi / 2 - pair.K))
     yield _residual_check("theta-nome-K", ctx, worst, t5,
                           detail=f"theta3(q)^2 pi/2 = K(k_r), r in {{1,2,4}}; "
@@ -246,7 +262,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
         pair = cache.pair(r)
         val, _ = cache.two_K_over_pi(r)
         agm_side = 2 * pair.K / ctx.pi
-        th = theta3(nome(r, ctx), ctx) ** 2
+        th = cache.theta3(r) ** 2
         worst = max(worst, abs(val - agm_side), abs(val - th), abs(agm_side - th))
     yield _residual_check("first-kind-triple", ctx, worst, t5,
                           detail=f"series = 2K/pi = theta3^2 pairwise, r in "

@@ -200,7 +200,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"[{status}] {c.group}/{c.name}: {c.detail}")
         n_pass = sum(1 for c in results if c.passed)
         lines.append(f"{n_pass}/{len(results)} checks passed at "
-                     f"{args.digits} digits in {elapsed:.1f} s")
+                     f"{args.digits} digits in {elapsed:.3f} s")
         measured = [c for c in results if c.residual_digits is not None]
         if measured:
             worst = min(measured, key=lambda c: c.residual_digits)

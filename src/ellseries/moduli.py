@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .oracle import E_agm, agm
+from .oracle import AGMRun, E_from_agm, _agm, agm
 from .precision import BigReal, DomainError, PrecisionContext, Rational, make_context
 
 
@@ -57,7 +57,8 @@ class ModulusPair:
 
     The pair keeps ``ctx``: agm(1, k), agm(1, k'), K and E are computed at
     it once, on first read, so the AGMs that :func:`solve_kr`'s
-    defining-ratio gate runs serve every later reader.
+    defining-ratio gate runs serve every later reader.  E reads the side
+    sum from the iterates of that agm(1, k') run, so no AGM runs twice.
     """
 
     def __init__(self, r: Fraction, k: BigReal, gap: BigReal,
@@ -79,9 +80,13 @@ class ModulusPair:
         return agm(self.ctx.one, self.k, self.ctx)
 
     @cached_property
+    def _agm_k_prime_run(self) -> AGMRun:
+        return _agm(self.ctx.one, self.k_prime, self.ctx)
+
+    @cached_property
     def agm_k_prime(self) -> BigReal:
         """agm(1, k'_r) from the stored k'."""
-        return agm(self.ctx.one, self.k_prime, self.ctx)
+        return self._agm_k_prime_run.value
 
     @cached_property
     def K(self) -> BigReal:
@@ -90,8 +95,8 @@ class ModulusPair:
 
     @cached_property
     def E(self) -> BigReal:
-        """E(k_r) by the AGM side sum from the stored k and k' (:func:`oracle.E_agm`)."""
-        return E_agm(self.k, self.k_prime, self.ctx)
+        """E(k_r) by the side sum of the agm(1, k'_r) run (:func:`oracle.E_from_agm`)."""
+        return E_from_agm(self.k, self._agm_k_prime_run)
 
 
 class MultiplierResult(NamedTuple):

@@ -11,7 +11,7 @@ identities are classical; see Borwein & Borwein, "Pi and the AGM".
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .precision import BigReal, DomainError, PrecisionContext, Rational, isqrt
 
@@ -20,9 +20,44 @@ from .precision import BigReal, DomainError, PrecisionContext, Rational, isqrt
 _GUARD_BITS = 32
 
 
-def _agm(a: Any, b: Any, ctx: PrecisionContext,
-         c0: Any = None) -> Tuple[BigReal, Optional[BigReal]]:
-    """agm(a, b) and, given c0, the side sum sum_{n>=0} 2^(n-1) c_n^2.
+class AGMRun:
+    """agm(a, b) as :func:`_agm` stepped it, with the iterates it stepped through.
+
+    ``value`` is the limit.  The iterates are kept as the loop formed them
+    (mpf pairs while one argument exceeds twice the other, then the binary
+    fixed-point pairs), so :meth:`side_sum` forms each half-difference c_n
+    and adds it in step order: the sum is the same to the last bit as one
+    accumulated while stepping, and an AGM whose side sum nobody reads pays
+    nothing for it.
+    """
+
+    def __init__(self, value: BigReal, ctx: PrecisionContext, mpf_steps: list,
+                 bits: int, fixed_steps: list) -> None:
+        self.value, self.ctx = value, ctx
+        self._mpf_steps, self._bits, self._fixed_steps = mpf_steps, bits, fixed_steps
+
+    def side_sum(self, c0: Any) -> BigReal:
+        """sum_{n>=0} 2^(n-1) c_n^2 with c_{n+1} = (a_n - b_n)/2 and c_0 given.
+
+        The mpf steps add in mpf arithmetic; the fixed-point steps add in the
+        loop's fixed point, the c_n after the last step included, since its
+        weight 2^(n-1) grows with the step count.
+        """
+        ctx, bits = self.ctx, self._bits
+        c0 = ctx.mpf(c0)
+        csum = c0 * c0 / 2
+        for n, (a, b) in enumerate(self._mpf_steps):
+            c = (a - b) / 2
+            csum += ctx.mpf(2) ** n * c * c
+        s = ctx.to_fixed(csum, bits)
+        for n, (x, y) in enumerate(self._fixed_steps, len(self._mpf_steps)):
+            c = (x - y) >> 1
+            s += (c * c) >> (bits - n)
+        return ctx.from_fixed(s, bits)
+
+
+def _agm(a: Any, b: Any, ctx: PrecisionContext) -> AGMRun:
+    """agm(a, b), with the iterates that E's side sum reads (:class:`AGMRun`).
 
     The steps are a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n) and
     c_{n+1} = (a_n-b_n)/2.  While one argument exceeds twice the other,
@@ -35,45 +70,31 @@ def _agm(a: Any, b: Any, ctx: PrecisionContext,
     at r = 6400, 1e-48000 at r = 5e9).  The loop stops once a_n - b_n falls
     below half the fixed-point width, since the next mean is then within
     (a_n - b_n)^2/(8 a_n) of the limit.
-
-    The side sum, None without c0, costs a square per step.  It
-    accumulates in the same fixed point and takes the c_n after the last
-    step too, since its weight 2^(n-1) grows with the step count.
     """
     a, b = ctx.mpf(a), ctx.mpf(b)
     if a <= 0 or b <= 0:
         raise DomainError(f"agm requires positive arguments, got ({a}, {b})")
-    side = c0 is not None
-    if side:
-        c0 = ctx.mpf(c0)
-        csum = c0 * c0 / 2
-    n = 0  # steps taken; c_{n+1} has weight 2^n
+    mpf_steps = []
     while a > 2 * b or b > 2 * a:
-        if side:
-            c = (a - b) / 2
-            csum += ctx.mpf(2) ** n * c * c
-        a, b, n = (a + b) / 2, ctx.sqrt(a * b), n + 1
+        mpf_steps.append((a, b))
+        a, b = (a + b) / 2, ctx.sqrt(a * b)
     bits = ctx.prec + _GUARD_BITS - ctx.mag(max(a, b))
     x, y = ctx.to_fixed(a, bits), ctx.to_fixed(b, bits)
     stop = 1 << ((ctx.prec + _GUARD_BITS) // 2)
-    s = ctx.to_fixed(csum, bits) if side else None
-    while True:
-        if side:
-            c = (x - y) >> 1
-            s += (c * c) >> (bits - n)
-        if abs(x - y) <= stop:
-            break
-        x, y, n = (x + y) >> 1, isqrt(x * y), n + 1
-    return ctx.from_fixed((x + y) >> 1, bits), (ctx.from_fixed(s, bits) if side else None)
+    fixed_steps = [(x, y)]
+    while abs(x - y) > stop:
+        x, y = (x + y) >> 1, isqrt(x * y)
+        fixed_steps.append((x, y))
+    return AGMRun(ctx.from_fixed((x + y) >> 1, bits), ctx, mpf_steps, bits, fixed_steps)
 
 
 def agm(a: Any, b: Any, ctx: PrecisionContext) -> BigReal:
     """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n).
 
     Quadratically convergent: the iteration count is O(log(working_digits)).
-    Stepped by :func:`_agm`, without the side sum.
+    Stepped by :func:`_agm`.
     """
-    return _agm(a, b, ctx)[0]
+    return _agm(a, b, ctx).value
 
 
 def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
@@ -87,23 +108,35 @@ def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
     return ctx.pi / (2 * agm(ctx.one, ctx.sqrt(1 - k * k), ctx))
 
 
-def E_agm(k: Any, k_prime: Any, ctx: PrecisionContext) -> BigReal:
-    """E(k) from k and its complement k' = sqrt(1 - k^2), by the AGM side sum.
+def E_from_agm(k: Any, run: AGMRun) -> BigReal:
+    """E(k) from ``run``, the :func:`_agm` run of agm(1, k'), by its side sum.
 
     E(k) = K(k) * (1 - sum_{n>=0} 2^(n-1) c_n^2) with K(k) = pi/(2 agm(1, k')),
-    c_0 = k and c_{n+1} = (a_n - b_n)/2 along the AGM(1, k') iteration of
-    :func:`_agm`.  k' (0 < k' <= 1) is taken as given, so a caller that
-    holds it exactly (a solved modulus pair) does not lose it to
-    sqrt(1 - k^2) near k = 1.  E >= 1 is clamped at 1: below
-    k' ~ 10^(-working/2), E - 1 is under the rounding error of
-    K (1 - sum), which would otherwise read 0.999....
+    c_0 = k and c_{n+1} = (a_n - b_n)/2 along the run (:meth:`AGMRun.side_sum`).
+    k' (0 < k' <= 1) is the one the run was given, so a caller that holds it
+    exactly (a solved modulus pair) does not lose it to sqrt(1 - k^2) near
+    k = 1, and one that already ran agm(1, k') for K runs no second AGM.
+    E >= 1 is clamped at 1: below k' ~ 10^(-working/2), E - 1 is under the
+    rounding error of K (1 - sum), which would otherwise read 0.999....
     """
-    limit, csum = _agm(ctx.one, k_prime, ctx, c0=k)
-    return max(ctx.pi / (2 * limit) * (1 - csum), ctx.one)
+    ctx = run.ctx
+    return max(ctx.pi / (2 * run.value) * (1 - run.side_sum(k)), ctx.one)
+
+
+def K_E_ref(k: Any, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
+    """(K(k), E(k)) for 0 <= k < 1 from one agm(1, sqrt(1 - k^2)) run.
+
+    Each equals :func:`K_ref` and :func:`E_ref` at k to the last bit.
+    """
+    k = ctx.mpf(k)
+    if k < 0 or k >= 1:
+        raise DomainError(f"K requires 0 <= k < 1, got {k}")
+    run = _agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
+    return ctx.pi / (2 * run.value), E_from_agm(k, run)
 
 
 def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
-    """Complete elliptic integral of the second kind, :func:`E_agm` at k' = sqrt(1 - k^2).
+    """Complete elliptic integral of the second kind, :func:`E_from_agm` at k' = sqrt(1 - k^2).
 
     The endpoint E(1) = 1 is returned exactly (the AGM degenerates there).
     """
@@ -112,7 +145,7 @@ def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
         raise DomainError(f"E requires 0 <= k <= 1, got {k}")
     if k == 1:
         return ctx.one
-    return E_agm(k, ctx.sqrt(1 - k * k), ctx)
+    return E_from_agm(k, _agm(ctx.one, ctx.sqrt(1 - k * k), ctx))
 
 
 def theta3(q: Any, ctx: PrecisionContext) -> BigReal:

@@ -76,8 +76,8 @@ def _term_ratio(n: int, p: int, q: int) -> Tuple[int, int]:
 
     That is (nq - p)(q + p + nq) / (q^2 (n+1)^2) with den > 0, unreduced,
     since the kernel's floor of num/den ignores a common factor and a gcd
-    is costly.  It takes p and q, not a Fraction, whose property reads
-    would cost the per-term loop more than the arithmetic does.
+    is costly.  :func:`eval_series` steps the two factors of num by q per
+    term instead of calling this.
     """
     return (n * q - p) * (q + p + n * q), q * q * (n + 1) ** 2
 
@@ -129,6 +129,11 @@ def _pow_lead(m: int, e: int, k: int, keep: int) -> Tuple[int, int]:
     return rm, re
 
 
+# digits by which eval_series' bit-length bound must clear a stop threshold
+# before it skips the test's float logarithms: far above their rounding
+# error, which stays under 1e-10 below 10^15 digits
+_STOP_MARGIN = 1e-6
+
 # leading bits kept of each factor of a term in the error trace: a tail
 # that cancels to 10^-c of its largest term keeps ~(0.3 _TRACE_BITS - c)
 # digits
@@ -163,10 +168,13 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
 
     The sum never forms partial sums.  The stop rule reads the float
     magnitude log10|t_n| = log10|a_n| + (n mod u) log10 z, so N is fixed
-    in the same pass.  Of each term the loop keeps only a_n's leading
-    _TRACE_BITS bits, from which :func:`_tail_trace` forms the error trace
-    -log10|P_n - S| and its least-squares digits-per-term slope when the
-    report is first read.
+    in the same pass.  A term whose magnitude, bounded below by the bit
+    length of a_n and the least weight, is clear of both thresholds takes
+    no logarithm; only the last few terms, near a threshold, take the two
+    float logarithms, so every decision is the one they give.  Of each
+    term the loop keeps only a_n's leading _TRACE_BITS bits, from which
+    :func:`_tail_trace` forms the error trace -log10|P_n - S| and its
+    least-squares digits-per-term slope when the report is first read.
     """
     z = ctx.mpf(z)
     log10_z = ctx.log10_abs(z)
@@ -197,24 +205,40 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     w_bits = max(abs(alpha), abs(beta), 1).bit_length()
     a_w, b_w = abs(alpha) / (1 << w_bits), abs(beta) / (1 << w_bits)
     stop_digits = (2 * wp - w_bits) * LOG10_2 - ctx.working_digits
+    # log10 |t_n| >= (bits - 1) log10 2 + j log10 z for an a_n of `bits` bits,
+    # and the weight is least at n = 1, so a term with bits > clear[j] is
+    # clear of both stop tests, by more than their logarithms' rounding
+    w_min = 3 * a_w + b_w
+    if n_terms is not None:
+        clear_digits = 0.0
+    elif w_min:
+        clear_digits = max(0.0, stop_digits - math.log10(w_min))
+    else:
+        clear_digits = math.inf
+    clear = [(clear_digits + _STOP_MARGIN - j * log10_z) / LOG10_2 + 1 for j in range(u)]
 
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
+    # the factors of _term_ratio(n - 1, p, q), stepped by q per term
+    f1, f2, qq = -p, q + p, q * q
     s0 = [0] * u  # sum of a_n over n = j mod u
     s1 = [0] * u  # sum of n a_n
     coeffs = []  # signed a_n cut to its leading _TRACE_BITS bits, as (a, shift)
     a, positive = one, True  # |a_n| and its sign
+    bits = a.bit_length()
     n = j = 0
     while True:
         term = a if positive else -a
         s0[j] += term
         s1[j] += n * term
-        s = a.bit_length() - _TRACE_BITS
+        s = bits - _TRACE_BITS
         coeffs.append((term >> s, s) if s > 0 else (term, 0))
         n += 1
         if n == n_terms:
             break
-        num, den = _term_ratio(n - 1, p, q)
+        num, den = f1 * f2, qq * n * n
+        f1 += q
+        f2 += q
         j += 1
         if j == u:
             j = 0
@@ -225,12 +249,14 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
         a = a * num // den
         if not a:
             break
-        mag = math.log10(a) + j * log10_z  # log10 |t_n| in units
-        if mag < 0:  # under one unit: the term rounds to 0
-            break
-        weight = a_w * (n + 2) + b_w
-        if n_terms is None and (not weight or mag + math.log10(weight) < stop_digits):
-            break
+        bits = a.bit_length()
+        if bits <= clear[j]:
+            mag = math.log10(a) + j * log10_z  # log10 |t_n| in units
+            if mag < 0:  # under one unit: the term rounds to 0
+                break
+            weight = a_w * (n + 2) + b_w
+            if n_terms is None and (not weight or mag + math.log10(weight) < stop_digits):
+                break
         if n >= cap:
             raise SeriesConvergenceError(
                 f"series did not converge within {cap} terms (z={z})"
@@ -412,8 +438,10 @@ def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport
     return _with_oracle(value, report, 4 * pair.E / pair.ctx.pi, pair.ctx)
 
 
-def gamma_quarter_series(ctx: PrecisionContext,
-                         n_terms: Optional[int] = None) -> Tuple[BigReal, ConvergenceReport]:
+def gamma_quarter_series(ctx: PrecisionContext, n_terms: Optional[int] = None, *,
+                         chain: Optional[List[moduli.ModulusPair]] = None,
+                         lemniscatic_agm: Optional[BigReal] = None,
+                         ) -> Tuple[BigReal, ConvergenceReport]:
     """Gamma(1/4)^2/pi^(3/2) from the w = k_6400 series, ~108 digits per term.
 
     The sum in w^2 with weight -2(1-w^2) n + (1/2 - w^2) equals
@@ -425,8 +453,15 @@ def gamma_quarter_series(ctx: PrecisionContext,
     reported by the verification suite, never used.  The report's oracle is
     2/agm(1, 1/sqrt(2)); the caller reads the agreement with it from
     ``final_error_vs_oracle``, which the CLI gates at target - 5.
+
+    A caller that already holds ``chain_to_6400(ctx)`` or agm(1, 1/sqrt(2))
+    at ``ctx`` passes it as ``chain`` or ``lemniscatic_agm``, and it is not
+    computed again (``verify`` reads both for its own checks).
     """
-    chain = moduli.chain_to_6400(ctx)
+    if chain is None:
+        chain = moduli.chain_to_6400(ctx)
+    if lemniscatic_agm is None:
+        lemniscatic_agm = _lemniscatic_agm(ctx)
     pair100, pair6400 = chain[0], chain[3]
     w = pair6400.k
     z = w * w
@@ -435,7 +470,7 @@ def gamma_quarter_series(ctx: PrecisionContext,
     scale = moduli.k_scale_64(pair100)
     coeff = moduli.k100_radical_coefficient(ctx)
     value, report = _with_oracle(sigma / (coeff * scale), report,
-                                 2 / _lemniscatic_agm(ctx), ctx)
+                                 2 / lemniscatic_agm, ctx)
     report.notes.append(
         "normalization derived from the modulus chain (scalar 640 = 8*80 against "
         "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "

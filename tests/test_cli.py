@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -170,46 +171,51 @@ def test_elliptic_agm_method_at_r1(capsys):
     assert json.loads(out)["value_digits"].startswith("1.854074677301371918")
 
 
-def _count_oracle_calls(monkeypatch, names=("agm", "E_agm")):
-    """Count calls of oracle functions through every ellseries module that binds them."""
+def _count_agm_loops(monkeypatch):
+    """Count runs of the one AGM loop, oracle._agm, through every ellseries
+    module that binds it, and reads of a run's side sum (E's)."""
     from ellseries import oracle
-    counts = dict.fromkeys(names, 0)
-    modules = [m for n, m in sys.modules.items() if n == "ellseries" or n.startswith("ellseries.")]
-    for name in names:
-        original = getattr(oracle, name)
+    counts = {"_agm": 0, "side_sum": 0}
+    loop, side_sum = oracle._agm, oracle.AGMRun.side_sum
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_loop(*args, **kwargs):
+        counts["_agm"] += 1
+        return loop(*args, **kwargs)
 
-        for m in modules:
+    def counted_side_sum(*args, **kwargs):
+        counts["side_sum"] += 1
+        return side_sum(*args, **kwargs)
+
+    for name, m in list(sys.modules.items()):
+        if name == "ellseries" or name.startswith("ellseries."):
             for attr, value in list(vars(m).items()):
-                if value is original:
-                    monkeypatch.setattr(m, attr, counted)
+                if value is loop:
+                    monkeypatch.setattr(m, attr, counted_loop)
+    monkeypatch.setattr(oracle.AGMRun, "side_sum", counted_side_sum)
     return counts
 
 
-# the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps agm(1, k')
-# for K, E's side-sum AGM runs once per pair, and agm reruns all at 25
-# extra digits
-@pytest.mark.parametrize("kind, method, agm_calls, e_agm_calls", [
+# the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps the
+# agm(1, k') run for K and for E, whose side sum reads that run's iterates
+# without another loop; agm reruns both at 25 extra digits
+@pytest.mark.parametrize("kind, method, loops, side_sums", [
     ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 4, 0), ("E", "agm", 4, 2)])
-def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, agm_calls, e_agm_calls):
-    counts = _count_oracle_calls(monkeypatch)
+def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, loops, side_sums):
+    counts = _count_agm_loops(monkeypatch)
     code, _, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
                                "--method", method, "--format", "json"])
     assert code == 0
-    assert counts == {"agm": agm_calls, "E_agm": e_agm_calls}
+    assert counts == {"_agm": loops, "side_sum": side_sums}
 
 
 def test_constant_runs_one_agm(capsys, monkeypatch):
     # the oracle's agm(1, 1/sqrt(2)); the closed-form k_100 pair runs no
     # defining-ratio gate
-    counts = _count_oracle_calls(monkeypatch)
+    counts = _count_agm_loops(monkeypatch)
     code, _, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "1000",
                                "--format", "json"])
     assert code == 0
-    assert counts == {"agm": 1, "E_agm": 0}
+    assert counts == {"_agm": 1, "side_sum": 0}
 
 
 def _perturb_p_radical(monkeypatch, digits):
@@ -379,6 +385,13 @@ def test_verify_small_selection(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "FAIL" not in out
+
+
+def test_verify_summary_times_to_the_millisecond(capsys):
+    # a run under 50 ms used to read "in 0.0 s"
+    code, out, _ = _run(capsys, ["verify", "--digits", "60", "--selection", "oracle"])
+    assert code == 0
+    assert re.search(r"checks passed at 60 digits in \d+\.\d{3} s$", out, re.M)
 
 
 def test_verify_json(capsys):

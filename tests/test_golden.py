@@ -1,0 +1,76 @@
+"""Outputs pinned to values recorded before a refactor: a change that should
+keep every digit, term count and report byte-identical is checked here.
+
+The fixtures under tests/data were written by an earlier commit, not by the
+code under test, so regenerating them from this tree proves nothing.
+"""
+
+import hashlib
+import json
+import pathlib
+import random
+from fractions import Fraction
+
+from ellseries import eval_series, make_context
+from ellseries.cli import main
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def eval_series_draws():
+    """Seeded (mu, z, alpha, beta, digits, n_terms) for :func:`eval_series`.
+
+    mu is a small rational, a float (as verify draws it) or a nonnegative
+    integer, whose series terminates; the weights take either sign or 0;
+    some draws force a term count, up to one well past the stop rule, where
+    the sum ends at the first term under one fixed-point unit.
+    """
+    rng = random.Random(0x60D)
+    draws = []
+    for i in range(60):
+        shape = i % 4
+        if shape == 0:
+            mu = Fraction(rng.randint(-40, -1), rng.randint(1, 12))
+        elif shape == 1:
+            mu = Fraction(rng.uniform(-2.5, -0.05))
+        elif shape == 2:
+            mu = Fraction(rng.choice((-3, -1)), 2)
+        else:
+            mu = Fraction(rng.randint(0, 3)) if rng.random() < 0.3 else Fraction(
+                rng.randint(-9, 9), rng.randint(1, 5))
+        z = rng.uniform(0.005, 0.6)
+        alpha = rng.choice((0, round(rng.uniform(-4, 4), 6)))
+        beta = rng.choice((0, 1, round(rng.uniform(-3, 3), 6)))
+        digits = rng.randint(20, 300)
+        n_terms = rng.choice((None, None, None, rng.randint(1, 40), rng.randint(200, 3000)))
+        draws.append((mu, z, alpha, beta, digits, n_terms))
+    return draws
+
+
+def eval_series_outputs():
+    """Per draw: terms_used, the value's binary (mantissa, exponent), a
+    digest of the error trace, and digits_per_term."""
+    out = []
+    for mu, z, alpha, beta, digits, n_terms in eval_series_draws():
+        ctx = make_context(digits)
+        value, report = eval_series(mu, z, ctx.mpf(alpha), ctx.mpf(beta), ctx,
+                                    n_terms=n_terms)
+        _, man, exp, _ = value._mpf_
+        sign = -1 if value < 0 else 1
+        trace = hashlib.sha256(repr(report.error_trace).encode()).hexdigest()
+        out.append([report.terms_used, str(sign * int(man)), int(exp), trace,
+                    report.digits_per_term])
+    return out
+
+
+def test_eval_series_matches_recorded_outputs():
+    expected = json.loads((DATA / "eval_series_draws.json").read_text())
+    assert eval_series_outputs() == expected
+
+
+def test_verify_json_matches_recorded_report(capsys):
+    code = main(["verify", "--digits", "60", "--selection", "all", "--format", "json"])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    del got["elapsed_seconds"]
+    assert got == json.loads((DATA / "verify_60.json").read_text())

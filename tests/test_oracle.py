@@ -98,14 +98,29 @@ def test_agm_rows(digits, a, b):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-300, -1e-3), st.integers(30, 2000))
 def test_side_sum_agm_limit_is_agm_bit_for_bit(log10_k_prime, digits):
-    # E's side-sum AGM steps as agm does; k' down to 1e-300 takes the mpf steps
+    # E's side sum reads the iterates of the run agm takes its limit from;
+    # k' down to 1e-300 takes the mpf steps
     ctx = make_context(digits)
     kp = ctx.mpf(10) ** log10_k_prime
     k = ctx.sqrt((1 - kp) * (1 + kp))
-    limit, csum = oracle._agm(ctx.one, kp, ctx, c0=k)
-    assert limit == agm(ctx.one, kp, ctx)
+    run = oracle._agm(ctx.one, kp, ctx)
+    assert run.value == agm(ctx.one, kp, ctx)
+    csum = run.side_sum(k)
     assert 0 < csum < 1
-    assert oracle._agm(ctx.one, kp, ctx)[1] is None
+    # the same sum stepped directly in mpmath, 20 digits wider
+    mp = _mpmath_at(ctx)
+    a, b, c = mp.mpf(1), mp.mpf(kp), mp.mpf(k)
+    total, weight = c * c / 2, mp.mpf(1)
+    while abs(c) > mp.mpf(10) ** -(ctx.working_digits + 10):
+        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
+        total += weight * c * c
+        weight *= 2
+    assert abs(csum - total) <= ctx.tol(ctx.working_digits - 2)
+
+
+@pytest.mark.parametrize("k", ["0", "1e-30", "0.3", "0.5", "0.99999999999999999999"])
+def test_K_E_ref_is_K_ref_and_E_ref_from_one_run(ctx50, k):
+    assert oracle.K_E_ref(k, ctx50) == (K_ref(k, ctx50), E_ref(k, ctx50))
 
 
 @pytest.mark.parametrize("k", ["1e-30", "0.5", "0.99999999999999999999"])

@@ -1,26 +1,35 @@
 """The cross-validation suite: its per-run memo and the rows it returns."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from ellseries import _checks, moduli, series, verify
+from ellseries import _checks, moduli, oracle, series, verify
 from ellseries.precision import make_context
 
 
 def test_verify_computes_each_shared_quantity_once(monkeypatch):
     calls = Counter()
 
-    def counting(name, fn):
+    def count(name, fn, key=lambda args: ""):
+        """Count calls of fn through every ellseries module that binds it."""
         def wrapped(*args, **kwargs):
-            calls[(name, str(args[0]) if name == "solve_kr" else "")] += 1
+            calls[(name, key(args))] += 1
             return fn(*args, **kwargs)
-        return wrapped
+        for mod_name, m in list(sys.modules.items()):
+            if mod_name == "ellseries" or mod_name.startswith("ellseries."):
+                for attr, value in list(vars(m).items()):
+                    if value is fn:
+                        monkeypatch.setattr(m, attr, wrapped)
 
-    monkeypatch.setattr(moduli, "solve_kr", counting("solve_kr", moduli.solve_kr))
-    monkeypatch.setattr(series, "two_K_over_pi",
-                        counting("two_K_over_pi", series.two_K_over_pi))
-    monkeypatch.setattr(_checks, "b_quarter", counting("b_quarter", _checks.b_quarter))
+    count("solve_kr", moduli.solve_kr, key=lambda args: str(args[0]))
+    count("two_K_over_pi", series.two_K_over_pi)
+    count("_agm", oracle._agm)
+    count("theta3", oracle.theta3)
+    count("chain_to_6400", moduli.chain_to_6400)
+    count("_lemniscatic_agm", oracle._lemniscatic_agm,
+          key=lambda args: args[0].target_digits)
     results = verify.run_verify(60, ["all"])
     assert all(c.passed for c in results)
     # one solve per r: the multiplier rows polish from the cached pairs
@@ -28,7 +37,18 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     # 2K/pi once per r in {2, 3, 4, 100}; 4E/pi is its own sum, and the
     # paper's two-sum form of it reads the cached 2K/pi
     assert calls[("two_K_over_pi", "")] == 4
-    assert calls[("b_quarter", "")] == 1
+    # a pair's E reads its K's AGM run, the oracle grid takes K and E of
+    # each k from one run, and agm(1, sqrt(2)) runs once (100 loops before)
+    assert calls[("_agm", "")] <= 78
+    # theta3 once per r in {1, 2, 3, 4, 100}
+    assert calls[("theta3", "")] == 5
+    # at 60 digits, at the audit's 80 more and at the wide headline's 110
+    # more; the headline at 60 digits reads the cached chain
+    assert calls[("chain_to_6400", "")] == 3
+    # one lemniscatic AGM per context: b(1/4) and the headline's oracle
+    # share it at 60 digits
+    assert calls[("_lemniscatic_agm", 60)] == 1
+    assert calls[("_lemniscatic_agm", 170)] == 1
 
 
 def test_each_group_runs_only_its_own_rows_in_report_order():
