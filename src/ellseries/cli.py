@@ -26,13 +26,22 @@ from typing import Callable, List, Optional
 from . import moduli, series
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
-from .series import SeriesConvergenceError
 from .verify import GROUPS, run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECISION = 2
 EXIT_VERIFY = 3
+
+# The largest --digits of `constant`, `elliptic` and each `bench` target: a
+# run's time budget, checked on the number typed before any context is built.
+# `elliptic K --r 100` took 9 s, 31 s and 140 s at 50k, 100k and 200k digits
+# (x4.5 per doubling at the top), so about 10 min here; the headline constant
+# (16 s and 53 s at 100k and 200k) gets there near 600k.
+MAX_DIGITS = 392_000
+# verify --selection all took 2.9, 10.7 and 39 s at 4k, 8k and 16k digits
+# (x3.65 per doubling), so 64k projects to about 9 min
+VERIFY_MAX_DIGITS = 64_000
 
 
 def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
@@ -114,10 +123,18 @@ def _rational(text: str) -> Fraction:
             f"expected an integer or p/q with q != 0, got {text!r}") from None
 
 
+def _check_ceiling(digits: int) -> None:
+    """Refuse a --digits target past MAX_DIGITS (exit 2)."""
+    if digits > MAX_DIGITS:
+        raise PrecisionError(f"--digits {digits} is above the ceiling of {MAX_DIGITS}, "
+                             f"where a run takes about 10 min")
+
+
 def _cmd_constant(args) -> int:
     if args.terms is not None and not 1 <= args.terms <= series.RUNAWAY_TERM_CEILING:
         raise UsageError(f"--terms must be an integer in 1..{series.RUNAWAY_TERM_CEILING}, "
                          f"got {args.terms}")
+    _check_ceiling(args.digits)
     ctx = make_context(args.digits)
     rep = _series_report(f"constant {args.name}", ctx,
                          lambda: series.gamma_quarter_series(ctx, n_terms=args.terms))
@@ -137,15 +154,14 @@ def _cmd_elliptic(args) -> int:
     r = args.r
     if r <= 0:
         raise DomainError(f"--r must be a positive rational, got {r}")
+    _check_ceiling(args.digits)
     ctx = make_context(args.digits)
     command = f"elliptic {args.kind} r={r} method={args.method}"
     if args.method == "agm":
         t0 = time.perf_counter()
-        # the pair at 25 extra digits first: its contexts are the run's
-        # largest, so a run past the ceiling exits before any other work
+        value = getattr(moduli.solve_kr(r, ctx), args.kind)
         ctx_hi = make_context(args.digits + 25)
         value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)
-        value = getattr(moduli.solve_kr(r, ctx), args.kind)
         agreement = ctx_hi.agreement_digits(value, value_hi)
         rep = _run_report(command, ctx, value, 0, None, agreement, time.perf_counter() - t0,
                           ["agm method: agreement measured against a recomputation "
@@ -157,11 +173,6 @@ def _cmd_elliptic(args) -> int:
                              lambda: _elliptic_series(args.kind, moduli.solve_kr(r, ctx)))
     _emit([rep], args.format)
     return EXIT_OK
-
-
-# verify --selection all took 2.9, 10.7 and 39 s at 4k, 8k and 16k digits
-# (x3.65 per doubling), so 64k projects to about 9 min
-VERIFY_MAX_DIGITS = 64_000
 
 
 def _cmd_verify(args) -> int:
@@ -230,14 +241,9 @@ def _cmd_bench(args) -> int:
     for d in targets:
         if d < 100:
             raise PrecisionError(f"bench requires each digits >= 100, got {d}")
-    contexts = [make_context(d) for d in targets]
-    # the largest context any row builds passes the ceiling check before any
-    # row runs: k_100's closed form (the headline's chain) or the
-    # r = _BENCH_R theta sum, at the largest target
-    top = max(ctx.working_digits for ctx in contexts)
-    make_context(top + max(moduli.K100_EXTRA_DIGITS, moduli.theta_extra_digits(_BENCH_R)))
+        _check_ceiling(d)
     reports: List[dict] = []
-    for ctx in contexts:
+    for ctx in map(make_context, targets):
         reports.append(_series_report("bench gamma-quarter", ctx,
                                       lambda: series.gamma_quarter_series(ctx)))
         reports.append(_series_report(
@@ -321,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as e:
         print(f"ellseries: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (moduli.RootSelectionError, SeriesConvergenceError, RuntimeError) as e:
+    except RuntimeError as e:  # RootSelectionError and SeriesConvergenceError too
         print(f"ellseries: verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
 

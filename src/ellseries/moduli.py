@@ -29,10 +29,6 @@ from .precision import BigReal, DomainError, PrecisionContext, Rational, make_co
 # pi sqrt(r)/ln(10) digits: 100k of them at r = R_MAX (and r = 1/R_MAX).
 R_MAX = (100_000 * math.log(10) / math.pi) ** 2
 
-# digits :func:`k100_closed_form` carries over the working precision: its
-# radicals cancel ~9 digits
-K100_EXTRA_DIGITS = 10
-
 
 class RootSelectionError(RuntimeError):
     """No multiplier-polynomial root reproduces the AGM K-ratio (a bug)."""
@@ -133,11 +129,11 @@ def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal
     the terms p^(m^2) of one sum give theta2 = 2 sum_{odd m}, theta3 =
     1 + 2 sum_{even m} and theta3 - theta4 = 4 sum_{m = 2 mod 4}, so the gap
     takes no cancellation.  The sum stops relative to the smallest leading
-    term, p^4 = q (~1e-109 at r = 6400); p carries log10(pi sqrt(r)) extra
-    digits (:func:`theta_extra_digits`), the relative error exp(-x) inherits
+    term, p^4 = q (~1e-109 at r = 6400); p is formed with 10 + log10(pi sqrt(r))
+    extra digits, the second part for the relative error exp(-x) inherits
     from x = pi sqrt(r).
     """
-    hi = make_context(ctx.working_digits + theta_extra_digits(r))
+    hi = make_context(ctx.working_digits + int(math.log10(math.pi * math.sqrt(r))) + 10)
     p = hi.exp(-hi.pi * hi.sqrt(hi.mpf(r)) / 4)
     stop = p ** 4 * hi.tol(hi.working_digits)
     sums = [hi.zero] * 4  # by m mod 4
@@ -153,11 +149,6 @@ def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal
     k = (theta2 / theta3) ** 2
     gap = diff * (2 * theta3 - diff) / theta3 ** 2
     return ctx.mpf(k), ctx.mpf(gap)
-
-
-def theta_extra_digits(r: Rational) -> int:
-    """Digits :func:`_theta_modulus` carries over the working precision at r >= 1."""
-    return int(math.log10(math.pi * math.sqrt(r))) + 10
 
 
 def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
@@ -226,7 +217,7 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     gated on its defining ratio: the headline constant built from it is
     checked against its own AGM oracle, and ``verify`` checks the ratio.
     """
-    hi = make_context(ctx.working_digits + K100_EXTRA_DIGITS)
+    hi = make_context(ctx.working_digits + 10)
     p = _p_radical(hi)
     sp = hi.sqrt(p)
     p4 = hi.root(p, 4)

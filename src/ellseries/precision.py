@@ -13,7 +13,9 @@ Contexts are not changed after construction and operations are pure.
 round: its result may be wider than the context.  Contexts of equal
 working precision share one mpmath context and its memoized tolerances:
 building an mpmath context measured 0.6 ms, and a 500-digit ``verify``
-builds 26 contexts at 9 working precisions.  pi is read from mpmath's
+builds 25 contexts at 9 working precisions.  There is a floor on the
+target (the guard policy's), but no ceiling: what a run may cost is the
+command line's decision, not the arithmetic's.  pi is read from mpmath's
 own per-precision cache, so it is computed on first read, not when a
 context is built.  mpmath's ``hyp2f1`` raises the shared context's
 ``prec`` while it runs and restores it on return, so the package is
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Dict, Tuple
+from functools import lru_cache
+from typing import Any
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import numeral, to_fixed as _mpf_to_fixed
@@ -41,13 +44,6 @@ BigReal = Any
 Rational = numbers.Rational
 
 MIN_TARGET_DIGITS = 10
-# Largest target any context accepts, checked before an mpmath context is
-# built.  `elliptic K --r 100` took 9 s, 31 s and 140 s at 50k, 100k and
-# 200k digits (x4.5 per doubling at the top), so about 10 min at 400k; the
-# headline constant (16 s and 53 s at 100k and 200k) gets there near 600k.
-# A run's own elevated contexts carry up to 2% + 80 digits more than its
-# target, so the largest --digits a command accepts is about 392k.
-MAX_TARGET_DIGITS = 400_000
 MIN_GUARD_DIGITS = 10
 LOG10_2 = math.log10(2)
 
@@ -74,17 +70,16 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-# working digits -> (mpmath context, memo of tol(d) by d)
-_SHARED: Dict[int, Tuple[MPContext, Dict[int, Any]]] = {}
+@lru_cache(maxsize=None)
+def _shared_mp(working_digits: int) -> MPContext:
+    mp = MPContext()
+    mp.dps = working_digits
+    return mp
 
 
-def _shared_mp(working_digits: int) -> Tuple[MPContext, Dict[int, Any]]:
-    shared = _SHARED.get(working_digits)
-    if shared is None:
-        mp = MPContext()
-        mp.dps = working_digits
-        shared = _SHARED[working_digits] = (mp, {})
-    return shared
+@lru_cache(maxsize=None)
+def _tol(mp: MPContext, digits: int) -> BigReal:
+    return mp.mpf(10) ** (-digits)
 
 
 def guard_digits_for(target_digits: int) -> int:
@@ -104,7 +99,7 @@ class PrecisionContext:
     compare a difference with :meth:`tol`.
     """
 
-    __slots__ = ("target_digits", "guard_digits", "_mp", "_tols")
+    __slots__ = ("target_digits", "guard_digits", "_mp")
 
     def __init__(self, target_digits: int) -> None:
         if not isinstance(target_digits, int) or target_digits < MIN_TARGET_DIGITS:
@@ -112,15 +107,9 @@ class PrecisionContext:
                 "precision too low for guard policy: target_digits must be an "
                 f"integer >= {MIN_TARGET_DIGITS}, got {target_digits!r}"
             )
-        if target_digits > MAX_TARGET_DIGITS:
-            raise PrecisionError(
-                f"precision above the ceiling: the run needs a context of "
-                f"{target_digits} digits, past the {MAX_TARGET_DIGITS}-digit ceiling "
-                f"where a run takes about 10 min"
-            )
         self.target_digits = target_digits
         self.guard_digits = guard_digits_for(target_digits)
-        self._mp, self._tols = _shared_mp(self.working_digits)
+        self._mp = _shared_mp(self.working_digits)
 
     @property
     def working_digits(self) -> int:
@@ -149,10 +138,7 @@ class PrecisionContext:
 
     def tol(self, digits: int) -> BigReal:
         """10^(-digits) as a BigReal, memoized per working precision."""
-        t = self._tols.get(digits)
-        if t is None:
-            t = self._tols[digits] = self._mp.mpf(10) ** (-digits)
-        return t
+        return _tol(self._mp, digits)
 
     # ---- elementary functions ---------------------------------------
 

@@ -67,12 +67,12 @@ EXIT_CODES = [
                  id="digits-above-ceiling"),
     # checked for every target before the 50k rows run (~20 s)
     pytest.param(["bench", "--digits", "50000,500000"], 2, id="bench-above-ceiling"),
-    # an elevated context trips the ceiling; pi for the 408k-digit top
-    # context used to take ~12 s before it did
+    # past cli.MAX_DIGITS, so refused on the number typed, before any
+    # context is built
     pytest.param(["elliptic", "K", "--r", "100", "--digits", "399999"], 2,
-                 id="elliptic-elevated-above-ceiling"),
+                 id="elliptic-above-max-digits"),
     pytest.param(["constant", "gamma-quarter", "--digits", "399999"], 2,
-                 id="constant-elevated-above-ceiling"),
+                 id="constant-above-max-digits"),
 ]
 
 
@@ -262,43 +262,34 @@ def test_elliptic_series_off_its_oracle_exits_3(capsys, monkeypatch):
                           "does not match its oracle")
 
 
-def test_elliptic_agm_past_the_ceiling_solves_nothing_at_the_target(capsys, monkeypatch):
-    # the +25-digit pair's theta context is the run's largest; solving it
-    # first exits 2 before the target-digit pair is solved
-    from ellseries import moduli, precision
-    monkeypatch.setattr(precision, "MAX_TARGET_DIGITS", 3000)
-    solved = []
-    solve_kr = moduli.solve_kr
-
-    def recorded(r, ctx):
-        solved.append(ctx.target_digits)
-        return solve_kr(r, ctx)
-
-    monkeypatch.setattr(moduli, "solve_kr", recorded)
-    code, out, err = _run(capsys, ["elliptic", "K", "--r", "2", "--digits", "2930",
-                                   "--method", "agm"])
-    assert code == 2 and out == "" and "ceiling" in err
-    assert 2930 not in solved
-
-
-# 2950: both elevated contexts are past the patched ceiling.  2931: working
-# 2990 digits, so k_100's closed form (+10) fits and only the r = 100 theta
-# sum (+11) does not
-@pytest.mark.parametrize("top", ["2950", "2931"])
-def test_bench_past_the_ceiling_starts_no_row(capsys, monkeypatch, top):
-    from ellseries import cli as cli_mod, precision
-    monkeypatch.setattr(precision, "MAX_TARGET_DIGITS", 3000)
-    started = []
-    series_report = cli_mod._series_report
-
-    def recorded(command, ctx, compute):
-        started.append((command, ctx.target_digits))
-        return series_report(command, ctx, compute)
-
-    monkeypatch.setattr(cli_mod, "_series_report", recorded)
-    code, out, err = _run(capsys, ["bench", "--digits", f"2000,{top}", "--format", "json"])
-    assert code == 2 and out == "" and "ceiling" in err
-    assert started == []
+# one ceiling on the --digits typed, checked before any pair is solved or
+# chain built, whatever contexts above the target the command then builds
+@pytest.mark.parametrize("digits, expected", [(3000, 0), (3001, 2)])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["constant", "gamma-quarter", "--digits", "{}"], id="constant"),
+    pytest.param(["elliptic", "K", "--r", "2", "--digits", "{}", "--method", "agm"],
+                 id="elliptic-K-agm"),
+    pytest.param(["elliptic", "E", "--r", "100", "--digits", "{}", "--method", "both"],
+                 id="elliptic-E-both"),
+    pytest.param(["bench", "--digits", "2000,{}", "--format", "json"], id="bench"),
+])
+def test_one_digits_ceiling(capsys, monkeypatch, argv, digits, expected):
+    from ellseries import cli as cli_mod, moduli
+    monkeypatch.setattr(cli_mod, "MAX_DIGITS", 3000)
+    calls = []
+    for name in ("solve_kr", "chain_to_6400"):
+        def recorded(*args, _f=getattr(moduli, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(moduli, name, recorded)
+    code, out, err = _run(capsys, [a.format(digits) for a in argv])
+    assert code == expected
+    if expected:
+        assert out == "" and calls == []
+        assert err == "ellseries: --digits 3001 is above the ceiling of 3000, " \
+                      "where a run takes about 10 min\n"
+    else:
+        assert out and err == "" and calls
 
 
 @pytest.mark.parametrize("kind", ["K", "E"])

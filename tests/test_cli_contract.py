@@ -24,8 +24,8 @@ N_DRAWS = 400
 DIGITS_CAP = 300
 VERIFY_DIGITS_CAP = 60
 
-# floors, values past the ceilings (a run's elevated contexts carry 2% + 10
-# digits or more over its target), and malformed values
+# floors, values past the ceilings (cli.MAX_DIGITS = 392,000 and
+# cli.VERIFY_MAX_DIGITS = 64,000), and malformed values
 DIGIT_EDGES = ["9", "10", "0", "-5", "abc", "1e3", "", "399999", "400000", "400001",
                "99999999999999999999"]
 VERIFY_DIGIT_EDGES = ["10", "49", "50", "64001", "100000", "abc"]

@@ -37,6 +37,8 @@ def test_rejects_low_precision():
     for bad in (9, 100.0, "100"):
         with pytest.raises(PrecisionError):
             PrecisionContext(target_digits=bad)
+    # and there is no ceiling: the CLI bounds --digits, not the substrate
+    assert make_context(10 ** 6).working_digits == 1_020_000
 
 
 def test_equal_working_precision_shares_one_mpmath_context():
