@@ -36,8 +36,9 @@ def main() -> None:
         geo = float(-2 * ctx.log10(pair.k))
         print(f"{f'2K/pi at r={r}':>28} {report.terms_used:>6} "
               f"{_slope(report.digits_per_term)} {geo:>10.3f}")
-    value, report = gamma_quarter_series(ctx)
-    w = chain_to_6400(ctx)[3].k
+    chain = chain_to_6400(ctx)
+    value, report = gamma_quarter_series(chain)
+    w = chain[3].k
     geo = float(-2 * ctx.log10(w))
     print(f"{'Gamma(1/4)^2/pi^(3/2)':>28} {report.terms_used:>6} "
           f"{_slope(report.digits_per_term)} {geo:>10.3f}")

@@ -1,10 +1,10 @@
 """Wall-time scaling of the headline constant, its AGM oracle and its formatting.
 
-The series cost is dominated by the modulus chain radicals plus ~1 term
-per 108 digits; the oracle is 2/agm(1, 1/sqrt(2)), a single AGM, which
-gamma_quarter_series also runs to report its agreement, so series_s
-includes oracle_s; formatting converts the value to a truncated decimal
-string.
+series_s times the modulus chain and the sum over it, whose cost is
+dominated by the chain radicals plus ~1 term per 108 digits; the oracle
+is 2/agm(1, 1/sqrt(2)), a single AGM, which gamma_quarter_series also
+runs to report its agreement, so series_s includes oracle_s; formatting
+converts the value to a truncated decimal string.
 All should scale close to the big-float multiplication cost.
 
 Usage: python scripts/precision_scaling.py [digits digits ...]
@@ -16,7 +16,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from ellseries import agm, gamma_quarter_series, make_context, to_decimal_string
+from ellseries import (agm, chain_to_6400, gamma_quarter_series, make_context,
+                       to_decimal_string)
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     for d in targets:
         ctx = make_context(d)
         t0 = time.perf_counter()
-        value, report = gamma_quarter_series(ctx)
+        value, report = gamma_quarter_series(chain_to_6400(ctx))
         t_series = time.perf_counter() - t0
         t0 = time.perf_counter()
         2 / agm(ctx.one, ctx.sqrt(2) / 2, ctx)

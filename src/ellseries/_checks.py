@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import moduli, series
-from .oracle import E_ref, K_E_ref, K_ref, _lemniscatic_agm, agm, nome, theta3
+from .oracle import E_ref, K_E_ref, K_ref, agm, b_quarter, nome, theta3
 from .precision import BigReal, PrecisionContext, make_context
 
 # detail suffix of the checks that compare k_r with oracle.theta3
@@ -36,9 +36,8 @@ _Row = Tuple[str, bool, str, Optional[float]]
 class _SolveCache:
     """Per-run memo of every value two checks read (all pure in ctx):
     theta-quotient pairs, their 2K/pi series, theta3 at their nomes, the
-    r = 100..6400 chain, the lemniscatic AGM, b(1/4) and the headline
-    constant, which reuses the chain and the AGM.  K(k_r) and E(k_r) are
-    each pair's own."""
+    r = 100..6400 chain, b(1/4) and the headline constant, which sums over
+    the cached chain.  K(k_r) and E(k_r) are each pair's own."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
@@ -70,18 +69,12 @@ class _SolveCache:
         return moduli.chain_to_6400(self.ctx)
 
     @cached_property
-    def lemniscatic_agm(self):
-        return _lemniscatic_agm(self.ctx)
-
-    @cached_property
     def b_quarter(self):
-        """Gamma(1/4)^2/sqrt(pi), :func:`oracle.b_quarter` from the cached AGM."""
-        return 2 * self.ctx.pi / self.lemniscatic_agm
+        return b_quarter(self.ctx)
 
     @cached_property
     def headline(self):
-        return series.gamma_quarter_series(self.ctx, chain=self.chain,
-                                           lemniscatic_agm=self.lemniscatic_agm)
+        return series.gamma_quarter_series(self.chain)
 
 
 def _residual_check(name: str, ctx: PrecisionContext, worst_abs, threshold_digits: int,
@@ -298,7 +291,7 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     # one more
     value, report = cache.headline
     wide = make_context(ctx.target_digits + 110)
-    v_wide, wide_report = series.gamma_quarter_series(wide)
+    v_wide, wide_report = series.gamma_quarter_series(moduli.chain_to_6400(wide))
     yield _residual_check("headline-termination-insensitive", ctx, value - v_wide, t5,
                           detail=f"{report.terms_used} terms (stop rule) vs "
                                  f"{wide_report.terms_used} at {wide.target_digits} digits")

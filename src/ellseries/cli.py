@@ -136,8 +136,9 @@ def _cmd_constant(args) -> int:
                          f"got {args.terms}")
     _check_ceiling(args.digits)
     ctx = make_context(args.digits)
-    rep = _series_report(f"constant {args.name}", ctx,
-                         lambda: series.gamma_quarter_series(ctx, n_terms=args.terms))
+    rep = _series_report(
+        f"constant {args.name}", ctx,
+        lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx), n_terms=args.terms))
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -244,8 +245,9 @@ def _cmd_bench(args) -> int:
         _check_ceiling(d)
     reports: List[dict] = []
     for ctx in map(make_context, targets):
-        reports.append(_series_report("bench gamma-quarter", ctx,
-                                      lambda: series.gamma_quarter_series(ctx)))
+        reports.append(_series_report(
+            "bench gamma-quarter", ctx,
+            lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx))))
         reports.append(_series_report(
             f"bench two-K-over-pi(r={_BENCH_R})", ctx,
             lambda: series.two_K_over_pi(moduli.solve_kr(_BENCH_R, ctx))))

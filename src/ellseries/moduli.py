@@ -295,7 +295,7 @@ def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormCompariso
 # ---------------------------------------------------------------------
 
 def _multiplier_polynomials(n: int, k: BigReal):
-    """(f, f', f'') for the algebraic equation satisfied by M_n at modulus k."""
+    """(f, f', f'') for the algebraic equation of M_n, n = 3 or 5, at modulus k."""
     if n == 3:
         c = 8 * (1 - 2 * k * k)
 
@@ -309,23 +309,21 @@ def _multiplier_polynomials(n: int, k: BigReal):
             return 324 * m * m - 36
 
         return f, fp, fpp
-    if n == 5:
-        c = 256 * k * k * (1 - k * k)
+    c = 256 * k * k * (1 - k * k)
 
-        def f(m):
-            u = 5 * m - 1
-            return u ** 5 * (1 - m) - c * m
+    def f(m):
+        u = 5 * m - 1
+        return u ** 5 * (1 - m) - c * m
 
-        def fp(m):
-            u = 5 * m - 1
-            return 25 * u ** 4 * (1 - m) - u ** 5 - c
+    def fp(m):
+        u = 5 * m - 1
+        return 25 * u ** 4 * (1 - m) - u ** 5 - c
 
-        def fpp(m):
-            u = 5 * m - 1
-            return 500 * u ** 3 * (1 - m) - 50 * u ** 4
+    def fpp(m):
+        u = 5 * m - 1
+        return 500 * u ** 3 * (1 - m) - 50 * u ** 4
 
-        return f, fp, fpp
-    raise ValueError(f"no multiplier equation for n={n}")
+    return f, fp, fpp
 
 
 def _newton_polish(f: Callable, fp: Callable, x: BigReal,

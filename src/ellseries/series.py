@@ -71,17 +71,6 @@ class ConvergenceReport:
         return _slope(self.error_trace)
 
 
-def _term_ratio(n: int, p: int, q: int) -> Tuple[int, int]:
-    """c_{n+1}/c_n = (-mu+n)(1+mu+n) / (n+1)^2 for mu = p/q as exact (num, den).
-
-    That is (nq - p)(q + p + nq) / (q^2 (n+1)^2) with den > 0, unreduced,
-    since the kernel's floor of num/den ignores a common factor and a gcd
-    is costly.  :func:`eval_series` steps the two factors of num by q per
-    term instead of calling this.
-    """
-    return (n * q - p) * (q + p + n * q), q * q * (n + 1) ** 2
-
-
 def _weight_denominator(mu: Any, z: BigReal, ctx: PrecisionContext) -> BigReal:
     """D = -1 - mu + 2z(1+mu); the collapsing weight slope is alpha = 2(z-1)/D.
 
@@ -159,12 +148,13 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     (D. M. Smith, Math. Comp. 52 (1989) 131-134; the rectangular
     splitting of F. Johansson, arXiv:1310.2346).  With u ~ sqrt of the
     predicted term count, term n is t_n = a_n z^(n mod u): the running
-    coefficient a_n steps by the exact integer ratio of
-    :func:`_term_ratio`, a linear-cost multiply and divide, and takes the
-    full-width z^u once per u terms.  Class n mod u keeps sum(a_n) and
-    sum(n a_n); at the end Horner's rule in z combines the classes and the
-    weight alpha*n + beta is applied twice.  That is about 4 sqrt(N)
-    full-width multiplies for N terms instead of 2N.
+    coefficient a_n steps by the exact ratio c_{n+1}/c_n =
+    (nq - p)(q + p + nq) / (q^2 (n+1)^2) for mu = p/q, unreduced (the
+    floor ignores a common factor), a linear-cost multiply and divide,
+    and takes the full-width z^u once per u terms.  Class n mod u keeps
+    sum(a_n) and sum(n a_n); at the end Horner's rule in z combines the
+    classes and the weight alpha*n + beta is applied twice.  That is about
+    4 sqrt(N) full-width multiplies for N terms instead of 2N.
 
     The sum never forms partial sums.  The stop rule reads the float
     magnitude log10|t_n| = log10|a_n| + (n mod u) log10 z, so N is fixed
@@ -219,7 +209,7 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
 
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    # the factors of _term_ratio(n - 1, p, q), stepped by q per term
+    # the factors of the ratio c_n/c_(n-1) = f1 f2 / (q^2 n^2), stepped by q per term
     f1, f2, qq = -p, q + p, q * q
     s0 = [0] * u  # sum of a_n over n = j mod u
     s1 = [0] * u  # sum of n a_n
@@ -438,14 +428,14 @@ def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport
     return _with_oracle(value, report, 4 * pair.E / pair.ctx.pi, pair.ctx)
 
 
-def gamma_quarter_series(ctx: PrecisionContext, n_terms: Optional[int] = None, *,
-                         chain: Optional[List[moduli.ModulusPair]] = None,
-                         lemniscatic_agm: Optional[BigReal] = None,
+def gamma_quarter_series(chain: List[moduli.ModulusPair], n_terms: Optional[int] = None,
                          ) -> Tuple[BigReal, ConvergenceReport]:
     """Gamma(1/4)^2/pi^(3/2) from the w = k_6400 series, ~108 digits per term.
 
-    The sum in w^2 with weight -2(1-w^2) n + (1/2 - w^2) equals
-    K(k_6400)/pi.  Unwinding K[6400] -> K[100] through the r -> 64r
+    ``chain`` is :func:`moduli.chain_to_6400`'s r = 100, 400, 1600, 6400
+    pairs; the sum runs at the last pair's context, as :func:`two_K_over_pi`
+    sums at its pair's.  The sum in w^2 with weight -2(1-w^2) n + (1/2 - w^2)
+    equals K(k_6400)/pi.  Unwinding K[6400] -> K[100] through the r -> 64r
     scaling factor and the radical K[100] = coeff * Gamma(1/4)^2/sqrt(pi)
     gives the constant.  The normalization is carried exactly from that
     chain (overall scalar 640 against the bracketed radical); a published
@@ -453,16 +443,9 @@ def gamma_quarter_series(ctx: PrecisionContext, n_terms: Optional[int] = None, *
     reported by the verification suite, never used.  The report's oracle is
     2/agm(1, 1/sqrt(2)); the caller reads the agreement with it from
     ``final_error_vs_oracle``, which the CLI gates at target - 5.
-
-    A caller that already holds ``chain_to_6400(ctx)`` or agm(1, 1/sqrt(2))
-    at ``ctx`` passes it as ``chain`` or ``lemniscatic_agm``, and it is not
-    computed again (``verify`` reads both for its own checks).
     """
-    if chain is None:
-        chain = moduli.chain_to_6400(ctx)
-    if lemniscatic_agm is None:
-        lemniscatic_agm = _lemniscatic_agm(ctx)
     pair100, pair6400 = chain[0], chain[3]
+    ctx = pair6400.ctx
     w = pair6400.k
     z = w * w
     sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx,
@@ -470,7 +453,7 @@ def gamma_quarter_series(ctx: PrecisionContext, n_terms: Optional[int] = None, *
     scale = moduli.k_scale_64(pair100)
     coeff = moduli.k100_radical_coefficient(ctx)
     value, report = _with_oracle(sigma / (coeff * scale), report,
-                                 2 / lemniscatic_agm, ctx)
+                                 2 / _lemniscatic_agm(ctx), ctx)
     report.notes.append(
         "normalization derived from the modulus chain (scalar 640 = 8*80 against "
         "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "

@@ -11,6 +11,8 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from ellseries import eval_series, make_context
 from ellseries.cli import main
 
@@ -74,3 +76,19 @@ def test_verify_json_matches_recorded_report(capsys):
     got = json.loads(capsys.readouterr().out)
     del got["elapsed_seconds"]
     assert got == json.loads((DATA / "verify_60.json").read_text())
+
+
+def _strip_elapsed(report):
+    if isinstance(report, list):
+        return [_strip_elapsed(r) for r in report]
+    return {k: v for k, v in report.items() if k != "elapsed_seconds"}
+
+
+CLI_REPORTS = json.loads((DATA / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REPORTS))
+def test_cli_json_matches_recorded_report(command, capsys):
+    assert main([*command.split(), "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert _strip_elapsed(got) == CLI_REPORTS[command]

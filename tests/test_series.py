@@ -1,6 +1,7 @@
 """Series engine: coefficients, the collapse identity, K/E series, the constant."""
 
 import gc
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +18,7 @@ from ellseries import (DomainError, E_ref, K_ref, SeriesConvergenceError,
                        make_context, nome, phi_and_derivative,
                        solve_kr, theta3, two_K_over_pi)
 from ellseries import series
-from ellseries.series import _slope, _term_ratio, _weight_denominator
+from ellseries.series import _slope, _weight_denominator
 
 B_QUARTER_OVER_PI = "2.36068119803219245209067588111697717446743326976289459903173"
 
@@ -29,27 +30,22 @@ def _poch(x: Fraction, n: int) -> Fraction:
     return out
 
 
-def test_first_coefficient_step():
-    assert _term_ratio(0, -3, 2) == (-3, 4)
-
-
 @pytest.mark.parametrize("mu", [Fraction(-3, 2), Fraction(-1, 2), Fraction(-7, 10)])
-def test_coefficients_match_pochhammer_products(mu):
-    c = Fraction(1)
-    for n in range(10):
-        assert c == _poch(-mu, n) * _poch(1 + mu, n) / (math.factorial(n) ** 2)
-        num, den = _term_ratio(n, mu.numerator, mu.denominator)
-        assert den > 0
-        c *= Fraction(num, den)
+def test_coefficients_match_pochhammer_products(mu, ctx50):
+    z = Fraction(1, 8)
+    exact = sum(_poch(-mu, n) * _poch(1 + mu, n) / math.factorial(n) ** 2 * z ** n
+                for n in range(10))
+    value, report = eval_series(mu, ctx50.mpf(1) / 8, 0, 1, ctx50, n_terms=10)
+    assert report.terms_used == 10
+    assert abs(value - ctx50.mpf(exact.numerator) / exact.denominator) <= ctx50.tol(50)
 
 
-def test_nonnegative_integer_mu_terminates():
-    c = Fraction(1)
-    for n in range(6):
-        num, den = _term_ratio(n, 2, 1)
-        c *= Fraction(num, den)
-        if n >= 2:
-            assert c == 0
+def test_nonnegative_integer_mu_terminates(ctx50):
+    # mu = 2: the coefficients are 1, -6, 6, then 0 from n = 3 on
+    z = ctx50.mpf(1) / 8
+    value, report = eval_series(2, z, 0, 1, ctx50)
+    assert report.terms_used == 3
+    assert value == 1 - 6 * z + 6 * z * z
 
 
 def test_alpha_of(ctx50):
@@ -277,7 +273,7 @@ def test_second_kind_tiny_k_limit(ctx50):
 
 
 def test_gamma_quarter_value(ctx50):
-    value, report = gamma_quarter_series(ctx50)
+    value, report = gamma_quarter_series(chain_to_6400(ctx50))
     assert abs(value - ctx50.mpf(B_QUARTER_OVER_PI)) <= ctx50.tol(55)
     assert report.final_error_vs_oracle >= ctx50.target_digits - 5
     assert report.notes
@@ -285,7 +281,7 @@ def test_gamma_quarter_value(ctx50):
 
 def test_gamma_quarter_single_term():
     ctx = make_context(200)
-    value, report = gamma_quarter_series(ctx, n_terms=1)
+    value, report = gamma_quarter_series(chain_to_6400(ctx), n_terms=1)
     assert report.terms_used == 1
     # w^2 ~ 1e-108 bounds the first omitted correction
     assert 100 <= report.final_error_vs_oracle <= 115
@@ -296,17 +292,26 @@ def test_gamma_quarter_term_insensitivity():
     # terms (they round to 0 in fixed point), so the stop rule is compared
     # with a run ~108 digits (one term) wider
     ctx = make_context(300)
-    v1, r1 = gamma_quarter_series(ctx)
-    v2, r2 = gamma_quarter_series(make_context(ctx.target_digits + 110))
+    v1, r1 = gamma_quarter_series(chain_to_6400(ctx))
+    v2, r2 = gamma_quarter_series(chain_to_6400(make_context(ctx.target_digits + 110)))
     assert r2.terms_used > r1.terms_used
     assert abs(v1 - v2) <= ctx.tol(ctx.target_digits - 5)
 
 
 def test_gamma_quarter_slope():
     ctx = make_context(500)
-    _, report = gamma_quarter_series(ctx)
+    _, report = gamma_quarter_series(chain_to_6400(ctx))
     assert 100 <= report.digits_per_term <= 130
     assert report.terms_used <= 6
+    assert report.final_error_vs_oracle >= ctx.target_digits - 5
+
+
+def test_pair_and_chain_series_take_no_context():
+    # each sums at the context its pair or chain was built at, so no caller
+    # can sum at one precision over moduli built at another
+    for fn in (two_K_over_pi, four_E_over_pi, gamma_quarter_series):
+        assert "ctx" not in inspect.signature(fn).parameters
+    assert list(inspect.signature(gamma_quarter_series).parameters) == ["chain", "n_terms"]
 
 
 # ---------------------------------------------------------------------
@@ -348,16 +353,6 @@ def _reference_eval_series(params, ctx, n_terms=None):
 
 
 _small_rational = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 4))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10_000),
-       st.one_of(_small_rational, st.floats(-2.5, 2.5).map(Fraction)))
-def test_term_ratio_is_the_exact_coefficient_ratio(n, mu):
-    # verify draws mu as floats, whose Fractions have power-of-two denominators
-    num, den = _term_ratio(n, mu.numerator, mu.denominator)
-    assert den > 0
-    assert Fraction(num, den) == (n - mu) * (1 + mu + n) / (n + 1) ** 2
 
 
 @st.composite

@@ -16,8 +16,21 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _ancestors(spans, span):
+    """Names of the spans that enclose ``span``."""
+    names = []
+    while span[3] >= 0:
+        span = spans[span[3]]
+        names.append(span[0])
+    return names
+
+
 def _traced(argv):
-    """(exit code, stdout, stderr, span names) of one traced CLI child."""
+    """(exit code, stdout, stderr, spans) of one traced CLI child.
+
+    A span is (name, start, end, parent index, failed, n), as
+    `perfbench/spans.py` records it.
+    """
     read_fd, write_fd = os.pipe()
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -34,7 +47,7 @@ def _traced(argv):
     out, err = proc.communicate(timeout=60)
     spans = json.loads(spans_text)
     assert spans["op"] == "op"
-    return proc.returncode, out, err, {span[0] for span in spans["spans"]}
+    return proc.returncode, out, err, spans["spans"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -42,19 +55,27 @@ def _traced(argv):
     ["elliptic", "E", "--r", "4", "--digits", "50"],
 ])
 def test_traced_cli_records_spans(argv):
-    code, out, err, names = _traced(argv)
+    code, out, err, spans = _traced(argv)
     assert code == 0, err
     assert json.loads(out)["oracle_agreement_digits"] >= 45
     # the headline's chain runs no defining-ratio gate; solve_kr runs one
     modulus_span = "moduli.chain_to_6400" if argv[0] == "constant" else "moduli.eq2_residual"
-    assert {"series.eval_series", modulus_span} <= names
+    assert "series.eval_series" in {span[0] for span in spans}
+    modulus = [span for span in spans if span[0] == modulus_span]
+    assert modulus
+    # the CLI builds the chain or solves the pair and passes it to the
+    # series, so the modulus stage is never inside a series span
+    for span in modulus:
+        enclosing = _ancestors(spans, span)
+        assert "cli.main" in enclosing
+        assert not any(name.startswith("series.") for name in enclosing)
 
 
 def test_traced_verify_records_run_verify_spans():
     # the tracer wraps the ellseries modules loaded once it has imported
     # ellseries.cli; a verify that cli imported lazily would record no
     # verify.run_verify span
-    code, out, err, names = _traced(["verify", "--digits", "60", "--selection", "all"])
+    code, out, err, spans = _traced(["verify", "--digits", "60", "--selection", "all"])
     assert code == 0, err
     assert json.loads(out)["passed"]
-    assert {"verify.run_verify", "oracle.agm"} <= names
+    assert {"verify.run_verify", "oracle.agm"} <= {span[0] for span in spans}

@@ -45,9 +45,9 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     # at 60 digits, at the audit's 80 more and at the wide headline's 110
     # more; the headline at 60 digits reads the cached chain
     assert calls[("chain_to_6400", "")] == 3
-    # one lemniscatic AGM per context: b(1/4) and the headline's oracle
-    # share it at 60 digits
-    assert calls[("_lemniscatic_agm", 60)] == 1
+    # at 60 digits b(1/4) and the headline's oracle each run the lemniscatic
+    # AGM; the wide headline runs it once more
+    assert calls[("_lemniscatic_agm", 60)] == 2
     assert calls[("_lemniscatic_agm", 170)] == 1
 
 
