@@ -286,9 +286,8 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
         ok = ok and slope is not None and abs(slope - expect) <= 0.1 * expect
     yield "digits-per-term-slope", ok, "; ".join(details) + " (within 10%)", None
 
-    # terms past the stop rule round to 0 at ctx, so a run forced longer at
-    # ctx sums the same terms; a run 110 digits (about one term) wider sums
-    # one more
+    # a run 110 digits (about one term) wider sums one more term past the
+    # stop rule and must agree to the target
     value, report = cache.headline
     wide = make_context(ctx.target_digits + 110)
     v_wide, wide_report = series.gamma_quarter_series(moduli.chain_to_6400(wide))

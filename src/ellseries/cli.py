@@ -35,12 +35,13 @@ EXIT_VERIFY = 3
 
 # The largest --digits of `constant`, `elliptic` and each `bench` target: a
 # run's time budget, checked on the number typed before any context is built.
-# `elliptic K --r 100` took 9 s, 31 s and 140 s at 50k, 100k and 200k digits
-# (x4.5 per doubling at the top), so about 10 min here; the headline constant
-# (16 s and 53 s at 100k and 200k) gets there near 600k.
+# It was sized for a 10 min `elliptic K --r 100` on a slower host.  On a
+# 2-core host with Python 3.11 that run took 3.7 s, 15.3 s and 59 s at 50k,
+# 100k and 200k digits (x3.9 per doubling at the top), so about 4 min here,
+# and the headline constant 4.6 s and 17 s at 100k and 200k.
 MAX_DIGITS = 392_000
-# verify --selection all took 2.9, 10.7 and 39 s at 4k, 8k and 16k digits
-# (x3.65 per doubling), so 64k projects to about 9 min
+# verify --selection all took 0.93, 3.3 and 12.8 s at 4k, 8k and 16k digits
+# on that host (x3.7 per doubling), so 64k projects to about 3 min
 VERIFY_MAX_DIGITS = 64_000
 
 
@@ -131,14 +132,11 @@ def _check_ceiling(digits: int) -> None:
 
 
 def _cmd_constant(args) -> int:
-    if args.terms is not None and not 1 <= args.terms <= series.RUNAWAY_TERM_CEILING:
-        raise UsageError(f"--terms must be an integer in 1..{series.RUNAWAY_TERM_CEILING}, "
-                         f"got {args.terms}")
     _check_ceiling(args.digits)
     ctx = make_context(args.digits)
     rep = _series_report(
         f"constant {args.name}", ctx,
-        lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx), n_terms=args.terms))
+        lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx)))
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -268,8 +266,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("constant", help="compute a named constant")
     p.add_argument("name", choices=["gamma-quarter"])
     p.add_argument("--digits", type=int, default=100)
-    p.add_argument("--terms", type=int, default=None,
-                   help="force an exact series term count")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_constant)
 

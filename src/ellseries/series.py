@@ -129,18 +129,18 @@ _STOP_MARGIN = 1e-6
 _TRACE_BITS = 128
 
 
-def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
-                n_terms: Optional[int] = None) -> Tuple[BigReal, ConvergenceReport]:
+def eval_series(mu: Any, z: Any, alpha: Any, beta: Any,
+                ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
     """Sum the weighted series for rational mu and 0 < z < 1, and instrument it.
 
     Stops when the next term bound (including the (alpha*n + beta) growth
-    factor) falls below 10^(-working_digits), or after exactly ``n_terms``
-    terms when given; a term under one fixed-point unit ends the sum at
-    once, as does a zero coefficient.  Without ``n_terms``, a z whose
-    predicted term count working_digits/|log10 z| exceeds
-    RUNAWAY_TERM_CEILING raises SeriesConvergenceError before the first
-    term, and before z is checked, so a z that rounded to 1 gets the same
-    error; summing past ~10x the predicted count raises it too.
+    factor) falls below 10^(-working_digits); a term under one fixed-point
+    unit ends the sum at once, as does a zero coefficient.  The report's
+    ``terms_used`` counts the terms summed.  A z whose predicted term count
+    working_digits/|log10 z| exceeds RUNAWAY_TERM_CEILING raises
+    SeriesConvergenceError before the first term, and before z is checked,
+    so a z that rounded to 1 gets the same error; summing past ~10x the
+    predicted count raises it too.
 
     The sum runs in binary fixed point, with z, alpha, beta and the terms
     as integers in units of 2^-wp (the working precision plus guard bits
@@ -171,19 +171,19 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     # working_digits/|log10 z|, the term count the geometric ratio z predicts;
     # inf means z is within 1e-16 of 1
     predicted = ctx.working_digits / abs(log10_z) if log10_z else math.inf
-    if n_terms is None and predicted > RUNAWAY_TERM_CEILING:
+    if predicted > RUNAWAY_TERM_CEILING:
         need = f"about {predicted:.3g}" if predicted < math.inf else "over 1e16"
         raise SeriesConvergenceError(
             f"series would need {need} terms for {ctx.working_digits} digits, "
             f"more than the {RUNAWAY_TERM_CEILING}-term ceiling; use --method agm")
     if not (0 < z < 1):
         raise DomainError(f"series variable must satisfy 0 < z < 1, got {z}")
-    cap = n_terms or _max_terms(predicted)
+    cap = _max_terms(predicted)
     wp = ctx.prec + 2 * cap.bit_length()
     one = 1 << wp
     alpha = ctx.to_fixed(alpha, wp)
     beta = ctx.to_fixed(beta, wp)
-    u = max(1, math.isqrt(math.ceil(min(predicted, cap))))
+    u = max(1, math.isqrt(math.ceil(predicted)))
     # z = z_m 2^z_e and z^u = zu_m 2^zu_e to wp significant bits: a product
     # with a_n or a class sum then errs by a unit of that product, not of z
     z_e = ctx.mag(z) - wp
@@ -199,12 +199,7 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     # and the weight is least at n = 1, so a term with bits > clear[j] is
     # clear of both stop tests, by more than their logarithms' rounding
     w_min = 3 * a_w + b_w
-    if n_terms is not None:
-        clear_digits = 0.0
-    elif w_min:
-        clear_digits = max(0.0, stop_digits - math.log10(w_min))
-    else:
-        clear_digits = math.inf
+    clear_digits = max(0.0, stop_digits - math.log10(w_min)) if w_min else math.inf
     clear = [(clear_digits + _STOP_MARGIN - j * log10_z) / LOG10_2 + 1 for j in range(u)]
 
     mu = Fraction(mu)
@@ -224,8 +219,6 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
         s = bits - _TRACE_BITS
         coeffs.append((term >> s, s) if s > 0 else (term, 0))
         n += 1
-        if n == n_terms:
-            break
         num, den = f1 * f2, qq * n * n
         f1 += q
         f2 += q
@@ -245,7 +238,7 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
             if mag < 0:  # under one unit: the term rounds to 0
                 break
             weight = a_w * (n + 2) + b_w
-            if n_terms is None and (not weight or mag + math.log10(weight) < stop_digits):
+            if not weight or mag + math.log10(weight) < stop_digits:
                 break
         if n >= cap:
             raise SeriesConvergenceError(
@@ -259,7 +252,7 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any, ctx: PrecisionContext,
     final = ctx.from_fixed((alpha * acc1 + beta * acc0) >> wp, wp)
 
     report = ConvergenceReport(
-        terms_used=n_terms or len(coeffs),
+        terms_used=len(coeffs),
         _trace=partial(_tail_trace, coeffs, u, z_m, z_e, alpha, beta, wp))
     return final, report
 
@@ -428,8 +421,7 @@ def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport
     return _with_oracle(value, report, 4 * pair.E / pair.ctx.pi, pair.ctx)
 
 
-def gamma_quarter_series(chain: List[moduli.ModulusPair], n_terms: Optional[int] = None,
-                         ) -> Tuple[BigReal, ConvergenceReport]:
+def gamma_quarter_series(chain: List[moduli.ModulusPair]) -> Tuple[BigReal, ConvergenceReport]:
     """Gamma(1/4)^2/pi^(3/2) from the w = k_6400 series, ~108 digits per term.
 
     ``chain`` is :func:`moduli.chain_to_6400`'s r = 100, 400, 1600, 6400
@@ -448,8 +440,7 @@ def gamma_quarter_series(chain: List[moduli.ModulusPair], n_terms: Optional[int]
     ctx = pair6400.ctx
     w = pair6400.k
     z = w * w
-    sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx,
-                                n_terms=n_terms)
+    sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx)
     scale = moduli.k_scale_64(pair100)
     coeff = moduli.k100_radical_coefficient(ctx)
     value, report = _with_oracle(sigma / (coeff * scale), report,

@@ -44,11 +44,10 @@ EXIT_CODES = [
     pytest.param(["verify", "--digits", "60", "--selection", ","], 1,
                  id="verify-empty-selection"),
     pytest.param(["bench", "--digits", "50"], 2, id="bench-low-digits"),
-    # forced term counts are capped at series.RUNAWAY_TERM_CEILING
+    # `constant` takes no --terms: a sum ends only at its stop rule
     pytest.param(["constant", "gamma-quarter", "--digits", "30", "--terms", "100000000"], 1,
                  id="terms-above-ceiling"),
-    # two terms hold ~216 digits, far below the 995 the oracle gate needs
-    pytest.param(["constant", "gamma-quarter", "--digits", "1000", "--terms", "2"], 3,
+    pytest.param(["constant", "gamma-quarter", "--digits", "1000", "--terms", "2"], 1,
                  id="terms-too-few"),
     pytest.param(["elliptic", "K", "--r", "1/100", "--digits", "50", "--method", "agm"], 0,
                  id="agm-small-r"),
@@ -250,8 +249,8 @@ def test_elliptic_series_off_its_oracle_exits_3(capsys, monkeypatch):
     from ellseries import series
     eval_series = series.eval_series
 
-    def scaled(mu, z, alpha, beta, ctx, n_terms=None):
-        value, report = eval_series(mu, z, alpha, beta, ctx, n_terms)
+    def scaled(mu, z, alpha, beta, ctx):
+        value, report = eval_series(mu, z, alpha, beta, ctx)
         return value * (1 + ctx.tol(30)), report
 
     monkeypatch.setattr(series, "eval_series", scaled)
@@ -335,27 +334,13 @@ def test_elliptic_zero_denominator_r_is_usage_error(capsys):
 
 @pytest.mark.parametrize("terms", ["0", "-3"])
 def test_constant_nonpositive_terms_is_usage_error(capsys, terms):
+    # --terms is no option of `constant`, whatever its value
     code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "50",
                                    "--terms", terms])
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and "--terms" in err
+    assert err.startswith("usage: ") and "unrecognized arguments: --terms" in err
     assert "Traceback" not in err
-
-
-def test_constant_forced_terms_stop_at_first_zero_term(capsys):
-    # at 30 digits every term after the first rounds to 0 in fixed point
-    # (w^2 ~ 1e-108); the sum must stop there, not run all 2,000,000 terms
-    t0 = time.perf_counter()
-    code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "30",
-                                   "--terms", "2000000", "--format", "json"])
-    assert time.perf_counter() - t0 < 5
-    assert code == 0, err
-    _, out3, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "30",
-                               "--terms", "3", "--format", "json"])
-    rep = json.loads(out)
-    assert rep["terms_used"] == 2000000
-    assert rep["value_digits"] == json.loads(out3)["value_digits"]
 
 
 def test_constant_past_the_int_str_limit(capsys):
@@ -509,9 +494,6 @@ EXACT_ROWS = [
     ("elliptic E --r 1 --digits 300", 1030),
     ("constant gamma-quarter --digits 1000", 10),
     ("constant gamma-quarter --digits 3000", 29),
-    ("constant gamma-quarter --digits 300 --terms 3", 3),
-    # the sum ends at its 10th term, the 11th being under one unit
-    ("constant gamma-quarter --digits 1000 --terms 12", 12),
 ]
 
 

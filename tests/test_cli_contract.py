@@ -4,6 +4,8 @@ Every argv either succeeds, printing reports whose oracle agreement is at
 least target - 5 digits, or exits 1 (usage), 2 (domain/precision) or 3
 (verification) with an empty stdout and one ``ellseries:`` line on stderr
 (argparse's usage block for its own errors).  No argv prints a traceback.
+``constant`` has no ``--terms`` option; argv that pass one still are drawn,
+and must be refused with the usage exit, not run with the option ignored.
 The draws come from a fixed seed, so every run sees the same argv.  Valid
 ``--digits`` are capped at 300 (``verify`` at 60) only for run time; every
 floor, and values past every ceiling, stay in the grammar, because those
@@ -122,16 +124,10 @@ def _check_reports(argv, out):
 
 
 def _check_exit_3(argv, err):
-    """Exit 3 only where a series cannot converge or a forced term count is too small."""
-    if argv[0] == "elliptic":
-        assert _opt(argv, "--method") != "agm" and Fraction(_opt(argv, "--r")) < 1
-        assert "use --method agm" in err
-        return
-    assert argv[0] == "constant" and "--terms" in argv
-    unforced = argv[:argv.index("--terms")] + ["--format", "json"]
-    code, out, _ = _run(unforced)
-    assert code == 0
-    assert int(_opt(argv, "--terms")) < json.loads(out)["terms_used"]
+    """Exit 3 only where an elliptic series cannot converge."""
+    assert argv[0] == "elliptic"
+    assert _opt(argv, "--method") != "agm" and Fraction(_opt(argv, "--r")) < 1
+    assert "use --method agm" in err
 
 
 def test_cli_contract_over_seeded_argv():
@@ -144,6 +140,8 @@ def test_cli_contract_over_seeded_argv():
         assert code in codes, (argv, code, err)
         codes[code] += 1
         assert "Traceback" not in out + err, argv
+        if "--terms" in argv:
+            assert code == 1 and err.startswith("usage: "), (argv, err)
         if code:
             assert out == "", argv
             # argparse's own usage errors print its usage block; all else is one line
@@ -155,8 +153,8 @@ def test_cli_contract_over_seeded_argv():
         assert err == "", argv
         _check_reports(argv, out)
         # a run at more digits prints the same digits first
-        if (argv[0] in ("constant", "elliptic") and "--terms" not in argv
-                and _opt(argv, "--format") == "json" and rng.random() < 0.3):
+        if (argv[0] in ("constant", "elliptic") and _opt(argv, "--format") == "json"
+                and rng.random() < 0.3):
             wider = list(argv)
             wider[argv.index("--digits") + 1] = str(int(_opt(argv, "--digits"))
                                                     + rng.randint(1, 10))

@@ -33,10 +33,9 @@ def _poch(x: Fraction, n: int) -> Fraction:
 @pytest.mark.parametrize("mu", [Fraction(-3, 2), Fraction(-1, 2), Fraction(-7, 10)])
 def test_coefficients_match_pochhammer_products(mu, ctx50):
     z = Fraction(1, 8)
+    value, report = eval_series(mu, ctx50.mpf(1) / 8, 0, 1, ctx50)
     exact = sum(_poch(-mu, n) * _poch(1 + mu, n) / math.factorial(n) ** 2 * z ** n
-                for n in range(10))
-    value, report = eval_series(mu, ctx50.mpf(1) / 8, 0, 1, ctx50, n_terms=10)
-    assert report.terms_used == 10
+                for n in range(report.terms_used))
     assert abs(value - ctx50.mpf(exact.numerator) / exact.denominator) <= ctx50.tol(50)
 
 
@@ -61,8 +60,6 @@ def test_series_spec_validation(ctx50):
     for z in ("1.5", "0", "-0.25"):
         with pytest.raises(DomainError):
             eval_series(Fraction(-3, 2), ctx50.mpf(z), 1, 1, ctx50)
-    with pytest.raises(DomainError):
-        eval_series(Fraction(-3, 2), ctx50.mpf("1.5"), 1, 1, ctx50, n_terms=3)
     # a plain weighted sum has no denominator to vanish at z = 1/2
     z = ctx50.mpf("0.5")
     value, _ = eval_series(Fraction(-3, 2), z, 1, 1, ctx50)
@@ -139,13 +136,6 @@ def test_collapse_reproduces_first_kind_series(ctx50):
     value, _ = derivative_weighted_sum(Fraction(-3, 2), z, ctx50)
     expect = (2 * K_ref(pair.k, ctx50) / ctx50.pi) / (1 - 2 * z)
     assert abs(value - expect) <= ctx50.tol(45)
-
-
-def test_eval_series_fixed_terms_gives_constant_term(ctx50):
-    value, report = eval_series(Fraction(-3, 2), ctx50.mpf("0.04"),
-                                ctx50.mpf(7), ctx50.mpf("0.25"), ctx50, n_terms=1)
-    assert value == ctx50.mpf("0.25")
-    assert report.terms_used == 1
 
 
 def test_eval_series_error_trace_improves(ctx50):
@@ -280,17 +270,16 @@ def test_gamma_quarter_value(ctx50):
 
 
 def test_gamma_quarter_single_term():
+    # the error after one term: w^2 ~ 1e-108 bounds the first omitted correction
     ctx = make_context(200)
-    value, report = gamma_quarter_series(chain_to_6400(ctx), n_terms=1)
-    assert report.terms_used == 1
-    # w^2 ~ 1e-108 bounds the first omitted correction
-    assert 100 <= report.final_error_vs_oracle <= 115
+    _, report = gamma_quarter_series(chain_to_6400(ctx))
+    n, digits = report.error_trace[0]
+    assert n == 0
+    assert 100 <= digits <= 115
 
 
 def test_gamma_quarter_term_insensitivity():
-    # a run forced past the stop rule at the same precision sums no more
-    # terms (they round to 0 in fixed point), so the stop rule is compared
-    # with a run ~108 digits (one term) wider
+    # the stop rule is compared with a run ~108 digits (one term) wider
     ctx = make_context(300)
     v1, r1 = gamma_quarter_series(chain_to_6400(ctx))
     v2, r2 = gamma_quarter_series(chain_to_6400(make_context(ctx.target_digits + 110)))
@@ -311,14 +300,14 @@ def test_pair_and_chain_series_take_no_context():
     # can sum at one precision over moduli built at another
     for fn in (two_K_over_pi, four_E_over_pi, gamma_quarter_series):
         assert "ctx" not in inspect.signature(fn).parameters
-    assert list(inspect.signature(gamma_quarter_series).parameters) == ["chain", "n_terms"]
+    assert list(inspect.signature(gamma_quarter_series).parameters) == ["chain"]
 
 
 # ---------------------------------------------------------------------
 # the fixed-point kernel against the mpf loop it replaced
 # ---------------------------------------------------------------------
 
-def _reference_eval_series(params, ctx, n_terms=None):
+def _reference_eval_series(params, ctx):
     """The mpf summation loop eval_series used before its fixed-point kernel.
 
     Returns (sum, terms used, error trace, largest |partial sum|).
@@ -335,15 +324,11 @@ def _reference_eval_series(params, ctx, n_terms=None):
         s += c * zp * (alpha * n + beta)
         partials.append(s)
         n += 1
-        if n_terms is not None:
-            if n >= n_terms:
-                break
         c = c * (-mu_f + (n - 1)) * (1 + mu_f + (n - 1)) / (n * n)
         zp = zp * z
-        if n_terms is None:
-            bound = abs(c * zp) * (abs(alpha) * (n + 2) + abs(beta))
-            if bound < eps:
-                break
+        bound = abs(c * zp) * (abs(alpha) * (n + 2) + abs(beta))
+        if bound < eps:
+            break
     trace = []
     for i, p in enumerate(partials[:-1]):
         diff = abs(p - s)
@@ -396,33 +381,19 @@ def test_fixed_point_kernel_matches_mpf_loop(params, digits):
         assert got[n] == pytest.approx(want[n], abs=1e-6)
 
 
-@settings(max_examples=20, deadline=None)
-@given(_series_params(), st.integers(50, 600), st.integers(1, 40))
-def test_fixed_point_kernel_exact_term_count(params, digits, n_terms):
-    ctx = make_context(digits)
-    params = _at_precision(params, ctx)
-    value, report = eval_series(*params, ctx, n_terms=n_terms)
-    ref, ref_terms, _, scale = _reference_eval_series(params, ctx, n_terms=n_terms)
-    assert report.terms_used == ref_terms == n_terms
-    assert abs(value - ref) <= ctx.tol(ctx.working_digits - 3) * max(ctx.one, scale)
-
-
-@pytest.mark.parametrize("params, digits, n_terms", [
+@pytest.mark.parametrize("params, digits", [
     # P_6 near z = 1/2: the tail after n = 0 cancels to 1e-9 of its terms
     ((Fraction(6), Fraction(4999999, 10000000), Fraction(-5000001, 2500000),
-      Fraction(1, 5000000)), 50, None),
+      Fraction(1, 5000000)), 50),
     # coefficients up to ~1e6 with z^u ~ 1e-15: z^u needs its relative precision
-    ((Fraction(11), Fraction(1, 1000), Fraction(2), Fraction(0)), 85, 25),
+    ((Fraction(11), Fraction(1, 1000), Fraction(2), Fraction(0)), 85),
     # the weight n/3 - 1 cancels at n = 3 to its fixed-point rounding, so
     # P_2 is S past the resolved digits; a weight cut to the leading bits of
     # max(|alpha|, |beta|) kept 2^-128 of it and put a point at 45.6 digits
-    ((Fraction(3), Fraction(1, 1000), Fraction(1, 3), Fraction(-1)), 50, None),
+    ((Fraction(3), Fraction(1, 1000), Fraction(1, 3), Fraction(-1)), 50),
 ])
-def test_kernel_rows(params, digits, n_terms):
-    if n_terms is None:
-        test_fixed_point_kernel_matches_mpf_loop.hypothesis.inner_test(params, digits)
-    else:
-        test_fixed_point_kernel_exact_term_count.hypothesis.inner_test(params, digits, n_terms)
+def test_kernel_rows(params, digits):
+    test_fixed_point_kernel_matches_mpf_loop.hypothesis.inner_test(params, digits)
 
 
 def _exact_trace(params, n_terms, dps):
