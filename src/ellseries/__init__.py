@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 _NAMES = {
     "precision": ("BigReal", "PrecisionContext", "PrecisionError", "DomainError",
                   "make_context", "to_decimal_string"),
-    "oracle": ("agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome"),
+    "oracle": ("agm", "K_ref", "E_ref", "theta3", "b_quarter", "gamma_quarter_ref",
+               "nome"),
     "moduli": ("ModulusPair", "MultiplierResult", "PrintedFormComparison",
                "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
                "chain_to_6400", "chain_printed_comparison", "eq2_residual",

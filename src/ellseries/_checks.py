@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import moduli, series
-from .oracle import E_ref, K_E_ref, K_ref, agm, b_quarter, nome, theta3
+from .oracle import (E_ref, K_E_ref, K_ref, agm, b_quarter, gamma_quarter_ref, nome,
+                     theta3)
 from .precision import BigReal, PrecisionContext, make_context
 
 # detail suffix of the checks that compare k_r with oracle.theta3
@@ -36,8 +37,9 @@ _Row = Tuple[str, bool, str, Optional[float]]
 class _SolveCache:
     """Per-run memo of every value two checks read (all pure in ctx):
     theta-quotient pairs, their 2K/pi series, theta3 at their nomes, the
-    r = 100..6400 chain, b(1/4) and the headline constant, which sums over
-    the cached chain.  K(k_r) and E(k_r) are each pair's own."""
+    r = 100..6400 chain, b(1/4), and the headline constant, summed over the
+    cached chain, with its agreement with gamma_quarter_ref.  K(k_r) and
+    E(k_r) are each pair's own."""
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
@@ -75,6 +77,10 @@ class _SolveCache:
     @cached_property
     def headline(self):
         return series.gamma_quarter_series(self.chain)
+
+    @cached_property
+    def headline_agreement(self) -> float:
+        return self.ctx.agreement_digits(self.headline[0], gamma_quarter_ref(self.ctx))
 
 
 def _residual_check(name: str, ctx: PrecisionContext, worst_abs, threshold_digits: int,
@@ -229,8 +235,8 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
         z = rng.uniform(0.01, 0.4)
         if abs((1 + mu) * (2 * z - 1)) < 0.05:
             continue
-        value, report = series.derivative_weighted_sum(mu, z, ctx50)
-        worst50 = max(worst50, abs(value - report.oracle))
+        value, _ = series.derivative_weighted_sum(mu, z, ctx50)
+        worst50 = max(worst50, abs(value - series.closed_form(mu, z, ctx50)))
         count += 1
     yield _residual_check("collapse-identity-random", ctx50, worst50, 40,
                           detail="50 samples mu in (-2,-0.1), z in (0.01,0.4)")
@@ -264,12 +270,12 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     worst = ctx.zero
     for r in (2, 3, 4):
         pair = cache.pair(r)
-        val, report = series.four_E_over_pi(pair)
+        val, _ = series.four_E_over_pi(pair)
         # the paper's form: 2K/pi plus the mu = -1/2 sum with weight 4(1-z) n + (1-2z)
         z = pair.k * pair.k
         sigma, _ = series.eval_series(Fraction(-1, 2), z, 4 * (1 - z), 1 - 2 * z, ctx)
         paper = cache.two_K_over_pi(r)[0] + sigma
-        worst = max(worst, abs(val - report.oracle), abs(paper - val))
+        worst = max(worst, abs(val - 4 * pair.E / ctx.pi), abs(paper - val))
     yield _residual_check("second-kind-vs-agm", ctx, worst, t5,
                           detail="series = 4E/pi from the AGM side sum, and "
                                  "series = 2K/pi + mu = -1/2 sum (the paper's "
@@ -295,10 +301,10 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
                           detail=f"{report.terms_used} terms (stop rule) vs "
                                  f"{wide_report.terms_used} at {wide.target_digits} digits")
 
-    yield ("headline-vs-oracle", report.final_error_vs_oracle >= ctx.target_digits - 5,
-           f"agreement {report.final_error_vs_oracle:.1f} digits at target "
-           f"{ctx.target_digits} ({report.terms_used} terms)",
-           report.final_error_vs_oracle)
+    agreement = cache.headline_agreement
+    yield ("headline-vs-oracle", agreement >= t5,
+           f"agreement {agreement:.1f} digits at target {ctx.target_digits} "
+           f"({report.terms_used} terms)", agreement)
 
 
 def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
@@ -343,15 +349,12 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
         "K100-radical", ctx,
         moduli.k100_radical_coefficient(ctx) * cache.b_quarter - pairs[0].K, t10)
 
-    value, report = cache.headline
-    oracle = cache.b_quarter / ctx.pi
-    yield ("normalization-derived", report.final_error_vs_oracle >= t5,
+    agreement = cache.headline_agreement
+    yield ("normalization-derived", agreement >= t5,
            f"chain-derived prefactor reproduces Gamma(1/4)^2/pi^(3/2) to "
-           f"{report.final_error_vs_oracle:.1f} digits",
-           report.final_error_vs_oracle)
+           f"{agreement:.1f} digits", agreement)
 
-    published = value / 5120
-    agree_pub = ctx.agreement_digits(published, oracle)
+    agree_pub = ctx.agreement_digits(cache.headline[0] / 5120, cache.b_quarter / ctx.pi)
     yield ("normalization-published-mismatch", agree_pub < 1,
            f"published 1/8 prefactor is off by the exact factor 5120 "
            f"(= 640*8): agreement {agree_pub:.1f} digits; not used anywhere", None)

@@ -21,9 +21,9 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
-from . import moduli, series
+from . import moduli, oracle, series
 from .precision import (DomainError, PrecisionContext, PrecisionError,
                         make_context, to_decimal_string)
 from .verify import GROUPS, run_verify
@@ -44,6 +44,11 @@ MAX_DIGITS = 392_000
 # on that host (x3.7 per doubling), so 64k projects to about 3 min
 VERIFY_MAX_DIGITS = 64_000
 
+# the warning of every headline-constant report
+_HEADLINE_NOTE = ("normalization derived from the modulus chain (scalar 640 = 8*80 against "
+                  "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "
+                  "and is reported by `verify --selection chain`")
+
 
 def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
                 digits_per_term: Optional[float], agreement: float,
@@ -52,6 +57,10 @@ def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
 
     This is the one oracle gate: a value that agrees with its oracle to
     fewer than target - 5 digits raises RuntimeError (exit 3) unreported.
+    The oracles: ``oracle.gamma_quarter_ref`` for the headline constant;
+    2/pi K or 4/pi E of the solved pair for a 2K/pi or 4E/pi sum, compared
+    before :func:`_series_report` scales it; a recomputation at 25 more
+    digits for ``elliptic --method agm``.
     """
     if agreement < ctx.target_digits - 5:
         raise RuntimeError(f"{command} does not match its oracle: {agreement:.1f} "
@@ -105,14 +114,36 @@ def _emit(reports: List[dict], fmt: str) -> None:
         print("\n\n".join(_report_text(r) for r in reports))
 
 
-def _series_report(command: str, ctx: PrecisionContext,
-                   compute: Callable[[], tuple]) -> dict:
-    """Time ``compute() -> (value, ConvergenceReport)`` and report its result."""
+def _series_report(command: str, ctx: PrecisionContext, compute: Callable[[], tuple],
+                   scale=None, warnings: Sequence[str] = ()) -> dict:
+    """Time ``compute() -> (sum, ConvergenceReport, oracle)`` and report the sum.
+
+    The gate reads the sum's agreement with ``oracle``; the reported value
+    is the sum times ``scale``, when one is given.
+    """
     t0 = time.perf_counter()
-    value, report = compute()
+    value, report, reference = compute()
+    agreement = ctx.agreement_digits(value, reference)
+    if scale is not None:
+        value = value * scale
     elapsed = time.perf_counter() - t0
     return _run_report(command, ctx, value, report.terms_used, report.digits_per_term,
-                       report.final_error_vs_oracle, elapsed, list(report.notes))
+                       agreement, elapsed, list(warnings))
+
+
+def _headline(ctx: PrecisionContext) -> tuple:
+    """(the headline series over the modulus chain, its report, its AGM oracle)."""
+    value, report = series.gamma_quarter_series(moduli.chain_to_6400(ctx))
+    return value, report, oracle.gamma_quarter_ref(ctx)
+
+
+def _elliptic_sum(kind: str, pair: moduli.ModulusPair) -> tuple:
+    """(the 2K/pi or 4E/pi series at ``pair``, its report, 2/pi K or 4/pi E of the pair)."""
+    if kind == "K":
+        value, report = series.two_K_over_pi(pair)
+        return value, report, 2 * pair.K / pair.ctx.pi
+    value, report = series.four_E_over_pi(pair)
+    return value, report, 4 * pair.E / pair.ctx.pi
 
 
 def _rational(text: str) -> Fraction:
@@ -127,26 +158,16 @@ def _rational(text: str) -> Fraction:
 def _check_ceiling(digits: int) -> None:
     """Refuse a --digits target past MAX_DIGITS (exit 2)."""
     if digits > MAX_DIGITS:
-        raise PrecisionError(f"--digits {digits} is above the ceiling of {MAX_DIGITS}, "
-                             f"where a run takes about 10 min")
+        raise PrecisionError(f"--digits {digits} is above the ceiling of {MAX_DIGITS}")
 
 
 def _cmd_constant(args) -> int:
     _check_ceiling(args.digits)
     ctx = make_context(args.digits)
-    rep = _series_report(
-        f"constant {args.name}", ctx,
-        lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx)))
+    rep = _series_report(f"constant {args.name}", ctx, lambda: _headline(ctx),
+                         warnings=[_HEADLINE_NOTE])
     _emit([rep], args.format)
     return EXIT_OK
-
-
-def _elliptic_series(kind: str, pair):
-    if kind == "K":
-        raw, report = series.two_K_over_pi(pair)
-        return raw * pair.ctx.pi / 2, report
-    raw, report = series.four_E_over_pi(pair)
-    return raw * pair.ctx.pi / 4, report
 
 
 def _cmd_elliptic(args) -> int:
@@ -166,10 +187,10 @@ def _cmd_elliptic(args) -> int:
                           ["agm method: agreement measured against a recomputation "
                            "at 25 extra digits"])
     else:
-        # series and both: the series report holds its agreement with the
-        # AGM oracle, the pair's K or E
+        # series and both: the 2K/pi or 4E/pi sum, times pi/2 or pi/4
         rep = _series_report(command, ctx,
-                             lambda: _elliptic_series(args.kind, moduli.solve_kr(r, ctx)))
+                             lambda: _elliptic_sum(args.kind, moduli.solve_kr(r, ctx)),
+                             scale=ctx.pi / (2 if args.kind == "K" else 4))
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -243,15 +264,14 @@ def _cmd_bench(args) -> int:
         _check_ceiling(d)
     reports: List[dict] = []
     for ctx in map(make_context, targets):
-        reports.append(_series_report(
-            "bench gamma-quarter", ctx,
-            lambda: series.gamma_quarter_series(moduli.chain_to_6400(ctx))))
+        reports.append(_series_report("bench gamma-quarter", ctx, lambda: _headline(ctx),
+                                      warnings=[_HEADLINE_NOTE]))
         reports.append(_series_report(
             f"bench two-K-over-pi(r={_BENCH_R})", ctx,
-            lambda: series.two_K_over_pi(moduli.solve_kr(_BENCH_R, ctx))))
+            lambda: _elliptic_sum("K", moduli.solve_kr(_BENCH_R, ctx))))
         reports.append(_series_report(
             f"bench four-E-over-pi(r={_BENCH_R})", ctx,
-            lambda: series.four_E_over_pi(moduli.solve_kr(_BENCH_R, ctx))))
+            lambda: _elliptic_sum("E", moduli.solve_kr(_BENCH_R, ctx))))
     _emit(reports, args.format)
     return EXIT_OK
 

@@ -188,6 +188,11 @@ def b_quarter(ctx: PrecisionContext) -> BigReal:
     return 2 * ctx.pi / _lemniscatic_agm(ctx)
 
 
+def gamma_quarter_ref(ctx: PrecisionContext) -> BigReal:
+    """The headline constant Gamma(1/4)^2/pi^(3/2) = 2/agm(1, 1/sqrt(2))."""
+    return 2 / _lemniscatic_agm(ctx)
+
+
 def nome(r: Rational, ctx: PrecisionContext) -> BigReal:
     """q = exp(-pi*sqrt(r)) for rational r > 0."""
     r = Fraction(r)

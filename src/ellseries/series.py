@@ -17,9 +17,7 @@ package did not write.
 
 At a singular modulus the sum converges geometrically in z = k_r^2, i.e.
 -2*log10(k_r) decimal digits per term: ~12.4 at r = 100 and ~108 at
-r = 6400, where a handful of terms give a thousand digits.  Every series
-report records its value's agreement with an AGM oracle, which shares no
-code with this module beyond the arithmetic substrate.
+r = 6400, where a handful of terms give a thousand digits.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from functools import cached_property, partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from . import moduli
-from .oracle import _lemniscatic_agm
 from .precision import LOG10_2, BigReal, DomainError, PrecisionContext
 
 
@@ -49,18 +46,13 @@ class ConvergenceReport:
     that trace (excluding n = 0, whose error reflects the constant's own
     magnitude) is ``digits_per_term``.  Both are computed from ``_trace``
     when first read: a sum whose caller reads only its value pays nothing
-    for them.  ``final_error_vs_oracle`` is the decimal agreement with the
-    designated independent oracle, and ``oracle`` is that oracle's value;
-    :func:`eval_series` leaves both unset and :func:`_with_oracle` fills them.
+    for them.
     """
 
     def __init__(self, terms_used: int,
                  _trace: Callable[[], List[Tuple[int, float]]]) -> None:
         self.terms_used = terms_used
         self._trace = _trace
-        self.final_error_vs_oracle: Optional[float] = None
-        self.oracle: Optional[BigReal] = None
-        self.notes: List[str] = []
 
     @cached_property
     def error_trace(self) -> List[Tuple[int, float]]:
@@ -257,14 +249,6 @@ def eval_series(mu: Any, z: Any, alpha: Any, beta: Any,
     return final, report
 
 
-def _with_oracle(value: BigReal, report: ConvergenceReport, oracle: BigReal,
-                 ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
-    """(value, report) with ``oracle`` and the value's agreement with it recorded."""
-    report.oracle = oracle
-    report.final_error_vs_oracle = ctx.agreement_digits(value, oracle)
-    return value, report
-
-
 def _tail_trace(coeffs: List[Tuple[int, int]], u: int, z_m: int, z_e: int,
                 alpha: int, beta: int, wp: int) -> List[Tuple[int, float]]:
     """(n, -log10 |S - P_n|) for n < N - 1, from the terms' leading bits.
@@ -374,16 +358,14 @@ def closed_form(mu: Any, z: Any, ctx: PrecisionContext) -> BigReal:
 
 def derivative_weighted_sum(mu: Any, z: Any,
                             ctx: PrecisionContext) -> Tuple[BigReal, ConvergenceReport]:
-    """Sum c_n z^n (alpha n + 1) with the collapsing alpha; oracle is the closed form.
+    """Sum c_n z^n (alpha n + 1) with the collapsing alpha, term by term in fixed point.
 
-    The left side is summed term by term in fixed point; the right side,
-    kept as the report's ``oracle``, is :func:`closed_form`, whose Legendre
-    function comes from mpmath's hyp2f1.
+    The sum equals :func:`closed_form`, whose Legendre function comes from
+    mpmath's hyp2f1.
     """
     z = ctx.mpf(z)
     alpha = 2 * (z - 1) / _weight_denominator(mu, z, ctx)
-    value, report = eval_series(mu, z, alpha, 1, ctx)
-    return _with_oracle(value, report, closed_form(mu, z, ctx), ctx)
+    return eval_series(mu, z, alpha, 1, ctx)
 
 
 # ---------------------------------------------------------------------
@@ -396,13 +378,10 @@ def two_K_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport]
     Term weight: -4(1-z) n + (1 - 2z), with no denominator, so r = 1
     (z = 1/2) sums like any other r.  At small r, where the series cannot
     converge within the runaway ceiling, :func:`eval_series` raises
-    SeriesConvergenceError, checked before z can round to 1.  The report's
-    oracle is 2/pi times the pair's K, pi/(2 agm(1, k'_r)) from the stored
-    k', whose AGM the defining-ratio gate of `solve_kr` already ran.
+    SeriesConvergenceError, checked before z can round to 1.
     """
     z = pair.k * pair.k
-    value, report = eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, pair.ctx)
-    return _with_oracle(value, report, 2 * pair.K / pair.ctx.pi, pair.ctx)
+    return eval_series(Fraction(-3, 2), z, -4 * (1 - z), 1 - 2 * z, pair.ctx)
 
 
 def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport]:
@@ -413,12 +392,10 @@ def four_E_over_pi(pair: moduli.ModulusPair) -> Tuple[BigReal, ConvergenceReport
     gives 4E/pi = 2(1-z) sum c_n z^n (2n+1).  This is the paper's 2K/pi
     plus its mu = -1/2 sum with weight 4(1-z) n + (1 - 2z), folded into
     one sum; ``verify`` checks the two forms agree.  The weight has no
-    denominator, so r = 1 is an ordinary point.  The report's oracle is
-    4/pi times the pair's E, from the AGM side sum.
+    denominator, so r = 1 is an ordinary point.
     """
     z = pair.k * pair.k
-    value, report = eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), pair.ctx)
-    return _with_oracle(value, report, 4 * pair.E / pair.ctx.pi, pair.ctx)
+    return eval_series(Fraction(-1, 2), z, 4 * (1 - z), 2 * (1 - z), pair.ctx)
 
 
 def gamma_quarter_series(chain: List[moduli.ModulusPair]) -> Tuple[BigReal, ConvergenceReport]:
@@ -432,9 +409,7 @@ def gamma_quarter_series(chain: List[moduli.ModulusPair]) -> Tuple[BigReal, Conv
     gives the constant.  The normalization is carried exactly from that
     chain (overall scalar 640 against the bracketed radical); a published
     1/8 prefactor variant is inconsistent with the AGM oracle and is only
-    reported by the verification suite, never used.  The report's oracle is
-    2/agm(1, 1/sqrt(2)); the caller reads the agreement with it from
-    ``final_error_vs_oracle``, which the CLI gates at target - 5.
+    reported by the verification suite, never used.
     """
     pair100, pair6400 = chain[0], chain[3]
     ctx = pair6400.ctx
@@ -443,11 +418,4 @@ def gamma_quarter_series(chain: List[moduli.ModulusPair]) -> Tuple[BigReal, Conv
     sigma, report = eval_series(Fraction(-3, 2), z, -2 * (1 - z), ctx.mpf(1) / 2 - z, ctx)
     scale = moduli.k_scale_64(pair100)
     coeff = moduli.k100_radical_coefficient(ctx)
-    value, report = _with_oracle(sigma / (coeff * scale), report,
-                                 2 / _lemniscatic_agm(ctx), ctx)
-    report.notes.append(
-        "normalization derived from the modulus chain (scalar 640 = 8*80 against "
-        "the bracketed radical); the published 1/8 prefactor fails the AGM oracle "
-        "and is reported by `verify --selection chain`"
-    )
-    return value, report
+    return sigma / (coeff * scale), report

@@ -285,8 +285,7 @@ def test_one_digits_ceiling(capsys, monkeypatch, argv, digits, expected):
     assert code == expected
     if expected:
         assert out == "" and calls == []
-        assert err == "ellseries: --digits 3001 is above the ceiling of 3000, " \
-                      "where a run takes about 10 min\n"
+        assert err == "ellseries: --digits 3001 is above the ceiling of 3000\n"
     else:
         assert out and err == "" and calls
 

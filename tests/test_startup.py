@@ -148,7 +148,7 @@ def test_public_names_unchanged():
     assert ellseries.__all__ == [
         "BigReal", "PrecisionContext", "PrecisionError", "DomainError",
         "make_context", "to_decimal_string",
-        "agm", "K_ref", "E_ref", "theta3", "b_quarter", "nome",
+        "agm", "K_ref", "E_ref", "theta3", "b_quarter", "gamma_quarter_ref", "nome",
         "ModulusPair", "MultiplierResult", "PrintedFormComparison",
         "RootSelectionError", "solve_kr", "landen_up", "k100_closed_form",
         "chain_to_6400", "chain_printed_comparison", "eq2_residual",

@@ -61,11 +61,12 @@ def test_traced_cli_records_spans(argv):
     # the headline's chain runs no defining-ratio gate; solve_kr runs one
     modulus_span = "moduli.chain_to_6400" if argv[0] == "constant" else "moduli.eq2_residual"
     assert "series.eval_series" in {span[0] for span in spans}
-    modulus = [span for span in spans if span[0] == modulus_span]
-    assert modulus
+    stages = [span for span in spans if span[0] in (modulus_span, "oracle.agm")]
+    assert {span[0] for span in stages} == {modulus_span, "oracle.agm"}
     # the CLI builds the chain or solves the pair and passes it to the
-    # series, so the modulus stage is never inside a series span
-    for span in modulus:
+    # series, and reads the AGM oracle itself, so neither the modulus stage
+    # nor an AGM is ever inside a series span
+    for span in stages:
         enclosing = _ancestors(spans, span)
         assert "cli.main" in enclosing
         assert not any(name.startswith("series.") for name in enclosing)

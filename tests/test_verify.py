@@ -39,16 +39,17 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     assert calls[("two_K_over_pi", "")] == 4
     # a pair's E reads its K's AGM run, the oracle grid takes K and E of
     # each k from one run, and agm(1, sqrt(2)) runs once (100 loops before)
-    assert calls[("_agm", "")] <= 78
+    assert calls[("_agm", "")] <= 75
     # theta3 once per r in {1, 2, 3, 4, 100}
     assert calls[("theta3", "")] == 5
     # at 60 digits, at the audit's 80 more and at the wide headline's 110
     # more; the headline at 60 digits reads the cached chain
     assert calls[("chain_to_6400", "")] == 3
     # at 60 digits b(1/4) and the headline's oracle each run the lemniscatic
-    # AGM; the wide headline runs it once more
+    # AGM; the wide headline is compared with the headline alone, not with
+    # an oracle, so it runs none
     assert calls[("_lemniscatic_agm", 60)] == 2
-    assert calls[("_lemniscatic_agm", 170)] == 1
+    assert calls[("_lemniscatic_agm", 170)] == 0
 
 
 def test_each_group_runs_only_its_own_rows_in_report_order():
