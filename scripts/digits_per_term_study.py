@@ -33,13 +33,13 @@ def main() -> None:
     for r in (4, 16, 100, 89 ** 2):
         pair = solve_kr(r, ctx)
         _, report = two_K_over_pi(pair)
-        geo = float(-2 * ctx.log10(pair.k))
+        geo = -2 * ctx.log10_abs(pair.k)
         print(f"{f'2K/pi at r={r}':>28} {report.terms_used:>6} "
               f"{_slope(report.digits_per_term)} {geo:>10.3f}")
     chain = chain_to_6400(ctx)
     value, report = gamma_quarter_series(chain)
     w = chain[3].k
-    geo = float(-2 * ctx.log10(w))
+    geo = -2 * ctx.log10_abs(w)
     print(f"{'Gamma(1/4)^2/pi^(3/2)':>28} {report.terms_used:>6} "
           f"{_slope(report.digits_per_term)} {geo:>10.3f}")
     print(f"\nconstant = {str(value)[:62]}...")

@@ -243,15 +243,14 @@ def _series_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
 
     ctx60 = make_context(60)
     h = ctx60.tol(20)
-    worst_fd = 0.0
+    worst_fd = float("inf")
     for mu, z in ((Fraction(-3, 2), ctx60.mpf("0.2")), (Fraction(-7, 10), ctx60.mpf("0.35"))):
         mu = ctx60.mpf(mu)
         _, dphi = series.phi_and_derivative(mu, z, ctx60)
         # phi(z +- h) = 2F1(-mu, mu+1; 1; z +- h), as phi_and_derivative forms phi
         fd = (ctx60.hyp2f1(-mu, mu + 1, 1, z + h)
               - ctx60.hyp2f1(-mu, mu + 1, 1, z - h)) / (2 * h)
-        agree = ctx60.agreement_digits(dphi, fd)
-        worst_fd = agree if worst_fd == 0.0 else min(worst_fd, agree)
+        worst_fd = min(worst_fd, ctx60.agreement_digits(dphi, fd))
     yield ("derivative-vs-finite-difference", worst_fd >= 25,
            f"closed form vs central difference: {worst_fd:.1f} digits (needs >= 25)",
            worst_fd)

@@ -50,18 +50,23 @@ _HEADLINE_NOTE = ("normalization derived from the modulus chain (scalar 640 = 8*
                   "and is reported by `verify --selection chain`")
 
 
-def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
-                digits_per_term: Optional[float], agreement: float,
-                elapsed: float, warnings: List[str]) -> dict:
-    """One command's result in the stable reporting schema: its JSON object.
+def _run_report(command: str, ctx: PrecisionContext, compute: Callable[[], tuple],
+                scale=None, warnings: Sequence[str] = ()) -> dict:
+    """Time ``compute() -> (value, ConvergenceReport, agreement)`` and report the value.
 
     This is the one oracle gate: a value that agrees with its oracle to
     fewer than target - 5 digits raises RuntimeError (exit 3) unreported.
-    The oracles: ``oracle.gamma_quarter_ref`` for the headline constant;
-    2/pi K or 4/pi E of the solved pair for a 2K/pi or 4E/pi sum, compared
-    before :func:`_series_report` scales it; a recomputation at 25 more
-    digits for ``elliptic --method agm``.
+    Each compute function names its own oracle and measures ``agreement``
+    against it, at the context that oracle needs: :func:`_headline`,
+    :func:`_elliptic_sum` and :func:`_elliptic_agm`.  The reported value is
+    the computed one times ``scale``, when one is given.
     """
+    t0 = time.perf_counter()
+    value, report, agreement = compute()
+    if scale is not None:
+        value = value * scale
+    elapsed = time.perf_counter() - t0
+    digits_per_term = report.digits_per_term
     if agreement < ctx.target_digits - 5:
         raise RuntimeError(f"{command} does not match its oracle: {agreement:.1f} "
                            f"digits at target {ctx.target_digits}")
@@ -69,11 +74,11 @@ def _run_report(command: str, ctx: PrecisionContext, value, terms_used: int,
         "command": command,
         "target_digits": ctx.target_digits,
         "value_digits": to_decimal_string(ctx, value, ctx.target_digits),
-        "terms_used": terms_used,
+        "terms_used": report.terms_used,
         "digits_per_term": digits_per_term,
         "oracle_agreement_digits": min(int(agreement), ctx.working_digits),
         "elapsed_seconds": elapsed,
-        "warnings": warnings,
+        "warnings": list(warnings),
     }
 
 
@@ -114,36 +119,31 @@ def _emit(reports: List[dict], fmt: str) -> None:
         print("\n\n".join(_report_text(r) for r in reports))
 
 
-def _series_report(command: str, ctx: PrecisionContext, compute: Callable[[], tuple],
-                   scale=None, warnings: Sequence[str] = ()) -> dict:
-    """Time ``compute() -> (sum, ConvergenceReport, oracle)`` and report the sum.
-
-    The gate reads the sum's agreement with ``oracle``; the reported value
-    is the sum times ``scale``, when one is given.
-    """
-    t0 = time.perf_counter()
-    value, report, reference = compute()
-    agreement = ctx.agreement_digits(value, reference)
-    if scale is not None:
-        value = value * scale
-    elapsed = time.perf_counter() - t0
-    return _run_report(command, ctx, value, report.terms_used, report.digits_per_term,
-                       agreement, elapsed, list(warnings))
-
-
 def _headline(ctx: PrecisionContext) -> tuple:
-    """(the headline series over the modulus chain, its report, its AGM oracle)."""
+    """(the headline series over the modulus chain, its report, its agreement
+    with ``oracle.gamma_quarter_ref``)."""
     value, report = series.gamma_quarter_series(moduli.chain_to_6400(ctx))
-    return value, report, oracle.gamma_quarter_ref(ctx)
+    return value, report, ctx.agreement_digits(value, oracle.gamma_quarter_ref(ctx))
 
 
 def _elliptic_sum(kind: str, pair: moduli.ModulusPair) -> tuple:
-    """(the 2K/pi or 4E/pi series at ``pair``, its report, 2/pi K or 4/pi E of the pair)."""
+    """(the 2K/pi or 4E/pi series at ``pair``, its report, its agreement with
+    2/pi K or 4/pi E of the pair)."""
+    ctx = pair.ctx
     if kind == "K":
         value, report = series.two_K_over_pi(pair)
-        return value, report, 2 * pair.K / pair.ctx.pi
+        return value, report, ctx.agreement_digits(value, 2 * pair.K / ctx.pi)
     value, report = series.four_E_over_pi(pair)
-    return value, report, 4 * pair.E / pair.ctx.pi
+    return value, report, ctx.agreement_digits(value, 4 * pair.E / ctx.pi)
+
+
+def _elliptic_agm(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
+    """(K or E of the pair solved at ``ctx``, a report of no terms, its
+    agreement with the same value solved at 25 more digits)."""
+    value = getattr(moduli.solve_kr(r, ctx), kind)
+    ctx_hi = make_context(ctx.target_digits + 25)
+    value_hi = getattr(moduli.solve_kr(r, ctx_hi), kind)
+    return value, series.ConvergenceReport(0, list), ctx_hi.agreement_digits(value, value_hi)
 
 
 def _rational(text: str) -> Fraction:
@@ -164,8 +164,8 @@ def _check_ceiling(digits: int) -> None:
 def _cmd_constant(args) -> int:
     _check_ceiling(args.digits)
     ctx = make_context(args.digits)
-    rep = _series_report(f"constant {args.name}", ctx, lambda: _headline(ctx),
-                         warnings=[_HEADLINE_NOTE])
+    rep = _run_report(f"constant {args.name}", ctx, lambda: _headline(ctx),
+                      warnings=[_HEADLINE_NOTE])
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -178,19 +178,14 @@ def _cmd_elliptic(args) -> int:
     ctx = make_context(args.digits)
     command = f"elliptic {args.kind} r={r} method={args.method}"
     if args.method == "agm":
-        t0 = time.perf_counter()
-        value = getattr(moduli.solve_kr(r, ctx), args.kind)
-        ctx_hi = make_context(args.digits + 25)
-        value_hi = getattr(moduli.solve_kr(r, ctx_hi), args.kind)
-        agreement = ctx_hi.agreement_digits(value, value_hi)
-        rep = _run_report(command, ctx, value, 0, None, agreement, time.perf_counter() - t0,
-                          ["agm method: agreement measured against a recomputation "
-                           "at 25 extra digits"])
+        rep = _run_report(command, ctx, lambda: _elliptic_agm(args.kind, r, ctx),
+                          warnings=["agm method: agreement measured against a recomputation "
+                                    "at 25 extra digits"])
     else:
         # series and both: the 2K/pi or 4E/pi sum, times pi/2 or pi/4
-        rep = _series_report(command, ctx,
-                             lambda: _elliptic_sum(args.kind, moduli.solve_kr(r, ctx)),
-                             scale=ctx.pi / (2 if args.kind == "K" else 4))
+        rep = _run_report(command, ctx,
+                          lambda: _elliptic_sum(args.kind, moduli.solve_kr(r, ctx)),
+                          scale=ctx.pi / (2 if args.kind == "K" else 4))
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -264,12 +259,12 @@ def _cmd_bench(args) -> int:
         _check_ceiling(d)
     reports: List[dict] = []
     for ctx in map(make_context, targets):
-        reports.append(_series_report("bench gamma-quarter", ctx, lambda: _headline(ctx),
-                                      warnings=[_HEADLINE_NOTE]))
-        reports.append(_series_report(
+        reports.append(_run_report("bench gamma-quarter", ctx, lambda: _headline(ctx),
+                                   warnings=[_HEADLINE_NOTE]))
+        reports.append(_run_report(
             f"bench two-K-over-pi(r={_BENCH_R})", ctx,
             lambda: _elliptic_sum("K", moduli.solve_kr(_BENCH_R, ctx))))
-        reports.append(_series_report(
+        reports.append(_run_report(
             f"bench four-E-over-pi(r={_BENCH_R})", ctx,
             lambda: _elliptic_sum("E", moduli.solve_kr(_BENCH_R, ctx))))
     _emit(reports, args.format)

@@ -261,6 +261,35 @@ def test_elliptic_series_off_its_oracle_exits_3(capsys, monkeypatch):
                           "does not match its oracle")
 
 
+def test_elliptic_agm_off_its_recomputation_exits_3(capsys, monkeypatch):
+    # the agm method's oracle is the pair solved at 25 more digits: move its K
+    from ellseries import moduli
+    solve_kr = moduli.solve_kr
+
+    def off_at_325(r, ctx):
+        pair = solve_kr(r, ctx)
+        if ctx.target_digits == 325:
+            pair.__dict__["K"] = pair.K * (1 + ctx.tol(150))
+        return pair
+
+    monkeypatch.setattr(moduli, "solve_kr", off_at_325)
+    code, out, err = _run(capsys, ["elliptic", "K", "--r", "3", "--digits", "300",
+                                   "--method", "agm"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: elliptic K r=3 method=agm "
+                          "does not match its oracle")
+
+
+def test_bench_off_its_oracle_exits_3(capsys, monkeypatch):
+    _perturb_p_radical(monkeypatch, 150)
+    code, out, err = _run(capsys, ["bench", "--digits", "300"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: bench gamma-quarter "
+                          "does not match its oracle")
+
+
 # one ceiling on the --digits typed, checked before any pair is solved or
 # chain built, whatever contexts above the target the command then builds
 @pytest.mark.parametrize("digits, expected", [(3000, 0), (3001, 2)])

@@ -75,3 +75,21 @@ def test_residual_of_one_or_more_prints_a_signed_exponent():
     assert not passed and digits < 0
     assert "--" not in detail
     assert detail == "residual 1e+0.6 (needs 1e-40)"
+
+
+def test_a_failing_first_derivative_sample_fails_its_row(monkeypatch):
+    # a zero derivative agrees with its finite difference to exactly 0.0
+    # digits; the row's worst sample must not be overwritten by the second
+    calls = []
+    phi_and_derivative = series.phi_and_derivative
+
+    def zero_first(mu, z, ctx):
+        phi, dphi = phi_and_derivative(mu, z, ctx)
+        calls.append(mu)
+        return phi, (0 if len(calls) == 1 else dphi)
+
+    monkeypatch.setattr(series, "phi_and_derivative", zero_first)
+    row, = [r for r in verify.run_verify(60, ["series"])
+            if r.name == "derivative-vs-finite-difference"]
+    assert len(calls) == 2
+    assert not row.passed and row.residual_digits == 0.0
