@@ -99,15 +99,6 @@ def _report_text(rep: dict) -> str:
     return "\n".join(lines)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-
 class UsageError(ValueError):
     """Command-line value errors that map to exit code 1."""
 
@@ -271,11 +262,11 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ellseries",
-                     description="Elliptic integrals, singular moduli and "
-                                 "Gamma(1/4)^2/pi^(3/2) to arbitrary precision, "
-                                 "with AGM cross-validation.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ellseries",
+                                     description="Elliptic integrals, singular moduli and "
+                                                 "Gamma(1/4)^2/pi^(3/2) to arbitrary "
+                                                 "precision, with AGM cross-validation.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("constant", help="compute a named constant")
@@ -323,8 +314,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    except SystemExit as e:  # argparse exits 2 on a usage error
+        return EXIT_USAGE if e.code == 2 else int(e.code or 0)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .oracle import AGMRun, E_from_agm, _agm, agm
+from .oracle import AGMRun, _agm, agm
 from .precision import BigReal, DomainError, PrecisionContext, Rational, make_context
 
 
@@ -80,19 +80,14 @@ class ModulusPair:
         return _agm(self.ctx.one, self.k_prime, self.ctx)
 
     @cached_property
-    def agm_k_prime(self) -> BigReal:
-        """agm(1, k'_r) from the stored k'."""
-        return self._agm_k_prime_run.value
-
-    @cached_property
     def K(self) -> BigReal:
-        """K(k_r) = pi/(2 agm(1, k'_r)); k' is never re-derived as sqrt(1 - k^2)."""
-        return self.ctx.pi / (2 * self.agm_k_prime)
+        """K(k_r) from the agm(1, k'_r) run; k' is never re-derived as sqrt(1 - k^2)."""
+        return self._agm_k_prime_run.K
 
     @cached_property
     def E(self) -> BigReal:
-        """E(k_r) by the side sum of the agm(1, k'_r) run (:func:`oracle.E_from_agm`)."""
-        return E_from_agm(self.k, self._agm_k_prime_run)
+        """E(k_r) by the side sum of the agm(1, k'_r) run (:meth:`AGMRun.E`)."""
+        return self._agm_k_prime_run.E(self.k)
 
 
 class MultiplierResult(NamedTuple):
@@ -118,7 +113,7 @@ def eq2_residual(pair: ModulusPair) -> BigReal:
     tiny (k_6400 ~ 1e-54 would cost ~108).
     """
     ctx = pair.ctx
-    return abs(pair.agm_k_prime / pair.agm_k - ctx.sqrt(ctx.mpf(pair.r)))
+    return abs(pair._agm_k_prime_run.value / pair.agm_k - ctx.sqrt(ctx.mpf(pair.r)))
 
 
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:

@@ -11,6 +11,7 @@ identities are classical; see Borwein & Borwein, "Pi and the AGM".
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Tuple
 
 from .precision import BigReal, DomainError, PrecisionContext, Rational, isqrt
@@ -54,6 +55,23 @@ class AGMRun:
             c = (x - y) >> 1
             s += (c * c) >> (bits - n)
         return ctx.from_fixed(s, bits)
+
+    @cached_property
+    def K(self) -> BigReal:
+        """K(k) = pi/(2 agm(1, k')), for a run of agm(1, k')."""
+        return self.ctx.pi / (2 * self.value)
+
+    def E(self, k: Any) -> BigReal:
+        """E(k) = K(k) * (1 - sum_{n>=0} 2^(n-1) c_n^2), for a run of agm(1, k').
+
+        c_0 = k and c_{n+1} = (a_n - b_n)/2 along the run (:meth:`side_sum`).
+        k' (0 < k' <= 1) is the one the run was given, so a caller that holds it
+        exactly (a solved modulus pair) does not lose it to sqrt(1 - k^2) near
+        k = 1, and one that already read K from the run runs no second AGM.
+        E >= 1 is clamped at 1: below k' ~ 10^(-working/2), E - 1 is under the
+        rounding error of K (1 - sum), which would otherwise read 0.999....
+        """
+        return max(self.K * (1 - self.side_sum(k)), self.ctx.one)
 
 
 def _agm(a: Any, b: Any, ctx: PrecisionContext) -> AGMRun:
@@ -105,22 +123,7 @@ def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
     k = ctx.mpf(k)
     if k < 0 or k >= 1:
         raise DomainError(f"K requires 0 <= k < 1, got {k}")
-    return ctx.pi / (2 * agm(ctx.one, ctx.sqrt(1 - k * k), ctx))
-
-
-def E_from_agm(k: Any, run: AGMRun) -> BigReal:
-    """E(k) from ``run``, the :func:`_agm` run of agm(1, k'), by its side sum.
-
-    E(k) = K(k) * (1 - sum_{n>=0} 2^(n-1) c_n^2) with K(k) = pi/(2 agm(1, k')),
-    c_0 = k and c_{n+1} = (a_n - b_n)/2 along the run (:meth:`AGMRun.side_sum`).
-    k' (0 < k' <= 1) is the one the run was given, so a caller that holds it
-    exactly (a solved modulus pair) does not lose it to sqrt(1 - k^2) near
-    k = 1, and one that already ran agm(1, k') for K runs no second AGM.
-    E >= 1 is clamped at 1: below k' ~ 10^(-working/2), E - 1 is under the
-    rounding error of K (1 - sum), which would otherwise read 0.999....
-    """
-    ctx = run.ctx
-    return max(ctx.pi / (2 * run.value) * (1 - run.side_sum(k)), ctx.one)
+    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx).K
 
 
 def K_E_ref(k: Any, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
@@ -132,11 +135,11 @@ def K_E_ref(k: Any, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
     if k < 0 or k >= 1:
         raise DomainError(f"K requires 0 <= k < 1, got {k}")
     run = _agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
-    return ctx.pi / (2 * run.value), E_from_agm(k, run)
+    return run.K, run.E(k)
 
 
 def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
-    """Complete elliptic integral of the second kind, :func:`E_from_agm` at k' = sqrt(1 - k^2).
+    """Complete elliptic integral of the second kind, :meth:`AGMRun.E` at k' = sqrt(1 - k^2).
 
     The endpoint E(1) = 1 is returned exactly (the AGM degenerates there).
     """
@@ -145,7 +148,7 @@ def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
         raise DomainError(f"E requires 0 <= k <= 1, got {k}")
     if k == 1:
         return ctx.one
-    return E_from_agm(k, _agm(ctx.one, ctx.sqrt(1 - k * k), ctx))
+    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx).E(k)
 
 
 def theta3(q: Any, ctx: PrecisionContext) -> BigReal:

@@ -95,3 +95,18 @@ def test_cli_json_matches_recorded_report(command, capsys):
     assert main([*command.split(), "--format", "json"]) == 0
     got = json.loads(capsys.readouterr().out)
     assert _strip_elapsed(got) == CLI_REPORTS[command]
+
+
+PERFBENCH_OUTPUTS = json.loads((DATA / "perfbench_outputs.json").read_text())
+
+
+def test_perfbench_argv_match_recorded_outputs(capsys):
+    # every distinct argv of the benchmark's seeds 1 and 2: the exit code and
+    # a digest of the JSON report with its elapsed_seconds left out
+    assert len(PERFBENCH_OUTPUTS) == 67
+    for argv, recorded in PERFBENCH_OUTPUTS.items():
+        code = main(argv.split())
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_seconds"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert {"exit_code": code, "sha256": digest} == recorded, argv

@@ -123,6 +123,24 @@ def test_K_E_ref_is_K_ref_and_E_ref_from_one_run(ctx50, k):
     assert oracle.K_E_ref(k, ctx50) == (K_ref(k, ctx50), E_ref(k, ctx50))
 
 
+def test_every_K_and_E_is_read_from_the_agm_run(ctx50, monkeypatch):
+    # K = pi/(2 agm(1, k')) and E's side-sum formula are written once, on
+    # the run; every oracle and every modulus pair reads them there
+    def unreadable(*args):
+        raise LookupError("read from the run")
+
+    monkeypatch.setattr(oracle.AGMRun, "K", property(unreadable), raising=False)
+    monkeypatch.setattr(oracle.AGMRun, "E", unreadable, raising=False)
+    for read in (K_ref, E_ref, oracle.K_E_ref):
+        with pytest.raises(LookupError):
+            read("0.5", ctx50)
+    pair = solve_kr(3, ctx50)  # its gate reads only the runs' limits
+    with pytest.raises(LookupError):
+        pair.K
+    with pytest.raises(LookupError):
+        pair.E
+
+
 @pytest.mark.parametrize("k", ["1e-30", "0.5", "0.99999999999999999999"])
 def test_E_ref_matches_mpmath_ellipe(ctx50, k):
     k = ctx50.mpf(k)
