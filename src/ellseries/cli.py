@@ -99,10 +99,6 @@ def _report_text(rep: dict) -> str:
     return "\n".join(lines)
 
 
-class UsageError(ValueError):
-    """Command-line value errors that map to exit code 1."""
-
-
 def _emit(reports: List[dict], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(reports[0] if len(reports) == 1 else reports, indent=2))
@@ -146,6 +142,25 @@ def _rational(text: str) -> Fraction:
             f"expected an integer or p/q with q != 0, got {text!r}") from None
 
 
+def _group(name: str) -> str:
+    """argparse type for one --selection part: a verify group or all."""
+    if name != "all" and name not in GROUPS:
+        raise argparse.ArgumentTypeError(f"unknown selection {name!r}; choose from "
+                                         f"{', '.join(GROUPS)} or all")
+    return name
+
+
+def _comma_list(item: Callable[[str], object]) -> Callable[[str], list]:
+    """argparse type: a comma-separated list read by ``item``, empty parts skipped."""
+    def parse(text: str) -> list:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+    parse.__name__ = f"{item.__name__} list"  # argparse's "invalid int list value"
+    return parse
+
+
 def _check_ceiling(digits: int) -> None:
     """Refuse a --digits target past MAX_DIGITS (exit 2)."""
     if digits > MAX_DIGITS:
@@ -183,25 +198,17 @@ def _cmd_elliptic(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not 50 <= args.digits <= VERIFY_MAX_DIGITS:
-        raise PrecisionError(
-            f"verify requires 50 <= --digits <= {VERIFY_MAX_DIGITS}, got {args.digits}"
-        )
-    selection = [s.strip() for s in args.selection.split(",") if s.strip()]
-    if not selection:
-        raise UsageError("--selection list is empty")
-    for s in selection:
-        if s != "all" and s not in GROUPS:
-            raise UsageError(f"unknown selection {s!r}; choose from "
-                             f"{', '.join(GROUPS)} or all")
+        raise PrecisionError(f"verify requires 50 <= --digits <= {VERIFY_MAX_DIGITS}, "
+                             f"got {args.digits}")
     t0 = time.perf_counter()
-    results = run_verify(args.digits, selection)
+    results = run_verify(args.digits, args.selection)
     elapsed = time.perf_counter() - t0
     all_passed = all(c.passed for c in results)
     if args.format == "json":
         print(json.dumps({
             "command": "verify",
             "target_digits": args.digits,
-            "selection": selection,
+            "selection": args.selection,
             "passed": all_passed,
             "elapsed_seconds": elapsed,
             "checks": [
@@ -211,10 +218,8 @@ def _cmd_verify(args) -> int:
             ],
         }, indent=2))
     else:
-        lines = []
-        for c in results:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.group}/{c.name}: {c.detail}")
+        lines = [f"[{'PASS' if c.passed else 'FAIL'}] {c.group}/{c.name}: {c.detail}"
+                 for c in results]
         n_pass = sum(1 for c in results if c.passed)
         lines.append(f"{n_pass}/{len(results)} checks passed at "
                      f"{args.digits} digits in {elapsed:.3f} s")
@@ -232,24 +237,12 @@ _BENCH_R = 100
 
 
 def _cmd_bench(args) -> int:
-    targets = []
-    for part in args.digits.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            targets.append(int(part))
-        except ValueError:
-            raise UsageError(f"--digits expects a comma-separated list of "
-                             f"integers, got {part!r}")
-    if not targets:
-        raise UsageError("--digits list is empty")
-    for d in targets:
+    for d in args.digits:
         if d < 100:
             raise PrecisionError(f"bench requires each digits >= 100, got {d}")
         _check_ceiling(d)
     reports: List[dict] = []
-    for ctx in map(make_context, targets):
+    for ctx in map(make_context, args.digits):
         reports.append(_run_report("bench gamma-quarter", ctx, lambda: _headline(ctx),
                                    warnings=[_HEADLINE_NOTE]))
         reports.append(_run_report(
@@ -280,20 +273,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_rational, required=True,
                    help="parameter r as an integer or p/q")
     p.add_argument("--digits", type=int, default=100)
-    p.add_argument("--method", choices=["series", "agm", "both"], default="both")
+    p.add_argument("--method", choices=["series", "agm", "both"], default="both",
+                   help="series, both (default): the series value checked against AGM K or E; "
+                        "agm: the AGM value checked against itself solved at 25 more digits")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_elliptic)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--digits", type=int, default=250)
-    p.add_argument("--selection", default="all",
+    p.add_argument("--selection", type=_comma_list(_group), default="all",
                    help=f"comma-separated subset of {{{','.join(GROUPS)},all}}")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="terms, digits-per-term and wall time "
                                      "per precision target")
-    p.add_argument("--digits", default="1000,10000,50000",
+    p.add_argument("--digits", type=_comma_list(int), default="1000,10000,50000",
                    help="comma-separated list of precision targets")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_bench)
@@ -328,9 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PrecisionError, DomainError) as e:
         print(f"ellseries: {e}", file=sys.stderr)
         return EXIT_PRECISION
-    except UsageError as e:
-        print(f"ellseries: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except RuntimeError as e:  # RootSelectionError and SeriesConvergenceError too
         print(f"ellseries: verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY

@@ -86,8 +86,10 @@ def test_exit_code(capsys, argv, expected):
         assert out and err == ""
     else:
         assert out == ""
-    # argparse's own usage errors print its usage block; all else is one line
-    if code and not err.startswith("usage: "):
+    # every usage error is argparse's block; every other failure is one line
+    if code == 1:
+        assert err.startswith("usage: ") and re.search(r"^ellseries.*: error: ", err, re.M)
+    elif code:
         assert err.count("\n") == 1 and err.startswith("ellseries: ")
 
 
@@ -416,6 +418,15 @@ def test_verify_json(capsys):
     assert groups == ["oracle"] * n_oracle + ["chain"] * (len(groups) - n_oracle)
 
 
+def test_verify_selection_parts_are_stripped(capsys):
+    code, out, _ = _run(capsys, ["verify", "--digits", "60",
+                                 "--selection", " oracle , chain ", "--format", "json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["selection"] == ["oracle", "chain"]
+    assert rep["checks"] and {c["group"] for c in rep["checks"]} <= {"oracle", "chain"}
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import ellseries.cli as cli_mod
     from ellseries.verify import CheckResult
@@ -443,6 +454,12 @@ def test_bench_json(capsys):
     assert rows[1]["digits_per_term"] == pytest.approx(12.44, abs=0.3)
     assert rows[2]["command"] == "bench four-E-over-pi(r=100)"
     assert rows[2]["digits_per_term"] == pytest.approx(12.44, abs=0.3)
+
+
+def test_bench_skips_empty_digits_parts(capsys):
+    code, out, _ = _run(capsys, ["bench", "--digits", "100,,150", "--format", "json"])
+    assert code == 0
+    assert [row["target_digits"] for row in json.loads(out)] == [100] * 3 + [150] * 3
 
 
 def _mpmath_reference(kind, r, digits):

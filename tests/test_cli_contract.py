@@ -2,8 +2,10 @@
 
 Every argv either succeeds, printing reports whose oracle agreement is at
 least target - 5 digits, or exits 1 (usage), 2 (domain/precision) or 3
-(verification) with an empty stdout and one ``ellseries:`` line on stderr
-(argparse's usage block for its own errors).  No argv prints a traceback.
+(verification) with an empty stdout.  Every usage error (exit 1) prints
+argparse's usage block and an ``error:`` line on stderr, a bad
+``--selection`` or ``bench --digits`` list included; exits 2 and 3 print
+exactly one ``ellseries:`` line.  No argv prints a traceback.
 ``constant`` has no ``--terms`` option; argv that pass one still are drawn,
 and must be refused with the usage exit, not run with the option ignored.
 The draws come from a fixed seed, so every run sees the same argv.  Valid
@@ -144,8 +146,10 @@ def test_cli_contract_over_seeded_argv():
             assert code == 1 and err.startswith("usage: "), (argv, err)
         if code:
             assert out == "", argv
-            # argparse's own usage errors print its usage block; all else is one line
-            if not err.startswith("usage: "):
+            if code == 1:
+                assert err.startswith("usage: "), (argv, err)
+                assert re.search(r"^ellseries.*: error: ", err, re.M), (argv, err)
+            else:
                 assert err.count("\n") == 1 and err.startswith("ellseries: "), (argv, err)
             if code == 3:
                 _check_exit_3(argv, err)
