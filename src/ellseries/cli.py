@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from . import moduli, oracle, series
@@ -50,24 +51,22 @@ _HEADLINE_NOTE = ("normalization derived from the modulus chain (scalar 640 = 8*
                   "and is reported by `verify --selection chain`")
 
 
-def _run_report(command: str, ctx: PrecisionContext, compute: Callable[[], tuple],
-                scale=None, warnings: Sequence[str] = ()) -> dict:
-    """Time ``compute() -> (value, ConvergenceReport, agreement)`` and report the value.
+def _run_report(command: str, digits: int, compute: Callable[[PrecisionContext], tuple],
+                warnings: Sequence[str] = ()) -> dict:
+    """Time ``compute(ctx) -> (value, ConvergenceReport, agreement)`` at a
+    context of ``digits``, built before the clock starts, and report the value.
 
     This is the one oracle gate: a value that agrees with its oracle to
-    fewer than target - 5 digits raises RuntimeError (exit 3) unreported.
+    fewer than target + 1 digits raises RuntimeError (exit 3) unreported.
     Each compute function names its own oracle and measures ``agreement``
     against it, at the context that oracle needs: :func:`_headline`,
-    :func:`_elliptic_sum` and :func:`_elliptic_agm`.  The reported value is
-    the computed one times ``scale``, when one is given.
+    :func:`_elliptic_series`, :func:`_elliptic_sum` and :func:`_elliptic_agm`.
     """
+    ctx = make_context(digits)
     t0 = time.perf_counter()
-    value, report, agreement = compute()
-    if scale is not None:
-        value = value * scale
+    value, report, agreement = compute(ctx)
     elapsed = time.perf_counter() - t0
-    digits_per_term = report.digits_per_term
-    if agreement < ctx.target_digits - 5:
+    if agreement < ctx.target_digits + 1:
         raise RuntimeError(f"{command} does not match its oracle: {agreement:.1f} "
                            f"digits at target {ctx.target_digits}")
     return {
@@ -75,7 +74,7 @@ def _run_report(command: str, ctx: PrecisionContext, compute: Callable[[], tuple
         "target_digits": ctx.target_digits,
         "value_digits": to_decimal_string(ctx, value, ctx.target_digits),
         "terms_used": report.terms_used,
-        "digits_per_term": digits_per_term,
+        "digits_per_term": report.digits_per_term,
         "oracle_agreement_digits": min(int(agreement), ctx.working_digits),
         "elapsed_seconds": elapsed,
         "warnings": list(warnings),
@@ -113,15 +112,20 @@ def _headline(ctx: PrecisionContext) -> tuple:
     return value, report, ctx.agreement_digits(value, oracle.gamma_quarter_ref(ctx))
 
 
-def _elliptic_sum(kind: str, pair: moduli.ModulusPair) -> tuple:
-    """(the 2K/pi or 4E/pi series at ``pair``, its report, its agreement with
-    2/pi K or 4/pi E of the pair)."""
-    ctx = pair.ctx
+def _elliptic_sum(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
+    """(the 2K/pi or 4E/pi series at the pair of ``r``, its report, its
+    agreement with 2/pi K or 4/pi E of the pair)."""
+    pair = moduli.solve_kr(r, ctx)
     if kind == "K":
         value, report = series.two_K_over_pi(pair)
         return value, report, ctx.agreement_digits(value, 2 * pair.K / ctx.pi)
     value, report = series.four_E_over_pi(pair)
     return value, report, ctx.agreement_digits(value, 4 * pair.E / ctx.pi)
+
+
+def _elliptic_series(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
+    value, report, agreement = _elliptic_sum(kind, r, ctx)
+    return value * (ctx.pi / (2 if kind == "K" else 4)), report, agreement
 
 
 def _elliptic_agm(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
@@ -169,8 +173,7 @@ def _check_ceiling(digits: int) -> None:
 
 def _cmd_constant(args) -> int:
     _check_ceiling(args.digits)
-    ctx = make_context(args.digits)
-    rep = _run_report(f"constant {args.name}", ctx, lambda: _headline(ctx),
+    rep = _run_report(f"constant {args.name}", args.digits, _headline,
                       warnings=[_HEADLINE_NOTE])
     _emit([rep], args.format)
     return EXIT_OK
@@ -181,17 +184,11 @@ def _cmd_elliptic(args) -> int:
     if r <= 0:
         raise DomainError(f"--r must be a positive rational, got {r}")
     _check_ceiling(args.digits)
-    ctx = make_context(args.digits)
-    command = f"elliptic {args.kind} r={r} method={args.method}"
-    if args.method == "agm":
-        rep = _run_report(command, ctx, lambda: _elliptic_agm(args.kind, r, ctx),
-                          warnings=["agm method: agreement measured against a recomputation "
-                                    "at 25 extra digits"])
-    else:
-        # series and both: the 2K/pi or 4E/pi sum, times pi/2 or pi/4
-        rep = _run_report(command, ctx,
-                          lambda: _elliptic_sum(args.kind, moduli.solve_kr(r, ctx)),
-                          scale=ctx.pi / (2 if args.kind == "K" else 4))
+    agm = args.method == "agm"  # series and both report the series value
+    rep = _run_report(f"elliptic {args.kind} r={r} method={args.method}", args.digits,
+                      partial(_elliptic_agm if agm else _elliptic_series, args.kind, r),
+                      warnings=["agm method: agreement measured against a recomputation "
+                                "at 25 extra digits"] if agm else [])
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -242,15 +239,12 @@ def _cmd_bench(args) -> int:
             raise PrecisionError(f"bench requires each digits >= 100, got {d}")
         _check_ceiling(d)
     reports: List[dict] = []
-    for ctx in map(make_context, args.digits):
-        reports.append(_run_report("bench gamma-quarter", ctx, lambda: _headline(ctx),
+    for d in args.digits:
+        reports.append(_run_report("bench gamma-quarter", d, _headline,
                                    warnings=[_HEADLINE_NOTE]))
-        reports.append(_run_report(
-            f"bench two-K-over-pi(r={_BENCH_R})", ctx,
-            lambda: _elliptic_sum("K", moduli.solve_kr(_BENCH_R, ctx))))
-        reports.append(_run_report(
-            f"bench four-E-over-pi(r={_BENCH_R})", ctx,
-            lambda: _elliptic_sum("E", moduli.solve_kr(_BENCH_R, ctx))))
+        for kind, name in (("K", "two-K-over-pi"), ("E", "four-E-over-pi")):
+            reports.append(_run_report(f"bench {name}(r={_BENCH_R})", d,
+                                       partial(_elliptic_sum, kind, _BENCH_R)))
     _emit(reports, args.format)
     return EXIT_OK
 

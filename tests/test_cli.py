@@ -236,6 +236,24 @@ def test_constant_off_its_oracle_exits_3(capsys, monkeypatch):
                           "does not match its oracle")
 
 
+def test_constant_backed_to_one_digit_short_exits_3(capsys, monkeypatch):
+    # the value is right, but its oracle backs only target - 1 digits: the
+    # last printed digit would be unbacked, so the report is refused
+    from ellseries import cli
+    headline = cli._headline
+
+    def one_short(ctx):
+        value, report, _ = headline(ctx)
+        return value, report, ctx.target_digits - 1
+
+    monkeypatch.setattr(cli, "_headline", one_short)
+    code, out, err = _run(capsys, ["constant", "gamma-quarter", "--digits", "100"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: constant gamma-quarter "
+                          "does not match its oracle")
+
+
 def test_verify_reports_a_wrong_chain_as_failed_rows(capsys, monkeypatch):
     # nothing in the chain or the headline raises, so each row is built and
     # the ones that test k_100 or the constant fail

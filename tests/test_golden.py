@@ -110,3 +110,13 @@ def test_perfbench_argv_match_recorded_outputs(capsys):
         del doc["elapsed_seconds"]
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert {"exit_code": code, "sha256": digest} == recorded, argv
+
+
+def test_headline_at_50k_digits_matches_recorded_digest(capsys):
+    # the AGM's square roots switch kernels at about 17,750 digits, past
+    # every other recorded output; recorded before any kernel work
+    assert main(["constant", "gamma-quarter", "--digits", "50000", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["terms_used"], doc["oracle_agreement_digits"]) == (473, 51000)
+    assert hashlib.sha256(doc["value_digits"].encode()).hexdigest() == (
+        "9a52eb1ea75c5ab1fbf0358d2c964b7a033f374668d8025039852727ffb0374a")
