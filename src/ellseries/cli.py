@@ -59,8 +59,8 @@ def _run_report(command: str, digits: int, compute: Callable[[PrecisionContext],
     This is the one oracle gate: a value that agrees with its oracle to
     fewer than target + 1 digits raises RuntimeError (exit 3) unreported.
     Each compute function names its own oracle and measures ``agreement``
-    against it, at the context that oracle needs: :func:`_headline`,
-    :func:`_elliptic_series`, :func:`_elliptic_sum` and :func:`_elliptic_agm`.
+    against it at ``ctx``: :func:`_headline`, :func:`_elliptic_series`,
+    :func:`_elliptic_sum` and :func:`_elliptic_agm`.
     """
     ctx = make_context(digits)
     t0 = time.perf_counter()
@@ -75,7 +75,7 @@ def _run_report(command: str, digits: int, compute: Callable[[PrecisionContext],
         "value_digits": to_decimal_string(ctx, value, ctx.target_digits),
         "terms_used": report.terms_used,
         "digits_per_term": report.digits_per_term,
-        "oracle_agreement_digits": min(int(agreement), ctx.working_digits),
+        "oracle_agreement_digits": int(agreement),
         "elapsed_seconds": elapsed,
         "warnings": list(warnings),
     }
@@ -129,12 +129,19 @@ def _elliptic_series(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
 
 
 def _elliptic_agm(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
-    """(K or E of the pair solved at ``ctx``, a report of no terms, its
-    agreement with the same value solved at 25 more digits)."""
-    value = getattr(moduli.solve_kr(r, ctx), kind)
-    ctx_hi = make_context(ctx.target_digits + 25)
-    value_hi = getattr(moduli.solve_kr(r, ctx_hi), kind)
-    return value, series.ConvergenceReport(0, list), ctx_hi.agreement_digits(value, value_hi)
+    """(K or E of the pair solved at ``ctx``, a report of no terms, its agreement
+    with theta3(q_s)^2 pi/2 at s = max(r, 1/r), times sqrt(s) for r < 1 (K), or
+    with Legendre's relation E = agm(1, k) + K S', S' agm(1, k)'s side sum from k')."""
+    pair = moduli.solve_kr(r, ctx)
+    if kind == "K":
+        check = oracle.theta3(oracle.nome(max(r, 1 / r), ctx), ctx) ** 2 * ctx.pi / 2
+        if r < 1:  # K(k_r) = sqrt(1/r) K(k_{1/r})
+            check *= ctx.sqrt(ctx.mpf(1 / r))
+    else:
+        run = oracle._agm(ctx.one, pair.k, ctx)
+        check = run.value + pair.K * run.side_sum(pair.k_prime)
+    value = getattr(pair, kind)
+    return value, series.ConvergenceReport(0, list), ctx.agreement_digits(value, check)
 
 
 def _rational(text: str) -> Fraction:
@@ -185,10 +192,11 @@ def _cmd_elliptic(args) -> int:
         raise DomainError(f"--r must be a positive rational, got {r}")
     _check_ceiling(args.digits)
     agm = args.method == "agm"  # series and both report the series value
+    note = ("agm method: K checked by theta3(q)^2 pi/2, E by Legendre's relation; theta3 shares "
+            "its mathematics with the theta-quotient q, which solve_kr's defining ratio checks")
     rep = _run_report(f"elliptic {args.kind} r={r} method={args.method}", args.digits,
                       partial(_elliptic_agm if agm else _elliptic_series, args.kind, r),
-                      warnings=["agm method: agreement measured against a recomputation "
-                                "at 25 extra digits"] if agm else [])
+                      warnings=[note] if agm else [])
     _emit([rep], args.format)
     return EXIT_OK
 
@@ -269,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=100)
     p.add_argument("--method", choices=["series", "agm", "both"], default="both",
                    help="series, both (default): the series value checked against AGM K or E; "
-                        "agm: the AGM value checked against itself solved at 25 more digits")
+                        "agm: the AGM value checked against theta3 (K) or Legendre's relation (E)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_elliptic)
 

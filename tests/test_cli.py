@@ -172,35 +172,47 @@ def test_elliptic_agm_method_at_r1(capsys):
     assert json.loads(out)["value_digits"].startswith("1.854074677301371918")
 
 
+def _patch_agm_loop(monkeypatch, replacement):
+    """Put ``replacement(loop)`` in place of the one AGM loop, oracle._agm,
+    in every ellseries module that binds it."""
+    from ellseries import oracle
+    loop = oracle._agm
+    patched = replacement(loop)
+    for name, m in list(sys.modules.items()):
+        if name == "ellseries" or name.startswith("ellseries."):
+            for attr, value in list(vars(m).items()):
+                if value is loop:
+                    monkeypatch.setattr(m, attr, patched)
+
+
 def _count_agm_loops(monkeypatch):
-    """Count runs of the one AGM loop, oracle._agm, through every ellseries
-    module that binds it, and reads of a run's side sum (E's)."""
+    """Count runs of the one AGM loop, oracle._agm, and reads of a run's side
+    sum (E's)."""
     from ellseries import oracle
     counts = {"_agm": 0, "side_sum": 0}
-    loop, side_sum = oracle._agm, oracle.AGMRun.side_sum
+    side_sum = oracle.AGMRun.side_sum
 
-    def counted_loop(*args, **kwargs):
-        counts["_agm"] += 1
-        return loop(*args, **kwargs)
+    def counted(loop):
+        def counted_loop(*args, **kwargs):
+            counts["_agm"] += 1
+            return loop(*args, **kwargs)
+        return counted_loop
 
     def counted_side_sum(*args, **kwargs):
         counts["side_sum"] += 1
         return side_sum(*args, **kwargs)
 
-    for name, m in list(sys.modules.items()):
-        if name == "ellseries" or name.startswith("ellseries."):
-            for attr, value in list(vars(m).items()):
-                if value is loop:
-                    monkeypatch.setattr(m, attr, counted_loop)
+    _patch_agm_loop(monkeypatch, counted)
     monkeypatch.setattr(oracle.AGMRun, "side_sum", counted_side_sum)
     return counts
 
 
 # the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps the
 # agm(1, k') run for K and for E, whose side sum reads that run's iterates
-# without another loop; agm reruns both at 25 extra digits
+# without another loop; agm checks K by theta3, with no AGM, and E by
+# Legendre's relation, which reads the side sum of one more agm(1, k)
 @pytest.mark.parametrize("kind, method, loops, side_sums", [
-    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 4, 0), ("E", "agm", 4, 2)])
+    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 2, 0), ("E", "agm", 3, 2)])
 def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, loops, side_sums):
     counts = _count_agm_loops(monkeypatch)
     code, _, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
@@ -281,24 +293,61 @@ def test_elliptic_series_off_its_oracle_exits_3(capsys, monkeypatch):
                           "does not match its oracle")
 
 
-def test_elliptic_agm_off_its_recomputation_exits_3(capsys, monkeypatch):
-    # the agm method's oracle is the pair solved at 25 more digits: move its K
+@pytest.mark.parametrize("kind", ["K", "E"])
+def test_elliptic_agm_off_its_check_exits_3(capsys, monkeypatch, kind):
+    # the agm method's check is theta3 for K and Legendre's relation for E:
+    # move the pair's K or E and leave the check as it is
     from ellseries import moduli
     solve_kr = moduli.solve_kr
 
-    def off_at_325(r, ctx):
+    def off(r, ctx):
         pair = solve_kr(r, ctx)
-        if ctx.target_digits == 325:
-            pair.__dict__["K"] = pair.K * (1 + ctx.tol(150))
+        pair.__dict__[kind] = getattr(pair, kind) * (1 + ctx.tol(150))
         return pair
 
-    monkeypatch.setattr(moduli, "solve_kr", off_at_325)
-    code, out, err = _run(capsys, ["elliptic", "K", "--r", "3", "--digits", "300",
+    monkeypatch.setattr(moduli, "solve_kr", off)
+    code, out, err = _run(capsys, ["elliptic", kind, "--r", "3", "--digits", "300",
                                    "--method", "agm"])
     assert code == 3 and out == ""
     assert err.count("\n") == 1
-    assert err.startswith("ellseries: verification failure: elliptic K r=3 method=agm "
+    assert err.startswith(f"ellseries: verification failure: elliptic {kind} r=3 method=agm "
                           "does not match its oracle")
+
+
+# the gate's tightest known margin: near k = 1, AGMRun.E forms K (1 - S)
+# with S ~ 1, which loses log10 K(k_r) ~ 5 digits, so agreement reads
+# target + 5 at 200 and 300 digits
+@pytest.mark.parametrize("r", ["1/5000000000", "1/5370000000"])
+@pytest.mark.parametrize("digits", [50, 100, 200, 300])
+def test_agm_E_near_k_one_keeps_a_digit_past_the_target(capsys, r, digits):
+    code, out, _ = _run(capsys, ["elliptic", "E", "--r", r, "--digits", str(digits),
+                                 "--method", "agm", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["oracle_agreement_digits"] >= digits + 1
+
+
+# every report refuses an AGM scaled by 1 + 10^-30: the agm method's value
+# fails its theta3 (K) or Legendre (E) check, and the headline and the
+# series fail the AGM oracle they are checked against
+@pytest.mark.parametrize("argv", [
+    *(["elliptic", kind, "--r", r, "--digits", "60", "--method", "agm"]
+      for kind in "KE" for r in ("3", "1/7")),
+    ["constant", "gamma-quarter", "--digits", "60"],
+    ["elliptic", "K", "--r", "3", "--digits", "60", "--method", "both"]],
+    ids=" ".join)
+def test_agm_method_catches_a_scaled_agm(capsys, monkeypatch, argv):
+    def scaled(loop):
+        def scaled_loop(a, b, ctx):
+            run = loop(a, b, ctx)
+            run.value *= 1 + ctx.tol(30)
+            return run
+        return scaled_loop
+
+    _patch_agm_loop(monkeypatch, scaled)
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ellseries: verification failure: ")
 
 
 def test_bench_off_its_oracle_exits_3(capsys, monkeypatch):

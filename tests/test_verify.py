@@ -9,6 +9,15 @@ from ellseries import _checks, moduli, oracle, series, verify
 from ellseries.precision import make_context
 
 
+def _rebind(monkeypatch, fn, replacement):
+    """Put ``replacement`` in place of fn in every ellseries module that binds it."""
+    for mod_name, m in list(sys.modules.items()):
+        if mod_name == "ellseries" or mod_name.startswith("ellseries."):
+            for attr, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, attr, replacement)
+
+
 def test_verify_computes_each_shared_quantity_once(monkeypatch):
     calls = Counter()
 
@@ -17,11 +26,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
         def wrapped(*args, **kwargs):
             calls[(name, key(args))] += 1
             return fn(*args, **kwargs)
-        for mod_name, m in list(sys.modules.items()):
-            if mod_name == "ellseries" or mod_name.startswith("ellseries."):
-                for attr, value in list(vars(m).items()):
-                    if value is fn:
-                        monkeypatch.setattr(m, attr, wrapped)
+        _rebind(monkeypatch, fn, wrapped)
 
     count("solve_kr", moduli.solve_kr, key=lambda args: str(args[0]))
     count("two_K_over_pi", series.two_K_over_pi)
@@ -93,3 +98,101 @@ def test_a_failing_first_derivative_sample_fails_its_row(monkeypatch):
             if r.name == "derivative-vs-finite-difference"]
     assert len(calls) == 2
     assert not row.passed and row.residual_digits == 0.0
+
+
+def _returning(fn, change):
+    """A mutation: every binding of fn returns ``change(its result, scale)``."""
+    def mutate(monkeypatch, scale):
+        _rebind(monkeypatch, fn, lambda *args, **kwargs: change(fn(*args, **kwargs), scale))
+    return mutate
+
+
+def _scaled_run(run, scale):
+    run.value = scale(run.value)
+    return run
+
+
+def _scaled_side_sum(monkeypatch, scale):
+    side_sum = oracle.AGMRun.side_sum
+    monkeypatch.setattr(oracle.AGMRun, "side_sum", lambda run, c0: scale(side_sum(run, c0)))
+
+
+def _moved_gap(pair, scale):
+    """The ascent's pair with its gap scaled and k moved to keep k^2 = gap (2 - gap)."""
+    ctx = pair.ctx
+    gap = scale(ctx.mpf(pair.k_prime_gap))
+    return moduli.ModulusPair(pair.r, ctx.sqrt(gap * (2 - gap)), gap, ctx)
+
+
+def _value(x, scale):
+    return scale(x)
+
+
+# (primitive, relative perturbation 10^-digits, mutation, the rows it fails):
+# one entry per primitive, each scaled alone at 60 digits; a row may fail
+# under several.  phi' is moved by 10^-20, since its row allows 25 digits.
+MUTATIONS = [
+    ("AGM value", 30, _returning(oracle._agm, _scaled_run),
+     {"agm-fixed-point", "K-at-zero", "E-endpoints", "legendre-relation", "theta-K-identity",
+      "theta-nome-K", "first-kind-triple", "second-kind-vs-agm", "headline-vs-oracle",
+      "normalization-derived"}),
+    ("side sum", 30, _scaled_side_sum, {"legendre-relation", "second-kind-vs-agm"}),
+    ("theta3", 30, _returning(oracle.theta3, _value),
+     {"theta-K-identity", "theta-nome-K", "first-kind-triple"}),
+    ("nome", 30, _returning(oracle.nome, _value),
+     {"theta-K-identity", "theta-nome-K", "first-kind-triple"}),
+    ("eval_series", 30,
+     _returning(series.eval_series, lambda result, scale: (scale(result[0]), result[1])),
+     {"collapse-identity-random", "first-kind-triple", "second-kind-vs-agm",
+      "headline-vs-oracle", "normalization-derived"}),
+    ("closed_form", 30, _returning(series.closed_form, _value), {"collapse-identity-random"}),
+    ("phi'", 20,
+     _returning(series.phi_and_derivative, lambda result, scale: (result[0], scale(result[1]))),
+     {"derivative-vs-finite-difference"}),
+    ("16x scale factor", 30, _returning(moduli.k_scale_16, _value),
+     {"scale16-at-r1", "scale16-twice-to-256", "scale64-composition"}),
+    ("64x scale factor", 30, _returning(moduli.k_scale_64, _value),
+     {"scale64-at-r1", "scale64-composition", "K6400-scaling-map", "headline-vs-oracle",
+      "normalization-derived"}),
+    ("k_100 surd p", 30, _returning(moduli._p_radical, _value),
+     {"k100-closed-vs-solve", "K100-radical-vs-agm", "headline-vs-oracle",
+      "stage-defining-ratios", "kprime400-coefficient-audit", "K100-radical",
+      "normalization-derived"}),
+    ("k_100 coefficient", 30, _returning(moduli.k100_radical_coefficient, _value),
+     {"K100-radical-vs-agm", "K100-radical", "headline-vs-oracle", "normalization-derived"}),
+    ("multiplier value", 30,
+     _returning(moduli.multiplier, lambda res, scale: res._replace(value=scale(res.value))),
+     {"multiplier-K-ratios"}),
+    ("Landen gap", 30, _returning(moduli.landen_up, _moved_gap),
+     {"landen-vs-solve", "scale64-composition", "stage-defining-ratios", "published-k400",
+      "published-k1600", "published-k6400", "kprime400-coefficient-audit"}),
+    ("b_quarter", 30, _returning(oracle.b_quarter, _value),
+     {"K-lemniscatic", "K100-radical-vs-agm", "K100-radical"}),
+    ("gamma_quarter_ref", 30, _returning(oracle.gamma_quarter_ref, _value),
+     {"headline-vs-oracle", "normalization-derived"}),
+]
+
+# the rows that no entry fails, and why none can
+UNMUTATED = {
+    "agm-symmetry": "a scaled AGM is still symmetric in its arguments",
+    "agm-homogeneity": "a scaled AGM is still homogeneous of degree 1",
+    "K-strictly-increasing": "a scaling keeps the order of K on the grid",
+    "solve-defining-ratio": "repeats solve_kr's own gate, which raises first",
+    "multiplier-polynomials": "the residual is formed before the value a mutation scales",
+    "digits-per-term-slope": "reads the error trace, not the value, to a 10% tolerance",
+    "headline-termination-insensitive": "compares the same code at two precisions",
+    "normalization-published-mismatch": "a report row: it passes while the published "
+                                        "prefactor is off by 5120",
+}
+
+
+def test_every_row_fails_under_a_mutation(monkeypatch):
+    rows = [r.name for r in verify.run_verify(60, ["all"])]
+    mutated = set().union(*(fails for *_, fails in MUTATIONS))
+    assert len(rows) == 36
+    assert mutated | set(UNMUTATED) == set(rows) and not mutated & set(UNMUTATED)
+    for primitive, digits, mutate, fails in MUTATIONS:
+        with monkeypatch.context() as m:
+            mutate(m, lambda x: x * (1 + x.context.mpf(10) ** -digits))
+            results = verify.run_verify(60, ["all"])
+        assert {r.name for r in results if not r.passed} == fails, primitive
