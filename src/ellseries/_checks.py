@@ -15,15 +15,15 @@ is observed and the corrected form verifies.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from . import moduli, series
 from .oracle import (E_ref, K_E_ref, K_ref, agm, b_quarter, gamma_quarter_ref, nome,
                      theta3)
-from .precision import BigReal, PrecisionContext, make_context
+from .precision import PrecisionContext, Rational, make_context
 
 # detail suffix of the checks that compare k_r with oracle.theta3
 _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
@@ -32,6 +32,13 @@ _THETA_SHARED = ("k_r from the moduli.py theta quotient: separate code, same "
 # a check function's row, which run_verify labels with the check's group:
 # (name, passed, detail, residual_digits)
 _Row = Tuple[str, bool, str, Optional[float]]
+
+
+def _per_r(fn: Callable[[Fraction], Any]) -> Callable[[Rational], Any]:
+    """fn memoized on Fraction(r): functools.cache keys a lone int by itself,
+    so 4 and Fraction(4) would otherwise be two entries."""
+    memo = functools.cache(fn)
+    return lambda r: memo(Fraction(r))
 
 
 class _SolveCache:
@@ -43,42 +50,24 @@ class _SolveCache:
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        self._pairs: Dict[Fraction, moduli.ModulusPair] = {}
-        self._two_K: Dict[Fraction, tuple] = {}
-        self._theta3: Dict[Fraction, BigReal] = {}
+        self.pair = _per_r(lambda r: moduli.solve_kr(r, ctx))
+        self.two_K_over_pi = _per_r(lambda r: series.two_K_over_pi(self.pair(r)))
+        # theta3(q_r) at the nome q_r = exp(-pi sqrt(r))
+        self.theta3 = _per_r(lambda r: theta3(nome(r, ctx), ctx))
 
-    def pair(self, r) -> moduli.ModulusPair:
-        r = Fraction(r)
-        if r not in self._pairs:
-            self._pairs[r] = moduli.solve_kr(r, self.ctx)
-        return self._pairs[r]
-
-    def two_K_over_pi(self, r) -> tuple:
-        r = Fraction(r)
-        if r not in self._two_K:
-            self._two_K[r] = series.two_K_over_pi(self.pair(r))
-        return self._two_K[r]
-
-    def theta3(self, r):
-        """theta3(q_r) at the nome q_r = exp(-pi sqrt(r))."""
-        r = Fraction(r)
-        if r not in self._theta3:
-            self._theta3[r] = theta3(nome(r, self.ctx), self.ctx)
-        return self._theta3[r]
-
-    @cached_property
+    @functools.cached_property
     def chain(self) -> List[moduli.ModulusPair]:
         return moduli.chain_to_6400(self.ctx)
 
-    @cached_property
+    @functools.cached_property
     def b_quarter(self):
         return b_quarter(self.ctx)
 
-    @cached_property
+    @functools.cached_property
     def headline(self):
         return series.gamma_quarter_series(self.chain)
 
-    @cached_property
+    @functools.cached_property
     def headline_agreement(self) -> float:
         return self.ctx.agreement_digits(self.headline[0], gamma_quarter_ref(self.ctx))
 
@@ -167,7 +156,7 @@ def _moduli_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     worst = ctx.zero
     for r in (1, 2, 3, 5):
         up = moduli.landen_up(cache.pair(r))
-        worst = max(worst, abs(up.k - cache.pair(4 * Fraction(r)).k))
+        worst = max(worst, abs(up.k - cache.pair(4 * r).k))
     yield _residual_check("landen-vs-solve", ctx, worst, t10,
                           detail="ascent of k_r matches solve at 4r, r in {1,2,3,5}")
 

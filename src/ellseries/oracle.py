@@ -115,15 +115,20 @@ def agm(a: Any, b: Any, ctx: PrecisionContext) -> BigReal:
     return _agm(a, b, ctx).value
 
 
+def _agm_at(k: Any, ctx: PrecisionContext) -> AGMRun:
+    """The agm(1, k') run, k' = sqrt(1 - k^2), that K(k) and E(k) read, for 0 <= k < 1."""
+    k = ctx.mpf(k)
+    if k < 0 or k >= 1:
+        raise DomainError(f"K requires 0 <= k < 1, got {k}")
+    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
+
+
 def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
     """Complete elliptic integral of the first kind, K(k) = pi/(2*agm(1, k')).
 
     Defined for 0 <= k < 1; K diverges logarithmically as k -> 1.
     """
-    k = ctx.mpf(k)
-    if k < 0 or k >= 1:
-        raise DomainError(f"K requires 0 <= k < 1, got {k}")
-    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx).K
+    return _agm_at(k, ctx).K
 
 
 def K_E_ref(k: Any, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
@@ -131,10 +136,7 @@ def K_E_ref(k: Any, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
 
     Each equals :func:`K_ref` and :func:`E_ref` at k to the last bit.
     """
-    k = ctx.mpf(k)
-    if k < 0 or k >= 1:
-        raise DomainError(f"K requires 0 <= k < 1, got {k}")
-    run = _agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
+    run = _agm_at(k, ctx)
     return run.K, run.E(k)
 
 
@@ -148,7 +150,7 @@ def E_ref(k: Any, ctx: PrecisionContext) -> BigReal:
         raise DomainError(f"E requires 0 <= k <= 1, got {k}")
     if k == 1:
         return ctx.one
-    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx).E(k)
+    return _agm_at(k, ctx).E(k)
 
 
 def theta3(q: Any, ctx: PrecisionContext) -> BigReal:

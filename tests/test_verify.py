@@ -100,10 +100,14 @@ def test_a_failing_first_derivative_sample_fails_its_row(monkeypatch):
     assert not row.passed and row.residual_digits == 0.0
 
 
-def _returning(fn, change):
-    """A mutation: every binding of fn returns ``change(its result, scale)``."""
+def _returning(fn, change, where=lambda *args, **kwargs: True):
+    """A mutation: every binding of fn returns ``change(its result, scale)``
+    on the calls whose arguments satisfy ``where``."""
     def mutate(monkeypatch, scale):
-        _rebind(monkeypatch, fn, lambda *args, **kwargs: change(fn(*args, **kwargs), scale))
+        def mutated(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            return change(result, scale) if where(*args, **kwargs) else result
+        _rebind(monkeypatch, fn, mutated)
     return mutate
 
 
@@ -130,12 +134,23 @@ def _value(x, scale):
 
 # (primitive, relative perturbation 10^-digits, mutation, the rows it fails):
 # one entry per primitive, each scaled alone at 60 digits; a row may fail
-# under several.  phi' is moved by 10^-20, since its row allows 25 digits.
+# under several.  The AGM value is also scaled on some arguments only, since
+# a uniform scaling keeps the AGM symmetric and homogeneous.  phi' is moved
+# by 10^-20, since its row allows 25 digits.
 MUTATIONS = [
     ("AGM value", 30, _returning(oracle._agm, _scaled_run),
      {"agm-fixed-point", "K-at-zero", "E-endpoints", "legendre-relation", "theta-K-identity",
       "theta-nome-K", "first-kind-triple", "second-kind-vs-agm", "headline-vs-oracle",
       "normalization-derived"}),
+    # the homogeneity row's agm(lam, lam sqrt 2) at lam = 3 and pi, but not
+    # the lam * agm(1, sqrt 2) it is compared with
+    ("AGM value at max(a, b) > 2", 30,
+     _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: max(a, b) > 2),
+     {"agm-homogeneity"}),
+    # the symmetry row's agm(3, 1/4) and agm(7, 1e-6), but not their swaps
+    ("AGM value at a > 2b and a > 2", 30,
+     _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: a > 2 * b and a > 2),
+     {"agm-symmetry"}),
     ("side sum", 30, _scaled_side_sum, {"legendre-relation", "second-kind-vs-agm"}),
     ("theta3", 30, _returning(oracle.theta3, _value),
      {"theta-K-identity", "theta-nome-K", "first-kind-triple"}),
@@ -174,8 +189,6 @@ MUTATIONS = [
 
 # the rows that no entry fails, and why none can
 UNMUTATED = {
-    "agm-symmetry": "a scaled AGM is still symmetric in its arguments",
-    "agm-homogeneity": "a scaled AGM is still homogeneous of degree 1",
     "K-strictly-increasing": "a scaling keeps the order of K on the grid",
     "solve-defining-ratio": "repeats solve_kr's own gate, which raises first",
     "multiplier-polynomials": "the residual is formed before the value a mutation scales",
