@@ -305,17 +305,13 @@ def _chain_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     yield _residual_check("stage-defining-ratios", ctx, worst, w5,
                           detail="r = 100, 400, 1600, 6400")
 
-    comps = {c.label: c for c in moduli.chain_printed_comparison(ctx)}
-    for label, key in (("published-k400", "k_400"),
-                       ("published-k1600", "k_1600"),
-                       ("published-k6400", "k_6400")):
-        c = comps[key]
+    k400, typo, fixed, k1600, k6400 = moduli.chain_printed_comparison(pairs)
+    for label, c in (("published-k400", k400), ("published-k1600", k1600),
+                     ("published-k6400", k6400)):
         yield (label, c.agreement_digits >= t10,
                f"published radical vs chain: {c.agreement_digits:.1f} digits",
                c.agreement_digits)
 
-    typo = comps["k'_400 (published coefficient 2^(7/3))"]
-    fixed = comps["k'_400 (corrected coefficient 2^(7/4))"]
     pair400 = pairs[1]
     identity_ok = abs(pair400.k ** 2 + pair400.k_prime ** 2 - 1) <= ctx.tol(w5)
     ratio_ok = moduli.eq2_residual(pair400) <= ctx.tol(w5)

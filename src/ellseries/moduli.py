@@ -124,11 +124,11 @@ def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal
     the terms p^(m^2) of one sum give theta2 = 2 sum_{odd m}, theta3 =
     1 + 2 sum_{even m} and theta3 - theta4 = 4 sum_{m = 2 mod 4}, so the gap
     takes no cancellation.  The sum stops relative to the smallest leading
-    term, p^4 = q (~1e-109 at r = 6400); p is formed with 10 + log10(pi sqrt(r))
-    extra digits, the second part for the relative error exp(-x) inherits
-    from x = pi sqrt(r).
+    term, p^4 = q (~1e-109 at r = 6400).  It runs at the caller's target plus
+    10 + log10(pi sqrt(r)) digits, the second part for the relative error
+    exp(-x) inherits from x = pi sqrt(r).
     """
-    hi = make_context(ctx.working_digits + int(math.log10(math.pi * math.sqrt(r))) + 10)
+    hi = make_context(ctx.target_digits + int(math.log10(math.pi * math.sqrt(r))) + 10)
     p = hi.exp(-hi.pi * hi.sqrt(hi.mpf(r)) / 4)
     stop = p ** 4 * hi.tol(hi.working_digits)
     sums = [hi.zero] * 4  # by m mod 4
@@ -206,13 +206,13 @@ def k100_closed_form(ctx: PrecisionContext) -> ModulusPair:
     :func:`_p_radical`.  The gap uses 1 - k'_100 = (sqrt(2) - p^(1/4))^2
     /(2 + sqrt(p)), avoiding subtraction of nearly equal rounded
     quantities.  The radicals cancel ~9 digits (2 - sqrt(p) is ~2.4e-6 and
-    the p surd itself loses two more), so k and the gap are formed with 10
-    extra digits and are fully accurate at the caller's working precision.
+    the p surd itself loses two more), so k and the gap are formed at the
+    caller's target plus 10 digits, fully accurate at its working precision.
     The modulus identity holds algebraically for any p.  The pair is not
     gated on its defining ratio: the headline constant built from it is
     checked against its own AGM oracle, and ``verify`` checks the ratio.
     """
-    hi = make_context(ctx.working_digits + 10)
+    hi = make_context(ctx.target_digits + 10)
     p = _p_radical(hi)
     sp = hi.sqrt(p)
     p4 = hi.root(p, 4)
@@ -244,21 +244,21 @@ class PrintedFormComparison(NamedTuple):
     agreement_digits: float
 
 
-def chain_printed_comparison(ctx: PrecisionContext) -> List[PrintedFormComparison]:
+def chain_printed_comparison(pairs: List[ModulusPair]) -> List[PrintedFormComparison]:
     """Audit the published nested radicals for k_400, k'_400, k_1600, k_6400.
 
-    Each published form is evaluated verbatim and compared with the Landen
-    chain.  All agree except the k'_400 coefficient, published as 2^(7/3):
-    the ascent yields 2^(7/4) (the published value is high by exactly
-    2^(7/12) ~ 1.4983).  Both variants are reported; nothing downstream
-    uses the published k'_400.
+    Each published form is evaluated verbatim and compared with ``pairs``,
+    the chain of :func:`chain_to_6400`.  All agree except the k'_400
+    coefficient, published as 2^(7/3): the ascent yields 2^(7/4) (the
+    published value is high by exactly 2^(7/12) ~ 1.4983).  Both variants
+    are reported; nothing downstream uses the published k'_400.
 
     The k_1600 and k_6400 radicals cancel ~28 and ~61 leading digits when
-    evaluated verbatim, so the audit runs at elevated internal precision;
-    agreements are reported at the caller's working precision.
+    evaluated verbatim, so they are evaluated at the chain's target plus 80
+    digits; agreements are reported at the chain's working precision.
     """
-    aud = make_context(ctx.working_digits + 80)
-    pairs = chain_to_6400(aud)
+    ctx = pairs[0].ctx
+    aud = make_context(ctx.target_digits + 80)
     p = _p_radical(aud)
     sp = aud.sqrt(p)
     p4 = aud.root(p, 4)

@@ -70,6 +70,9 @@ class AGMRun:
         k = 1, and one that already read K from the run runs no second AGM.
         E >= 1 is clamped at 1: below k' ~ 10^(-working/2), E - 1 is under the
         rounding error of K (1 - sum), which would otherwise read 0.999....
+        As k -> 1 the sum tends to 1, so E loses about log10 K(k) digits: ~5 at
+        k_r for r = 1/5e9, under 5.1 while r >= 1/moduli.R_MAX.  tests/test_cli.py's
+        test_agm_E_near_k_one_keeps_a_digit_past_the_target pins the gate's margin.
         """
         return max(self.K * (1 - self.side_sum(k)), self.ctx.one)
 

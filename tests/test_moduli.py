@@ -57,12 +57,12 @@ def test_solve_matches_landen_chain(digits):
 
 
 @pytest.mark.parametrize("build, elevated", [
-    # k100_closed_form's 10 extra digits, then three Landen ascents
-    (chain_to_6400, lambda w: [w + 10]),
-    # _theta_modulus carries log10(pi sqrt(r)) + 10 extra digits
-    (lambda ctx: solve_kr(100, ctx), lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
+    # k100_closed_form's 10 digits above the target, then three Landen ascents
+    (chain_to_6400, lambda t: [t + 10]),
+    # _theta_modulus adds log10(pi sqrt(r)) + 10 digits to the target
+    (lambda ctx: solve_kr(100, ctx), lambda t: [t + int(math.log10(math.pi * 10)) + 10]),
     (lambda ctx: solve_kr(Fraction(1, 100), ctx),
-     lambda w: [w + int(math.log10(math.pi * 10)) + 10]),
+     lambda t: [t + int(math.log10(math.pi * 10)) + 10]),
 ])
 def test_pairs_build_only_their_elevated_contexts(ctx50, monkeypatch, build, elevated):
     # a context costs ~1 ms to build; beyond the elevated contexts of the
@@ -76,7 +76,7 @@ def test_pairs_build_only_their_elevated_contexts(ctx50, monkeypatch, build, ele
 
     monkeypatch.setattr(PrecisionContext, "__init__", counting)
     build(ctx50)
-    assert built == elevated(ctx50.working_digits)
+    assert built == elevated(ctx50.target_digits)
 
 
 @pytest.mark.parametrize("digits", [50, 1000])
@@ -168,7 +168,7 @@ def test_chain_stages(ctx50):
 
 
 def test_chain_printed_forms(ctx50):
-    comps = {c.label: c for c in chain_printed_comparison(ctx50)}
+    comps = {c.label: c for c in chain_printed_comparison(chain_to_6400(ctx50))}
     assert comps["k_400"].agreement_digits >= 45
     assert comps["k_1600"].agreement_digits >= 45
     assert comps["k_6400"].agreement_digits >= 45

@@ -133,6 +133,12 @@ def test_decimal_string_ranges(ctx50):
     tiny = ctx50.mpf(10) ** -20 * ctx50.mpf("6.0281")
     assert to_decimal_string(ctx50, tiny, 4) == "6.028e-20"
     assert to_decimal_string(ctx50, ctx50.mpf(100), 5) == "100.00"
+    # log10 of 1e-8 (1 - 1e-15) rounds to -8 in a float: the exponent is
+    # renormalized down to -9
+    just_under = ctx50.tol(8) * (1 - ctx50.tol(15))
+    assert to_decimal_string(ctx50, just_under, 12) == "9.99999999999e-9"
+    with pytest.raises(ValueError):
+        to_decimal_string(ctx50, ctx50.one, 0)
 
 
 def test_log10_abs_reads_magnitude(ctx50):

@@ -47,9 +47,9 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     assert calls[("_agm", "")] <= 75
     # theta3 once per r in {1, 2, 3, 4, 100}
     assert calls[("theta3", "")] == 5
-    # at 60 digits, at the audit's 80 more and at the wide headline's 110
-    # more; the headline at 60 digits reads the cached chain
-    assert calls[("chain_to_6400", "")] == 3
+    # at 60 digits and at the wide headline's 110 more; the headline and the
+    # published-radical audit at 60 digits read the cached chain
+    assert calls[("chain_to_6400", "")] == 2
     # at 60 digits b(1/4) and the headline's oracle each run the lemniscatic
     # AGM; the wide headline is compared with the headline alone, not with
     # an oracle, so it runs none
@@ -132,70 +132,85 @@ def _value(x, scale):
     return scale(x)
 
 
-# (primitive, relative perturbation 10^-digits, mutation, the rows it fails):
-# one entry per primitive, each scaled alone at 60 digits; a row may fail
-# under several.  The AGM value is also scaled on some arguments only, since
-# a uniform scaling keeps the AGM symmetric and homogeneous.  phi' is moved
-# by 10^-20, since its row allows 25 digits.
+def _scaled_first(result, scale):
+    return (scale(result[0]), *result[1:])
+
+
+# (primitive, relative perturbation as a decimal string, mutation, the rows
+# it fails): one entry per primitive, each scaled alone at 60 digits; a row
+# may fail under several.  The AGM value is also scaled on some arguments only, since a
+# uniform scaling keeps the AGM symmetric and homogeneous.  phi' is moved by
+# 10^-20, since its row allows 25 digits.  The structural rows take factors
+# far from 1: an order, a slope within 10% and the published 5120 are not
+# moved by 10^-30.
 MUTATIONS = [
-    ("AGM value", 30, _returning(oracle._agm, _scaled_run),
+    ("AGM value", "1e-30", _returning(oracle._agm, _scaled_run),
      {"agm-fixed-point", "K-at-zero", "E-endpoints", "legendre-relation", "theta-K-identity",
       "theta-nome-K", "first-kind-triple", "second-kind-vs-agm", "headline-vs-oracle",
       "normalization-derived"}),
     # the homogeneity row's agm(lam, lam sqrt 2) at lam = 3 and pi, but not
     # the lam * agm(1, sqrt 2) it is compared with
-    ("AGM value at max(a, b) > 2", 30,
+    ("AGM value at max(a, b) > 2", "1e-30",
      _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: max(a, b) > 2),
      {"agm-homogeneity"}),
     # the symmetry row's agm(3, 1/4) and agm(7, 1e-6), but not their swaps
-    ("AGM value at a > 2b and a > 2", 30,
+    ("AGM value at a > 2b and a > 2", "1e-30",
      _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: a > 2 * b and a > 2),
      {"agm-symmetry"}),
-    ("side sum", 30, _scaled_side_sum, {"legendre-relation", "second-kind-vs-agm"}),
-    ("theta3", 30, _returning(oracle.theta3, _value),
+    ("side sum", "1e-30", _scaled_side_sum, {"legendre-relation", "second-kind-vs-agm"}),
+    ("theta3", "1e-30", _returning(oracle.theta3, _value),
      {"theta-K-identity", "theta-nome-K", "first-kind-triple"}),
-    ("nome", 30, _returning(oracle.nome, _value),
+    ("nome", "1e-30", _returning(oracle.nome, _value),
      {"theta-K-identity", "theta-nome-K", "first-kind-triple"}),
-    ("eval_series", 30,
-     _returning(series.eval_series, lambda result, scale: (scale(result[0]), result[1])),
+    ("eval_series", "1e-30", _returning(series.eval_series, _scaled_first),
      {"collapse-identity-random", "first-kind-triple", "second-kind-vs-agm",
       "headline-vs-oracle", "normalization-derived"}),
-    ("closed_form", 30, _returning(series.closed_form, _value), {"collapse-identity-random"}),
-    ("phi'", 20,
+    ("closed_form", "1e-30", _returning(series.closed_form, _value), {"collapse-identity-random"}),
+    ("phi'", "1e-20",
      _returning(series.phi_and_derivative, lambda result, scale: (result[0], scale(result[1]))),
      {"derivative-vs-finite-difference"}),
-    ("16x scale factor", 30, _returning(moduli.k_scale_16, _value),
+    ("16x scale factor", "1e-30", _returning(moduli.k_scale_16, _value),
      {"scale16-at-r1", "scale16-twice-to-256", "scale64-composition"}),
-    ("64x scale factor", 30, _returning(moduli.k_scale_64, _value),
+    ("64x scale factor", "1e-30", _returning(moduli.k_scale_64, _value),
      {"scale64-at-r1", "scale64-composition", "K6400-scaling-map", "headline-vs-oracle",
       "normalization-derived"}),
-    ("k_100 surd p", 30, _returning(moduli._p_radical, _value),
+    ("k_100 surd p", "1e-30", _returning(moduli._p_radical, _value),
      {"k100-closed-vs-solve", "K100-radical-vs-agm", "headline-vs-oracle",
       "stage-defining-ratios", "kprime400-coefficient-audit", "K100-radical",
       "normalization-derived"}),
-    ("k_100 coefficient", 30, _returning(moduli.k100_radical_coefficient, _value),
+    ("k_100 coefficient", "1e-30", _returning(moduli.k100_radical_coefficient, _value),
      {"K100-radical-vs-agm", "K100-radical", "headline-vs-oracle", "normalization-derived"}),
-    ("multiplier value", 30,
+    ("multiplier value", "1e-30",
      _returning(moduli.multiplier, lambda res, scale: res._replace(value=scale(res.value))),
      {"multiplier-K-ratios"}),
-    ("Landen gap", 30, _returning(moduli.landen_up, _moved_gap),
+    ("Landen gap", "1e-30", _returning(moduli.landen_up, _moved_gap),
      {"landen-vs-solve", "scale64-composition", "stage-defining-ratios", "published-k400",
       "published-k1600", "published-k6400", "kprime400-coefficient-audit"}),
-    ("b_quarter", 30, _returning(oracle.b_quarter, _value),
+    ("b_quarter", "1e-30", _returning(oracle.b_quarter, _value),
      {"K-lemniscatic", "K100-radical-vs-agm", "K100-radical"}),
-    ("gamma_quarter_ref", 30, _returning(oracle.gamma_quarter_ref, _value),
+    ("gamma_quarter_ref", "1e-30", _returning(oracle.gamma_quarter_ref, _value),
      {"headline-vs-oracle", "normalization-derived"}),
+    # K(0.5) x 11 lies above K(0.6)
+    ("K at k = 0.5", "10",
+     _returning(oracle.K_E_ref, _scaled_first, where=lambda k, ctx: k == 0.5),
+     {"K-strictly-increasing", "legendre-relation"}),
+    # the error trace's slope, doubled
+    ("digits-per-term slope", "1", _returning(series._slope, _value),
+     {"digits-per-term-slope"}),
+    # the headline only at the wide run's precision
+    ("wide headline", "1e-30",
+     _returning(series.gamma_quarter_series, _scaled_first,
+                where=lambda chain: chain[0].ctx.target_digits > 60),
+     {"headline-termination-insensitive"}),
+    # the headline x 5120 is the published prefactor's value
+    ("headline x 5120", "5119", _returning(series.gamma_quarter_series, _scaled_first),
+     {"headline-vs-oracle", "normalization-derived", "normalization-published-mismatch"}),
 ]
 
 # the rows that no entry fails, and why none can
 UNMUTATED = {
-    "K-strictly-increasing": "a scaling keeps the order of K on the grid",
     "solve-defining-ratio": "repeats solve_kr's own gate, which raises first",
     "multiplier-polynomials": "the residual is formed before the value a mutation scales",
-    "digits-per-term-slope": "reads the error trace, not the value, to a 10% tolerance",
-    "headline-termination-insensitive": "compares the same code at two precisions",
-    "normalization-published-mismatch": "a report row: it passes while the published "
-                                        "prefactor is off by 5120",
 }
 
 
@@ -204,8 +219,8 @@ def test_every_row_fails_under_a_mutation(monkeypatch):
     mutated = set().union(*(fails for *_, fails in MUTATIONS))
     assert len(rows) == 36
     assert mutated | set(UNMUTATED) == set(rows) and not mutated & set(UNMUTATED)
-    for primitive, digits, mutate, fails in MUTATIONS:
+    for primitive, rel, mutate, fails in MUTATIONS:
         with monkeypatch.context() as m:
-            mutate(m, lambda x: x * (1 + x.context.mpf(10) ** -digits))
+            mutate(m, lambda x: x * (1 + type(x)(rel)))
             results = verify.run_verify(60, ["all"])
         assert {r.name for r in results if not r.passed} == fails, primitive
