@@ -87,18 +87,18 @@ def _residual_check(name: str, ctx: PrecisionContext, worst_abs, threshold_digit
 def _oracle_checks(ctx: PrecisionContext, cache: _SolveCache) -> Iterator[_Row]:
     t5 = ctx.target_digits - 5
 
-    yield _residual_check("agm-fixed-point", ctx, agm(ctx.one, ctx.one, ctx) - 1, t5)
+    yield _residual_check("agm-fixed-point", ctx, agm(ctx.one, ctx.one, ctx).value - 1, t5)
 
     # agm(1, sqrt(2)), which the homogeneity row reads too
-    agm_sqrt2 = agm(ctx.one, ctx.sqrt(2), ctx)
-    worst = abs(agm_sqrt2 - agm(ctx.sqrt(2), ctx.one, ctx))
+    agm_sqrt2 = agm(ctx.one, ctx.sqrt(2), ctx).value
+    worst = abs(agm_sqrt2 - agm(ctx.sqrt(2), ctx.one, ctx).value)
     for a, b in ((ctx.mpf("0.25"), ctx.mpf(3)), (ctx.mpf("1e-6"), ctx.mpf(7))):
-        worst = max(worst, abs(agm(a, b, ctx) - agm(b, a, ctx)))
+        worst = max(worst, abs(agm(a, b, ctx).value - agm(b, a, ctx).value))
     yield _residual_check("agm-symmetry", ctx, worst, t5)
 
     worst = ctx.zero
     for lam in (ctx.mpf(3), ctx.mpf("0.125"), ctx.pi):
-        worst = max(worst, abs(agm(lam, lam * ctx.sqrt(2), ctx) - lam * agm_sqrt2))
+        worst = max(worst, abs(agm(lam, lam * ctx.sqrt(2), ctx).value - lam * agm_sqrt2))
     yield _residual_check("agm-homogeneity", ctx, worst, t5)
 
     yield _residual_check("K-at-zero", ctx, K_ref(0, ctx) - ctx.pi / 2, t5)

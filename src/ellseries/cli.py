@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -131,21 +132,24 @@ def _elliptic_series(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
 def _elliptic_agm(kind: str, r: Fraction, ctx: PrecisionContext) -> tuple:
     """(K or E of the pair solved at ``ctx``, a report of no terms, its agreement
     with theta3(q_s)^2 pi/2 at s = max(r, 1/r), times sqrt(s) for r < 1 (K), or
-    with Legendre's relation E = agm(1, k) + K S', S' agm(1, k)'s side sum from k')."""
+    with Legendre's relation E = agm(1, k) + K S', S' the gate's agm(1, k) side sum from k')."""
     pair = moduli.solve_kr(r, ctx)
     if kind == "K":
         check = oracle.theta3(oracle.nome(max(r, 1 / r), ctx), ctx) ** 2 * ctx.pi / 2
         if r < 1:  # K(k_r) = sqrt(1/r) K(k_{1/r})
             check *= ctx.sqrt(ctx.mpf(1 / r))
     else:
-        run = oracle._agm(ctx.one, pair.k, ctx)
-        check = run.value + pair.K * run.side_sum(pair.k_prime)
+        check = pair.agm_k.value + pair.K * pair.agm_k.side_sum(pair.k_prime)
     value = getattr(pair, kind)
     return value, series.ConvergenceReport(0, list), ctx.agreement_digits(value, check)
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type for --r: an integer or p/q with q != 0."""
+    """argparse type for --r: an integer or p/q with q != 0.  A decimal exponent of
+    more than five digits is refused first, since Fraction would expand 10^exponent."""
+    exponent = re.search(r"e[-+]?([\d_]+)\s*$", text, re.IGNORECASE)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 5:
+        raise argparse.ArgumentTypeError(f"exponent of more than five digits in {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -189,14 +193,14 @@ def _cmd_constant(args) -> int:
 def _cmd_elliptic(args) -> int:
     r = args.r
     if r <= 0:
-        raise DomainError(f"--r must be a positive rational, got {r}")
+        raise DomainError(f"--r must be a positive rational, got {moduli.r_text(r)}")
     _check_ceiling(args.digits)
     agm = args.method == "agm"  # series and both report the series value
     note = ("agm method: K checked by theta3(q)^2 pi/2, E by Legendre's relation; theta3 shares "
             "its mathematics with the theta-quotient q, which solve_kr's defining ratio checks")
-    rep = _run_report(f"elliptic {args.kind} r={r} method={args.method}", args.digits,
-                      partial(_elliptic_agm if agm else _elliptic_series, args.kind, r),
-                      warnings=[note] if agm else [])
+    compute = partial(_elliptic_agm if agm else _elliptic_series, args.kind, r)
+    rep = _run_report(f"elliptic {args.kind} r={moduli.r_text(r)} method={args.method}",
+                      args.digits, compute, warnings=[note] if agm else [])
     _emit([rep], args.format)
     return EXIT_OK
 

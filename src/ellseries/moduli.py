@@ -21,13 +21,21 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .oracle import AGMRun, _agm, agm
+from .oracle import AGMRun, agm
 from .precision import BigReal, DomainError, PrecisionContext, Rational, make_context
 
 
 # A pair keeps k'_r strictly below 1, which takes -log10(1 - k'_r) ~
 # pi sqrt(r)/ln(10) digits: 100k of them at r = R_MAX (and r = 1/R_MAX).
 R_MAX = (100_000 * math.log(10) / math.pi) ** 2
+
+
+def r_text(r: Fraction) -> str:
+    """str(r), or its order of magnitude where p or q has more digits than str() prints."""
+    try:
+        return str(r)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"~{'-' * (r < 0)}1e{math.log10(abs(r.numerator)) - math.log10(r.denominator):+.0f}"
 
 
 class RootSelectionError(RuntimeError):
@@ -51,10 +59,10 @@ class ModulusPair:
     k^2 + k'^2 = 1 in gap form, k^2 = gap (2 - gap), on values rounded to
     ``ctx``: squaring an exact k of 319 kbit (r = 1/5e9) would cost 18 ms.
 
-    The pair keeps ``ctx``: agm(1, k), agm(1, k'), K and E are computed at
-    it once, on first read, so the AGMs that :func:`solve_kr`'s
-    defining-ratio gate runs serve every later reader.  E reads the side
-    sum from the iterates of that agm(1, k') run, so no AGM runs twice.
+    The pair keeps ``ctx``: its agm(1, k) and agm(1, k') runs, K and E are
+    computed at it once, on first read, so the runs that :func:`solve_kr`'s
+    defining-ratio gate takes serve every later reader.  E reads the side
+    sum from the iterates of the agm(1, k') run, so no AGM runs twice.
     """
 
     def __init__(self, r: Fraction, k: BigReal, gap: BigReal,
@@ -71,23 +79,24 @@ class ModulusPair:
         self.k_prime = ctx.exact_sub(1, gap)
 
     @cached_property
-    def agm_k(self) -> BigReal:
-        """agm(1, k_r) from the stored k."""
+    def agm_k(self) -> AGMRun:
+        """The agm(1, k_r) run from the stored k."""
         return agm(self.ctx.one, self.k, self.ctx)
 
     @cached_property
-    def _agm_k_prime_run(self) -> AGMRun:
-        return _agm(self.ctx.one, self.k_prime, self.ctx)
+    def agm_k_prime(self) -> AGMRun:
+        """The agm(1, k'_r) run from the stored k'; k' is never re-derived as sqrt(1 - k^2)."""
+        return agm(self.ctx.one, self.k_prime, self.ctx)
 
     @cached_property
     def K(self) -> BigReal:
-        """K(k_r) from the agm(1, k'_r) run; k' is never re-derived as sqrt(1 - k^2)."""
-        return self._agm_k_prime_run.K
+        """K(k_r) from the agm(1, k'_r) run."""
+        return self.agm_k_prime.K
 
     @cached_property
     def E(self) -> BigReal:
         """E(k_r) by the side sum of the agm(1, k'_r) run (:meth:`AGMRun.E`)."""
-        return self._agm_k_prime_run.E(self.k)
+        return self.agm_k_prime.E(self.k)
 
 
 class MultiplierResult(NamedTuple):
@@ -112,8 +121,7 @@ def eq2_residual(pair: ModulusPair) -> BigReal:
     k' from sqrt(1 - k^2) would cancel away ~ -2 log10(k) digits when k is
     tiny (k_6400 ~ 1e-54 would cost ~108).
     """
-    ctx = pair.ctx
-    return abs(pair._agm_k_prime_run.value / pair.agm_k - ctx.sqrt(ctx.mpf(pair.r)))
+    return abs(pair.agm_k_prime.value / pair.agm_k.value - pair.ctx.sqrt(pair.ctx.mpf(pair.r)))
 
 
 def _theta_modulus(r: Fraction, ctx: PrecisionContext) -> Tuple[BigReal, BigReal]:
@@ -157,9 +165,9 @@ def solve_kr(r: Rational, ctx: PrecisionContext) -> ModulusPair:
     """
     r = Fraction(r)
     if r <= 0:
-        raise DomainError(f"singular modulus requires r > 0, got {r}")
+        raise DomainError(f"singular modulus requires r > 0, got {r_text(r)}")
     if max(r, 1 / r) > R_MAX:
-        raise DomainError(f"r={r} is outside {1 / R_MAX:.3g} <= r <= {R_MAX:.3g}, "
+        raise DomainError(f"r={r_text(r)} is outside {1 / R_MAX:.3g} <= r <= {R_MAX:.3g}, "
                           f"where k'_r < 1 takes at most 100k digits")
     k, gap = _theta_modulus(max(r, 1 / r), ctx)
     if r < 1:

@@ -22,7 +22,7 @@ _GUARD_BITS = 32
 
 
 class AGMRun:
-    """agm(a, b) as :func:`_agm` stepped it, with the iterates it stepped through.
+    """agm(a, b) as :func:`agm` stepped it, with the iterates it stepped through.
 
     ``value`` is the limit.  The iterates are kept as the loop formed them
     (mpf pairs while one argument exceeds twice the other, then the binary
@@ -77,12 +77,13 @@ class AGMRun:
         return max(self.K * (1 - self.side_sum(k)), self.ctx.one)
 
 
-def _agm(a: Any, b: Any, ctx: PrecisionContext) -> AGMRun:
-    """agm(a, b), with the iterates that E's side sum reads (:class:`AGMRun`).
+def agm(a: Any, b: Any, ctx: PrecisionContext) -> AGMRun:
+    """The run of agm(a, b): its limit ``.value`` and the iterates E's side sum reads.
 
     The steps are a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n) and
-    c_{n+1} = (a_n-b_n)/2.  While one argument exceeds twice the other,
-    each step takes the square root of their product in mpf arithmetic.
+    c_{n+1} = (a_n-b_n)/2, and their count is O(log(working_digits)).
+    While one argument exceeds twice the other, each step takes the square
+    root of their product in mpf arithmetic.
     The remaining steps run in binary fixed point with the substrate's
     integer square root, at the working precision plus 32 guard bits
     relative to the larger argument: the iterates then share their leading
@@ -109,21 +110,12 @@ def _agm(a: Any, b: Any, ctx: PrecisionContext) -> AGMRun:
     return AGMRun(ctx.from_fixed((x + y) >> 1, bits), ctx, mpf_steps, bits, fixed_steps)
 
 
-def agm(a: Any, b: Any, ctx: PrecisionContext) -> BigReal:
-    """Common limit of a_{n+1} = (a_n+b_n)/2, b_{n+1} = sqrt(a_n*b_n).
-
-    Quadratically convergent: the iteration count is O(log(working_digits)).
-    Stepped by :func:`_agm`.
-    """
-    return _agm(a, b, ctx).value
-
-
 def _agm_at(k: Any, ctx: PrecisionContext) -> AGMRun:
     """The agm(1, k') run, k' = sqrt(1 - k^2), that K(k) and E(k) read, for 0 <= k < 1."""
     k = ctx.mpf(k)
     if k < 0 or k >= 1:
         raise DomainError(f"K requires 0 <= k < 1, got {k}")
-    return _agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
+    return agm(ctx.one, ctx.sqrt(1 - k * k), ctx)
 
 
 def K_ref(k: Any, ctx: PrecisionContext) -> BigReal:
@@ -182,7 +174,7 @@ def theta3(q: Any, ctx: PrecisionContext) -> BigReal:
 
 def _lemniscatic_agm(ctx: PrecisionContext) -> BigReal:
     """agm(1, 1/sqrt(2)); the headline constant Gamma(1/4)^2/pi^(3/2) is 2 over it."""
-    return agm(ctx.one, ctx.sqrt(2) / 2, ctx)
+    return agm(ctx.one, ctx.sqrt(2) / 2, ctx).value
 
 
 def b_quarter(ctx: PrecisionContext) -> BigReal:

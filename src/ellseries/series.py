@@ -296,15 +296,11 @@ def _tail_trace(coeffs: List[Tuple[int, int]], u: int, z_m: int, z_e: int,
 
 
 def _slope(trace: List[Tuple[int, float]]) -> Optional[float]:
-    """Least-squares slope of digits vs term index, n = 0 excluded."""
+    """Least-squares slope of digits vs term index, n = 0 excluded; None under two points."""
     pts = [(n, d) for n, d in trace if n >= 1]
-    if len(pts) < 2:
-        return None
-    m = len(pts)
-    sx = sum(n for n, _ in pts)
-    sy = sum(d for _, d in pts)
-    sxx = sum(n * n for n, _ in pts)
-    sxy = sum(n * d for n, d in pts)
+    m, sx, sy, sxx, sxy = len(pts), 0, 0.0, 0, 0.0
+    for n, d in pts:  # left to right: sum() compensates float rounding from Python 3.12 on
+        sx, sy, sxx, sxy = sx + n, sy + d, sxx + n * n, sxy + n * d
     denom = m * sxx - sx * sx
     return (m * sxy - sx * sy) / denom if denom else None
 

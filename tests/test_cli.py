@@ -54,6 +54,14 @@ EXIT_CODES = [
     pytest.param(["elliptic", "K", "--r", "1000000", "--digits", "50"], 0, id="large-r"),
     pytest.param(["elliptic", "K", "--r", "10000000000", "--digits", "50"], 2,
                  id="r-out-of-range"),
+    # str() of a Fraction with a 5001-digit part raises; the messages print
+    # such an r by its order of magnitude
+    pytest.param(["elliptic", "K", "--r", "1e5000", "--digits", "50"], 2, id="r-1e5000"),
+    pytest.param(["elliptic", "K", "--r", "1e-5000", "--digits", "50"], 2, id="r-1e-5000"),
+    pytest.param(["elliptic", "K", "--r=-1e5000", "--digits", "50"], 2, id="r-minus-1e5000"),
+    # refused before Fraction expands 10^999999999, which would take hours
+    pytest.param(["elliptic", "K", "--r", "1e-999999999", "--digits", "50"], 1,
+                 id="r-exponent-too-large"),
     # the series would need ~1e7 terms; it used to sum 2,000,000 of them
     # for ~40 s before failing
     pytest.param(["elliptic", "K", "--r", "1/20", "--digits", "50"], 3,
@@ -91,6 +99,15 @@ def test_exit_code(capsys, argv, expected):
         assert err.startswith("usage: ") and re.search(r"^ellseries.*: error: ", err, re.M)
     elif code:
         assert err.count("\n") == 1 and err.startswith("ellseries: ")
+
+
+@pytest.mark.parametrize("r", ["1e-999999999", "1E+1_000_000", "1e0000000000000000000000100000"])
+def test_huge_r_exponent_is_refused_within_a_second(capsys, r):
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["elliptic", "K", f"--r={r}", "--digits", "50"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].endswith(f"exponent of more than five digits in {r!r}")
 
 
 def test_constant_text(capsys):
@@ -173,10 +190,10 @@ def test_elliptic_agm_method_at_r1(capsys):
 
 
 def _patch_agm_loop(monkeypatch, replacement):
-    """Put ``replacement(loop)`` in place of the one AGM loop, oracle._agm,
+    """Put ``replacement(loop)`` in place of the one AGM loop, oracle.agm,
     in every ellseries module that binds it."""
     from ellseries import oracle
-    loop = oracle._agm
+    loop = oracle.agm
     patched = replacement(loop)
     for name, m in list(sys.modules.items()):
         if name == "ellseries" or name.startswith("ellseries."):
@@ -186,15 +203,15 @@ def _patch_agm_loop(monkeypatch, replacement):
 
 
 def _count_agm_loops(monkeypatch):
-    """Count runs of the one AGM loop, oracle._agm, and reads of a run's side
+    """Count runs of the one AGM loop, oracle.agm, and reads of a run's side
     sum (E's)."""
     from ellseries import oracle
-    counts = {"_agm": 0, "side_sum": 0}
+    counts = {"agm": 0, "side_sum": 0}
     side_sum = oracle.AGMRun.side_sum
 
     def counted(loop):
         def counted_loop(*args, **kwargs):
-            counts["_agm"] += 1
+            counts["agm"] += 1
             return loop(*args, **kwargs)
         return counted_loop
 
@@ -207,18 +224,18 @@ def _count_agm_loops(monkeypatch):
     return counts
 
 
-# the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps the
-# agm(1, k') run for K and for E, whose side sum reads that run's iterates
-# without another loop; agm checks K by theta3, with no AGM, and E by
-# Legendre's relation, which reads the side sum of one more agm(1, k)
+# the solve_kr gate runs agm(1, k') and agm(1, k); the pair keeps both
+# runs, the agm(1, k') one for K and for E, whose side sum reads that run's
+# iterates without another loop; agm checks K by theta3, with no AGM, and E
+# by Legendre's relation, which reads the side sum of the gate's agm(1, k)
 @pytest.mark.parametrize("kind, method, loops, side_sums", [
-    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 2, 0), ("E", "agm", 3, 2)])
+    ("K", "both", 2, 0), ("E", "both", 2, 1), ("K", "agm", 2, 0), ("E", "agm", 2, 2)])
 def test_elliptic_runs_each_agm_once(capsys, monkeypatch, kind, method, loops, side_sums):
     counts = _count_agm_loops(monkeypatch)
     code, _, _ = _run(capsys, ["elliptic", kind, "--r", "4", "--digits", "100",
                                "--method", method, "--format", "json"])
     assert code == 0
-    assert counts == {"_agm": loops, "side_sum": side_sums}
+    assert counts == {"agm": loops, "side_sum": side_sums}
 
 
 def test_constant_runs_one_agm(capsys, monkeypatch):
@@ -228,7 +245,7 @@ def test_constant_runs_one_agm(capsys, monkeypatch):
     code, _, _ = _run(capsys, ["constant", "gamma-quarter", "--digits", "1000",
                                "--format", "json"])
     assert code == 0
-    assert counts == {"_agm": 1, "side_sum": 0}
+    assert counts == {"agm": 1, "side_sum": 0}
 
 
 def _perturb_p_radical(monkeypatch, digits):

@@ -113,13 +113,13 @@ def test_gated_pair_reruns_no_agm(ctx50, monkeypatch):
     # pair; the residual and K read them at the pair's own context
     from ellseries import oracle
     runs = []
-    agm_loop = oracle._agm
+    agm_loop = oracle.agm
 
     def counted(*args, **kwargs):
         runs.append(args)
         return agm_loop(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_agm", counted)
+    monkeypatch.setattr(oracle, "agm", counted)
     for pair in (solve_kr(Fraction(1, 3), ctx50), solve_kr(4, ctx50)):
         assert pair.ctx is ctx50
         gate_runs = len(runs)

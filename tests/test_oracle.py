@@ -25,11 +25,11 @@ EXP_MINUS_PI = "0.0432139182637722497744177371717280112757281098106330829807197"
 
 
 def test_agm_fixed_point(ctx50):
-    assert agm(1, 1, ctx50) == 1
+    assert agm(1, 1, ctx50).value == 1
 
 
 def test_agm_reference(ctx50):
-    assert abs(agm(1, ctx50.sqrt(2), ctx50) - ctx50.mpf(AGM_1_SQRT2)) <= ctx50.tol(58)
+    assert abs(agm(1, ctx50.sqrt(2), ctx50).value - ctx50.mpf(AGM_1_SQRT2)) <= ctx50.tol(58)
 
 
 def test_agm_rejects_nonpositive(ctx50):
@@ -45,7 +45,7 @@ def test_agm_rejects_nonpositive(ctx50):
 def test_agm_symmetry(a, b):
     ctx = make_context(30)
     x, y = ctx.mpf(a), ctx.mpf(b)
-    assert abs(agm(x, y, ctx) - agm(y, x, ctx)) <= ctx.tol(32) * max(1, x, y)
+    assert abs(agm(x, y, ctx).value - agm(y, x, ctx).value) <= ctx.tol(32) * max(1, x, y)
 
 
 @settings(deadline=None)
@@ -53,8 +53,8 @@ def test_agm_symmetry(a, b):
 def test_agm_homogeneity(lam):
     ctx = make_context(30)
     lam = ctx.mpf(lam)
-    lhs = agm(lam, 2 * lam, ctx)
-    rhs = lam * agm(1, 2, ctx)
+    lhs = agm(lam, 2 * lam, ctx).value
+    rhs = lam * agm(1, 2, ctx).value
     assert abs(lhs - rhs) <= ctx.tol(32) * rhs
 
 
@@ -73,7 +73,7 @@ def test_agm_matches_mpmath(log10_a, log10_b, digits):
     a, b = ctx.mpf(10.0 ** log10_a), ctx.mpf(10.0 ** log10_b)
     mp = _mpmath_at(ctx)
     ref = mp.agm(mp.mpf(a), mp.mpf(b))
-    assert abs(agm(a, b, ctx) - ref) <= ctx.tol(ctx.working_digits - 2) * ref
+    assert abs(agm(a, b, ctx).value - ref) <= ctx.tol(ctx.working_digits - 2) * ref
 
 
 @pytest.mark.parametrize("digits, a, b", [
@@ -85,7 +85,7 @@ def test_agm_rows(digits, a, b):
     ctx = make_context(digits)
     a, b = ctx.mpf(a), ctx.mpf(b)
     t0 = time.perf_counter()
-    value = agm(a, b, ctx)
+    value = agm(a, b, ctx).value
     # 1e-3 s here; a fixed point widened by the exponent gap takes seconds
     assert time.perf_counter() - t0 < 0.5
     if a == b:
@@ -103,8 +103,7 @@ def test_side_sum_agm_limit_is_agm_bit_for_bit(log10_k_prime, digits):
     ctx = make_context(digits)
     kp = ctx.mpf(10) ** log10_k_prime
     k = ctx.sqrt((1 - kp) * (1 + kp))
-    run = oracle._agm(ctx.one, kp, ctx)
-    assert run.value == agm(ctx.one, kp, ctx)
+    run = agm(ctx.one, kp, ctx)
     csum = run.side_sum(k)
     assert 0 < csum < 1
     # the same sum stepped directly in mpmath, 20 digits wider
@@ -259,7 +258,7 @@ def test_b_quarter_vs_gamma_table(ctx50):
 def test_b_quarter_over_pi(ctx50):
     got = b_quarter(ctx50) / ctx50.pi
     assert abs(got - ctx50.mpf(B_QUARTER_OVER_PI)) <= ctx50.tol(55)
-    assert abs(got - 2 / agm(1, ctx50.sqrt(2) / 2, ctx50)) <= ctx50.tol(55)
+    assert abs(got - 2 / agm(1, ctx50.sqrt(2) / 2, ctx50).value) <= ctx50.tol(55)
 
 
 def test_b_quarter_is_four_K(ctx50):

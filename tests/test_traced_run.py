@@ -58,8 +58,13 @@ def test_traced_cli_records_spans(argv):
     code, out, err, spans = _traced(argv)
     assert code == 0, err
     assert json.loads(out)["oracle_agreement_digits"] >= 45
+    headline = argv[0] == "constant"
+    # every AGM loop is oracle.agm, so the tracer sees each one: the
+    # headline's oracle runs agm(1, 1/sqrt(2)), and solve_kr's gate runs
+    # agm(1, k') and agm(1, k), whose runs give E its side sum
+    assert [span[0] for span in spans].count("oracle.agm") == (1 if headline else 2)
     # the headline's chain runs no defining-ratio gate; solve_kr runs one
-    modulus_span = "moduli.chain_to_6400" if argv[0] == "constant" else "moduli.eq2_residual"
+    modulus_span = "moduli.chain_to_6400" if headline else "moduli.eq2_residual"
     assert "series.eval_series" in {span[0] for span in spans}
     stages = [span for span in spans if span[0] in (modulus_span, "oracle.agm")]
     assert {span[0] for span in stages} == {modulus_span, "oracle.agm"}
@@ -79,4 +84,6 @@ def test_traced_verify_records_run_verify_spans():
     code, out, err, spans = _traced(["verify", "--digits", "60", "--selection", "all"])
     assert code == 0, err
     assert json.loads(out)["passed"]
-    assert {"verify.run_verify", "oracle.agm"} <= {span[0] for span in spans}
+    assert "verify.run_verify" in {span[0] for span in spans}
+    # every one of the 75 AGM loops of a 60-digit verify is traced
+    assert [span[0] for span in spans].count("oracle.agm") == 75

@@ -30,7 +30,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
 
     count("solve_kr", moduli.solve_kr, key=lambda args: str(args[0]))
     count("two_K_over_pi", series.two_K_over_pi)
-    count("_agm", oracle._agm)
+    count("agm", oracle.agm)
     count("theta3", oracle.theta3)
     count("chain_to_6400", moduli.chain_to_6400)
     count("_lemniscatic_agm", oracle._lemniscatic_agm,
@@ -44,7 +44,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch):
     assert calls[("two_K_over_pi", "")] == 4
     # a pair's E reads its K's AGM run, the oracle grid takes K and E of
     # each k from one run, and agm(1, sqrt(2)) runs once (100 loops before)
-    assert calls[("_agm", "")] <= 75
+    assert calls[("agm", "")] <= 75
     # theta3 once per r in {1, 2, 3, 4, 100}
     assert calls[("theta3", "")] == 5
     # at 60 digits and at the wide headline's 110 more; the headline and the
@@ -144,18 +144,18 @@ def _scaled_first(result, scale):
 # far from 1: an order, a slope within 10% and the published 5120 are not
 # moved by 10^-30.
 MUTATIONS = [
-    ("AGM value", "1e-30", _returning(oracle._agm, _scaled_run),
+    ("AGM value", "1e-30", _returning(oracle.agm, _scaled_run),
      {"agm-fixed-point", "K-at-zero", "E-endpoints", "legendre-relation", "theta-K-identity",
       "theta-nome-K", "first-kind-triple", "second-kind-vs-agm", "headline-vs-oracle",
       "normalization-derived"}),
     # the homogeneity row's agm(lam, lam sqrt 2) at lam = 3 and pi, but not
     # the lam * agm(1, sqrt 2) it is compared with
     ("AGM value at max(a, b) > 2", "1e-30",
-     _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: max(a, b) > 2),
+     _returning(oracle.agm, _scaled_run, where=lambda a, b, ctx: max(a, b) > 2),
      {"agm-homogeneity"}),
     # the symmetry row's agm(3, 1/4) and agm(7, 1e-6), but not their swaps
     ("AGM value at a > 2b and a > 2", "1e-30",
-     _returning(oracle._agm, _scaled_run, where=lambda a, b, ctx: a > 2 * b and a > 2),
+     _returning(oracle.agm, _scaled_run, where=lambda a, b, ctx: a > 2 * b and a > 2),
      {"agm-symmetry"}),
     ("side sum", "1e-30", _scaled_side_sum, {"legendre-relation", "second-kind-vs-agm"}),
     ("theta3", "1e-30", _returning(oracle.theta3, _value),
@@ -210,7 +210,8 @@ MUTATIONS = [
 # the rows that no entry fails, and why none can
 UNMUTATED = {
     "solve-defining-ratio": "repeats solve_kr's own gate, which raises first",
-    "multiplier-polynomials": "the residual is formed before the value a mutation scales",
+    "multiplier-polynomials": "multiplier keeps only roots in (0, 1) with |f| <= 10^-target, "
+                              "stricter than the row's 10^-(target - 10), and raises first",
 }
 
 
@@ -224,3 +225,17 @@ def test_every_row_fails_under_a_mutation(monkeypatch):
             mutate(m, lambda x: x * (1 + type(x)(rel)))
             results = verify.run_verify(60, ["all"])
         assert {r.name for r in results if not r.passed} == fails, primitive
+
+
+def test_a_moved_multiplier_polynomial_raises_before_its_row(monkeypatch):
+    # the multiplier-polynomials row cannot fail: a moved f leaves no root
+    # that multiplier keeps, so RootSelectionError is raised first
+    polynomials = moduli._multiplier_polynomials
+
+    def moved(n, k):
+        f, fp, fpp = polynomials(n, k)
+        return (lambda m: f(m) * (1 + type(m)("1e-30")) + type(m)("1e-30")), fp, fpp
+
+    monkeypatch.setattr(moduli, "_multiplier_polynomials", moved)
+    with pytest.raises(moduli.RootSelectionError):
+        verify.run_verify(60, ["moduli"])
